@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import daemon, sim
-from .kernels import BiasBasis
+from .protocol import bias_from_name
 
 
 def _world_flags(p):
@@ -71,14 +71,6 @@ def _parse_grid(spec, default):
     return np.asarray([float(p) for p in spec.split(",")], dtype=np.float64)
 
 
-def _bias_from_flag(name):
-    if name == "none":
-        return BiasBasis.empty()
-    if name == "constant":
-        return BiasBasis.constant()
-    raise ValueError("unknown bias %r" % (name,))
-
-
 def _fmt(x):
     return repr(float(x))
 
@@ -117,7 +109,7 @@ def cmd_sweep(args):
     alphas = _parse_grid(args.alpha_grid, adef)
     lambdas = _parse_grid(args.lambda_grid, ldef)
     result = sim.sweep(world, alphas, lambdas, mode=args.mode, k=args.k,
-                       bias=_bias_from_flag(args.bias))
+                       bias=bias_from_name(args.bias))
     os.makedirs(args.out, exist_ok=True)
     rp = os.path.join(args.out, "result.json")
     sim.save_result(result, rp)
@@ -154,7 +146,7 @@ def cmd_serve(args):
 
 def cmd_serve_demo(args):
     world = _build_world(args)
-    mcfg = sim._model_config(args.alpha, args.lam, _bias_from_flag(args.bias))
+    mcfg = sim._model_config(args.alpha, args.lam, bias_from_name(args.bias))
     print("world: %d artists, %d users, %d observations"
           % (len(world.inputs), world.cfg.num_users, len(world.ds.triples)))
     print("streaming through a localhost daemon (alpha=%g lambda=%g) ..."

@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import UnknownTask
-from .kernels import eval_kernel, eval_shared
-from .offline import build_factors
+from .offline import build_factors, mixed_predictions
 from .server import ServerEngine, TaskCoeffsView, shared_coefficients
 
 _F64 = np.float64
@@ -44,37 +43,6 @@ class ClientModel:
     a_cond: np.ndarray
     a_task: np.ndarray
     slots: np.ndarray
-
-
-def reconstruct_factors(inputs, cfg):
-    """Rebuild L, D, M from disclosed unique inputs, in disclosed order."""
-    return build_factors(inputs, cfg)
-
-
-def compute_bias_and_acheck(y_cond, h_mat, factors, alpha):
-    """Bias and condensed coefficients from disclosed data alone."""
-    return shared_coefficients(y_cond, h_mat, factors, alpha)
-
-
-def _assemble(task, epoch, engine_like, a_task, slots):
-    y = np.asarray(engine_like.y_cond.values if hasattr(engine_like.y_cond, "values")
-                   else engine_like.y_cond, dtype=_F64).copy()
-    factors = engine_like.factors
-    h_mat = engine_like.H
-    cfg = engine_like.cfg
-    b, a_cond = compute_bias_and_acheck(y, h_mat, factors, cfg.alpha)
-    return ClientModel(
-        task=task,
-        epoch=epoch,
-        inputs=tuple(engine_like.inputs),
-        factors=factors,
-        y_cond=y,
-        H=h_mat,
-        b=b,
-        a_cond=a_cond,
-        a_task=np.asarray(a_task, dtype=_F64),
-        slots=np.asarray(slots, dtype=np.intp),
-    )
 
 
 class Client:
@@ -112,26 +80,17 @@ class Client:
                 break
         else:
             raise RuntimeError("server kept changing between reads")
-        factors = reconstruct_factors(db.inputs, self.cfg)
-        b, a_cond = compute_bias_and_acheck(
-            db.y_cond, db.H, factors, self.cfg.alpha
-        )
         key_slot = {x.key: i for i, x in enumerate(db.inputs)}
-        slots = np.array([key_slot[k] for k in tc.keys], dtype=np.intp)
-        model = ClientModel(
-            task=self.task,
-            epoch=db.epoch,
-            inputs=db.inputs,
-            factors=factors,
-            y_cond=np.asarray(db.y_cond, dtype=_F64).copy(),
-            H=db.H,
-            b=b,
-            a_cond=a_cond,
-            a_task=np.asarray(tc.a, dtype=_F64),
-            slots=slots,
+        self._cached = self._model(
+            db.epoch,
+            db.inputs,
+            build_factors(db.inputs, self.cfg),
+            db.y_cond,
+            db.H,
+            tc.a,
+            [key_slot[k] for k in tc.keys],
         )
-        self._cached = model
-        return model
+        return self._cached
 
     # ----- passive path -------------------------------------------------
 
@@ -148,30 +107,39 @@ class Client:
             local.receive_example(self.task, x, y, w)
         try:
             a_task = local.get_task_coefficients(self.task)
-            slots = list(local.tasks[self.task].slots)
+            slots = local.tasks[self.task].slots
         except UnknownTask:
-            a_task = np.zeros(0, dtype=_F64)
-            slots = []
-        return _assemble(self.task, disclosed.epoch, local, a_task, slots)
+            a_task, slots = np.zeros(0, dtype=_F64), []
+        return self._model(
+            disclosed.epoch, local.inputs, local.factors, local.y_cond.values,
+            local.H, a_task, slots,
+        )
+
+    def _model(self, epoch, inputs, factors, y_cond, h_mat, a_task, slots):
+        """The model of this task from the shared state and its own
+        coefficients; factors must be those of inputs."""
+        y = np.asarray(y_cond, dtype=_F64).copy()
+        b, a_cond = shared_coefficients(y, h_mat, factors, self.cfg.alpha)
+        return ClientModel(
+            task=self.task,
+            epoch=epoch,
+            inputs=tuple(inputs),
+            factors=factors,
+            y_cond=y,
+            H=h_mat,
+            b=b,
+            a_cond=a_cond,
+            a_task=np.asarray(a_task, dtype=_F64),
+            slots=np.asarray(slots, dtype=np.intp),
+        )
 
 
 def predict_client(model, cfg, x):
     """Mixed-effect prediction from a client model; 0 on an empty model."""
-    val = 0.0
-    if cfg.alpha > 0.0 and len(model.inputs):
-        shared = sum(
-            a * eval_shared(cfg, xi, x) for a, xi in zip(model.a_cond, model.inputs)
-        )
-        if cfg.bias_dim:
-            shared += float(np.dot(model.b, cfg.bias.row(x)))
-        val += cfg.alpha * shared
-    if cfg.alpha < 1.0 and len(model.a_task):
-        spec = cfg.individual_for(model.task)
-        val += (1.0 - cfg.alpha) * sum(
-            a * eval_kernel(spec, model.inputs[s], x)
-            for a, s in zip(model.a_task, model.slots)
-        )
-    return float(val)
+    own = (model.task, model.a_task, [model.inputs[s] for s in model.slots])
+    return float(
+        mixed_predictions(cfg, model.inputs, model.a_cond, model.b, [own], [x])[0, 0]
+    )
 
 
 def preference_score(model, cfg, x):

@@ -8,6 +8,7 @@ bytes are written.
 """
 
 import json
+import logging
 import os
 import signal
 import socket
@@ -18,16 +19,13 @@ import numpy as np
 
 from . import protocol as proto
 from .errors import EngineError, ProtocolError, Unauthorized
-from .kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig
+from .kernels import InputPoint, MixedEffectConfig
 from .server import ServerEngine, TaskCoeffsView, UpdateReceipt
+
+_log = logging.getLogger(__name__)
 
 
 # ===== daemon configuration file =========================================
-
-_KERNEL_BY_NAME = {
-    "rbf-tags": KernelSpec.rbf_tags,
-    "linear-tags": KernelSpec.linear_tags,
-}
 
 
 class DaemonConfig:
@@ -53,16 +51,14 @@ def load_daemon_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        shared = _KERNEL_BY_NAME[raw.get("shared_kernel", "rbf-tags")]()
-        individual = _KERNEL_BY_NAME[raw.get("individual_kernel", "linear-tags")]()
-        bias_kind = raw.get("bias", "constant")
-        bias = BiasBasis.constant() if bias_kind == "constant" else BiasBasis.empty()
         cfg = MixedEffectConfig(
             alpha=raw["alpha"],
             lam=raw["lam"],
-            shared=shared,
-            individual=individual,
-            bias=bias,
+            shared=proto.kernel_from_name(raw.get("shared_kernel", "rbf-tags")),
+            individual=proto.kernel_from_name(
+                raw.get("individual_kernel", "linear-tags")
+            ),
+            bias=proto.bias_from_name(raw.get("bias", "constant")),
         )
         listen = raw.get("listen", {})
         tokens = {
@@ -148,6 +144,14 @@ class DaemonServer(socketserver.ThreadingTCPServer):
             raise ProtocolError("unexpected message %s" % type(msg).__name__)
         except (EngineError, ValueError, TypeError) as exc:
             return proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
+        except Exception as exc:
+            # anything else (an OverflowError in a kernel, say) is a fault
+            # of this request only: report it and keep the connection
+            _log.exception("internal error serving %s", type(msg).__name__)
+            return proto.Error(
+                code=proto.ERR_INTERNAL,
+                detail="internal error: %s: %s" % (type(exc).__name__, exc),
+            )
 
     @property
     def address(self):
@@ -174,6 +178,13 @@ def serve(daemon_config):
     if path and os.path.exists(path):
         with open(path, "rb") as fh:
             engine = proto.load_snapshot(fh.read())
+        if proto.config_to_message(engine.cfg) != proto.config_to_message(
+            daemon_config.cfg
+        ):
+            raise ValueError(
+                "snapshot %s holds a model config that differs from the"
+                " config file's; refusing to start" % path
+            )
     else:
         engine = ServerEngine(daemon_config.cfg)
     srv = DaemonServer(engine, (daemon_config.host, daemon_config.port), daemon_config.tokens)

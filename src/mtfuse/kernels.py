@@ -257,9 +257,8 @@ def eval_mixed(cfg, x1, t1, x2, t2):
 def kernel_matrix(xs, ys, spec):
     """Entrywise kernel matrix, shape (len(xs), len(ys))."""
     out = np.empty((len(xs), len(ys)), dtype=_F64)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i, j] = eval_kernel(spec, x, y)
+    for j, y in enumerate(ys):
+        out[:, j] = [eval_kernel(spec, x, y) for x in xs]
     return out
 
 

@@ -387,6 +387,41 @@ class FactorSet:
 
 
 # ===== rank-one inverse updates ==========================================
+#
+# Each update comes in two halves: a pure plan that computes the update
+# vector and coefficient and raises with nothing touched, and an in-place
+# apply that cannot fail.  Callers plan every change first and apply only
+# once all plans have passed.
+
+
+def smw_rank_one_plan(H, v, sigma, z=None, definite=False):
+    """Plan H <- inverse of (H^-1 + sigma v v^T), via Sherman-Morrison.
+
+    z is H v when the caller has it at hand (a column of H, or the
+    product with H bordered by a pending diagonal entry); it is computed
+    otherwise.  Returns (z, c) for H += c z z^T.  The update is rejected
+    when its denominator is near zero, or, with definite set, when it
+    would leave a positive-definite H indefinite.
+    """
+    v = _as_vec(v, H.n if z is None else len(z))
+    if z is None:
+        z = H.matvec(v)
+    denom = 1.0 / sigma + float(np.dot(v, z))
+    if definite:
+        # H stays positive definite iff sigma * denom > 0
+        margin = denom if sigma > 0.0 else -denom
+        if margin <= EPS_SING:
+            raise SingularUpdate(
+                "update would lose positive definiteness (%.3e)" % margin
+            )
+    elif abs(denom) < EPS_SING:
+        raise SingularUpdate("rank-one denominator %.3e too small" % denom)
+    return z, -1.0 / denom
+
+
+def smw_rank_one_apply(H, z, c):
+    """H += c z z^T in place, with (z, c) from smw_rank_one_plan."""
+    H.add_scaled_outer(c, z)
 
 
 def smw_rank_one_inverse_update(H, v, sigma):
@@ -394,23 +429,20 @@ def smw_rank_one_inverse_update(H, v, sigma):
 
     Returns a new SymMatrix; H itself is untouched.
     """
-    v = _as_vec(v, H.n)
-    z = H.matvec(v)
-    denom = 1.0 / sigma + float(np.dot(v, z))
-    if abs(denom) < EPS_SING:
-        raise SingularUpdate("rank-one denominator %.3e too small" % denom)
+    z, c = smw_rank_one_plan(H, v, sigma)
     out = H.copy()
-    out.add_scaled_outer(-1.0 / denom, z)
+    smw_rank_one_apply(out, z, c)
     return out
 
 
-def schur_enlarge_inverse(R, ktilde, lambda_w):
-    """Grow the inverse R of a SPD block by one row/column.
+def schur_enlarge_plan(R, ktilde, lambda_w):
+    """Plan growing the inverse R of a SPD block by one row/column.
 
     ktilde carries the (already scaled) kernel values of the new point
     against the block's points, last entry the self value; lambda_w is
     the regularized weight added on the new diagonal.  Returns
-    (u, gamma, R_new) with R_new = blockdiag(R, 0) + gamma u u^T.
+    (u, gamma) for R <- blockdiag(R, 0) + gamma u u^T; rejects when the
+    enlarged block would not be positive definite.
     """
     ell = R.n + 1
     ktilde = _as_vec(ktilde, ell)
@@ -422,8 +454,22 @@ def schur_enlarge_inverse(R, ktilde, lambda_w):
         raise SingularUpdate(
             "enlarged block not positive definite (denominator %.3e)" % denom
         )
-    gamma = 1.0 / denom
+    return u, 1.0 / denom
+
+
+def schur_enlarge_apply(R, u, gamma):
+    """R <- blockdiag(R, 0) + gamma u u^T in place, from schur_enlarge_plan."""
+    R.append_border_row(np.zeros(R.n + 1, dtype=_F64))
+    R.add_scaled_outer(gamma, u)
+
+
+def schur_enlarge_inverse(R, ktilde, lambda_w):
+    """Grow the inverse R of a SPD block by one row/column.
+
+    Arguments as for schur_enlarge_plan.  Returns (u, gamma, R_new) with
+    R_new = blockdiag(R, 0) + gamma u u^T; R itself is untouched.
+    """
+    u, gamma = schur_enlarge_plan(R, ktilde, lambda_w)
     out = R.copy()
-    out.append_border_row(np.zeros(ell, dtype=_F64))
-    out.add_scaled_outer(gamma, u)
+    schur_enlarge_apply(out, u, gamma)
     return u, gamma, out

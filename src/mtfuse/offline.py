@@ -330,52 +330,44 @@ def solve_condensed(ds, cfg):
 # ===== prediction ========================================================
 
 
+def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
+    """Mixed-effect predictions of several tasks over common inputs.
+
+    pool holds the unique inputs a_cond lives on; tasks holds one
+    (task, a_task, task_inputs) triple per output row.  Row r is
+    alpha * (shared rows . a_cond + bias rows . b)
+    + (1 - alpha) * (individual rows . a_task), with the shared part
+    evaluated once for all rows.
+    """
+    alpha = cfg.alpha
+    shared = np.zeros(len(xs), dtype=_F64)
+    if alpha > 0.0:
+        if len(pool):
+            shared = a_cond @ kernel_matrix(pool, xs, cfg.shared)
+        if cfg.bias_dim:
+            shared = shared + basis_matrix(xs, cfg.bias) @ b
+        shared = alpha * shared
+    out = np.empty((len(tasks), len(xs)), dtype=_F64)
+    for r, (task, a_task, task_inputs) in enumerate(tasks):
+        out[r] = shared
+        if alpha < 1.0 and len(task_inputs):
+            kt = kernel_matrix(task_inputs, xs, cfg.individual_for(task))
+            out[r] += (1.0 - alpha) * (a_task @ kt)
+    return out
+
+
 def predict(coeffs, cfg, structures, task, x):
     """Mixed-effect prediction for one task at one input."""
-    if task not in coeffs.a_task:
-        raise UnknownTask("no coefficients for task %r" % (task,))
-    val = 0.0
-    inputs = structures.unique_inputs
-    if cfg.alpha > 0.0:
-        shared = sum(
-            a * eval_shared(cfg, xi, x) for a, xi in zip(coeffs.a_cond, inputs)
-        )
-        if cfg.bias_dim:
-            shared += float(np.dot(coeffs.b, cfg.bias.row(x)))
-        val += cfg.alpha * shared
-    if cfg.alpha < 1.0:
-        spec = cfg.individual_for(task)
-        sl = coeffs.task_slots[task]
-        indiv = sum(
-            a * eval_kernel(spec, inputs[s], x)
-            for a, s in zip(coeffs.a_task[task], sl)
-        )
-        val += (1.0 - cfg.alpha) * indiv
-    return float(val)
+    return float(predictions_grid(coeffs, cfg, structures, [task], [x])[0, 0])
 
 
 def predictions_grid(coeffs, cfg, structures, tasks, xs):
-    """Predictions for many tasks over a common input list.
-
-    Same numbers as predict() in a (len(tasks), len(xs)) array, with the
-    shared component evaluated once instead of once per task.
-    """
+    """Predictions for many tasks over a common input list, shape
+    (len(tasks), len(xs))."""
     inputs = structures.unique_inputs
-    out = np.zeros((len(tasks), len(xs)), dtype=_F64)
-    shared = np.zeros(len(xs), dtype=_F64)
-    if cfg.alpha > 0.0:
-        kb = kernel_matrix(inputs, xs, cfg.shared)
-        shared = coeffs.a_cond @ kb if len(inputs) else shared
-        if cfg.bias_dim:
-            shared = shared + basis_matrix(xs, cfg.bias) @ coeffs.b
-        shared = cfg.alpha * shared
-    for r, j in enumerate(tasks):
+    rows = []
+    for j in tasks:
         if j not in coeffs.a_task:
             raise UnknownTask("no coefficients for task %r" % (j,))
-        row = shared.copy()
-        if cfg.alpha < 1.0:
-            sl = coeffs.task_slots[j]
-            kt = kernel_matrix([inputs[s] for s in sl], xs, cfg.individual_for(j))
-            row += (1.0 - cfg.alpha) * (coeffs.a_task[j] @ kt)
-        out[r] = row
-    return out
+        rows.append((j, coeffs.a_task[j], [inputs[s] for s in coeffs.task_slots[j]]))
+    return mixed_predictions(cfg, inputs, coeffs.a_cond, coeffs.b, rows, xs)

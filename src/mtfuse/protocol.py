@@ -294,13 +294,42 @@ def _read_features(r):
     return r.f64s(n)
 
 
+# built-in kernels and bias kinds: name (as in the daemon config file and
+# on the command line) -> (wire tag, constructor); the lookup kernel has
+# no constructor by name, its table travels with it on the wire
+_KERNELS = {
+    RBF_TAGS: (1, KernelSpec.rbf_tags),
+    LINEAR_TAGS: (2, KernelSpec.linear_tags),
+    LOOKUP: (3, None),
+}
+_BIASES = {
+    BiasBasis.NONE: (0, BiasBasis.empty),
+    BiasBasis.CONSTANT: (1, BiasBasis.constant),
+}
+_TAG_KERNEL = {tag: name for name, (tag, _) in _KERNELS.items()}
+_TAG_BIAS = {tag: name for name, (tag, _) in _BIASES.items()}
+
+
+def _by_name(table, what, name):
+    make = table.get(name, (None, None))[1]
+    if make is None:
+        raise ValueError("unknown %s %r" % (what, name))
+    return make()
+
+
+def kernel_from_name(name):
+    """The built-in kernel called name ("rbf-tags" or "linear-tags")."""
+    return _by_name(_KERNELS, "kernel", name)
+
+
+def bias_from_name(name):
+    """The built-in bias basis called name ("none" or "constant")."""
+    return _by_name(_BIASES, "bias", name)
+
+
 def _write_kernel_spec(w, spec):
-    if spec.variant == RBF_TAGS:
-        w.u8(1)
-    elif spec.variant == LINEAR_TAGS:
-        w.u8(2)
-    else:
-        w.u8(3)
+    w.u8(_KERNELS[spec.variant][0])
+    if spec.variant == LOOKUP:
         keys = spec.table.keys
         n = len(keys)
         w.u32(n)
@@ -314,12 +343,11 @@ def _write_kernel_spec(w, spec):
 
 def _read_kernel_spec(r):
     tag = r.u8()
-    if tag == 1:
-        return KernelSpec.rbf_tags()
-    if tag == 2:
-        return KernelSpec.linear_tags()
-    if tag != 3:
+    name = _TAG_KERNEL.get(tag)
+    if name is None:
         raise errors.MalformedFrame("bad kernel variant tag %d" % tag)
+    if name != LOOKUP:
+        return kernel_from_name(name)
     n = r.u32()
     keys = [r.bytestr() for _ in range(n)]
     packed = r.f64s(n * (n + 1) // 2)
@@ -332,8 +360,29 @@ def _read_kernel_spec(r):
     return KernelSpec.lookup(keys, mat)
 
 
-_BIAS_TAG = {BiasBasis.NONE: 0, BiasBasis.CONSTANT: 1}
-_TAG_BIAS = {0: BiasBasis.NONE, 1: BiasBasis.CONSTANT}
+def _write_config(w, msg):
+    w.f64(msg.alpha)
+    w.f64(msg.lam)
+    _write_kernel_spec(w, msg.shared)
+    _write_kernel_spec(w, msg.individual)
+    w.u8(_BIASES[msg.bias_kind][0])
+
+
+def _read_config(r):
+    alpha = r.f64()
+    lam = r.f64()
+    shared = _read_kernel_spec(r)
+    individual = _read_kernel_spec(r)
+    bias_tag = r.u8()
+    if bias_tag not in _TAG_BIAS:
+        raise errors.MalformedFrame("bad bias tag %d" % bias_tag)
+    return Config(
+        alpha=alpha,
+        lam=lam,
+        shared=shared,
+        individual=individual,
+        bias_kind=_TAG_BIAS[bias_tag],
+    )
 
 
 # ===== message encode/decode =============================================
@@ -382,11 +431,7 @@ def encode(msg):
         w.u8(_T_GET_CONFIG)
     elif isinstance(msg, Config):
         w.u8(_T_CONFIG)
-        w.f64(msg.alpha)
-        w.f64(msg.lam)
-        _write_kernel_spec(w, msg.shared)
-        _write_kernel_spec(w, msg.individual)
-        w.u8(_BIAS_TAG[msg.bias_kind])
+        _write_config(w, msg)
     elif isinstance(msg, Error):
         w.u8(_T_ERROR)
         w.u32(msg.code)
@@ -447,20 +492,7 @@ def decode(data):
     elif tag == _T_GET_CONFIG:
         msg = GetConfig()
     elif tag == _T_CONFIG:
-        alpha = r.f64()
-        lam = r.f64()
-        shared = _read_kernel_spec(r)
-        individual = _read_kernel_spec(r)
-        bias_tag = r.u8()
-        if bias_tag not in _TAG_BIAS:
-            raise errors.MalformedFrame("bad bias tag %d" % bias_tag)
-        msg = Config(
-            alpha=alpha,
-            lam=lam,
-            shared=shared,
-            individual=individual,
-            bias_kind=_TAG_BIAS[bias_tag],
-        )
+        msg = _read_config(r)
     elif tag == _T_ERROR:
         code = r.u32()
         msg = Error(code=code, detail=r.bytestr().decode("utf-8"))
@@ -528,7 +560,7 @@ def disclosed_from_message(msg):
 def config_to_message(cfg):
     if cfg.individual_overrides:
         raise ValueError("per-task kernel overrides are not wire-encodable")
-    if cfg.bias.kind not in _BIAS_TAG:
+    if cfg.bias.kind not in _BIASES:
         raise ValueError("custom bias bases are not wire-encodable")
     return Config(
         alpha=cfg.alpha,
@@ -540,13 +572,12 @@ def config_to_message(cfg):
 
 
 def config_from_message(msg):
-    bias = BiasBasis.empty() if msg.bias_kind == BiasBasis.NONE else BiasBasis.constant()
     return MixedEffectConfig(
         alpha=msg.alpha,
         lam=msg.lam,
         shared=msg.shared,
         individual=msg.individual,
-        bias=bias,
+        bias=bias_from_name(msg.bias_kind),
     )
 
 
@@ -559,13 +590,7 @@ def save_snapshot(engine):
     w.raw(MAGIC)
     w.u32(SNAPSHOT_VERSION)
 
-    cfg = engine.cfg
-    cmsg = config_to_message(cfg)  # validates encodability
-    w.f64(cmsg.alpha)
-    w.f64(cmsg.lam)
-    _write_kernel_spec(w, cmsg.shared)
-    _write_kernel_spec(w, cmsg.individual)
-    w.u8(_BIAS_TAG[cmsg.bias_kind])
+    _write_config(w, config_to_message(engine.cfg))
 
     w.u64(engine.epoch)
     n = engine.n
@@ -610,17 +635,7 @@ def load_snapshot(data):
 
     r = _Reader(body)
     r.take(8)  # magic + version already checked
-    alpha = r.f64()
-    lam = r.f64()
-    shared = _read_kernel_spec(r)
-    individual = _read_kernel_spec(r)
-    bias_tag = r.u8()
-    if bias_tag not in _TAG_BIAS:
-        raise errors.MalformedFrame("bad bias tag %d" % bias_tag)
-    bias = BiasBasis.empty() if _TAG_BIAS[bias_tag] == BiasBasis.NONE else BiasBasis.constant()
-    cfg = MixedEffectConfig(
-        alpha=alpha, lam=lam, shared=shared, individual=individual, bias=bias
-    )
+    cfg = config_from_message(_read_config(r))
 
     engine = ServerEngine(cfg)
     engine.epoch = r.u64()

@@ -14,14 +14,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveWeight, SingularSystem, SingularUpdate, UnknownTask
+from .errors import NonPositiveWeight, SingularSystem, UnknownTask
 from .kernels import InputPoint, eval_kernel, eval_shared
 from .linalg import (
-    EPS_SING,
     FactorSet,
     GrowVec,
     SymMatrix,
     ldl_append,
+    schur_enlarge_apply,
+    schur_enlarge_plan,
+    smw_rank_one_apply,
+    smw_rank_one_plan,
     tri_solve_dlt,
 )
 from .offline import build_factors
@@ -150,6 +153,8 @@ class ServerEngine:
 
         s = self.key_slot.get(x.key)
         if s is None:
+            if x.features is not None and not np.all(np.isfinite(x.features)):
+                raise ValueError("features must be finite")
             grow = self._plan_new_input(x)
             ext = self._plan_task_extension(task, x, self.n, y, w, grow)
             self._commit_new_input(x, grow)
@@ -184,34 +189,24 @@ class ServerEngine:
 
     def _plan_task_extension(self, task, xc, slot, y, w, grow):
         cfg = self.cfg
-        alpha = cfg.alpha
         spec = cfg.individual_for(task)
         st = self.tasks.get(task)
         old_slots = st.slots if st is not None else []
-        ell = len(old_slots) + 1
-        scale = 1.0 - alpha
+        scale = 1.0 - cfg.alpha
 
-        ktilde = np.empty(ell, dtype=_F64)
+        ktilde = np.empty(len(old_slots) + 1, dtype=_F64)
         for i, sl in enumerate(old_slots):
             ktilde[i] = scale * eval_kernel(spec, xc, self.inputs[sl])
         ktilde[-1] = scale * eval_kernel(spec, xc, xc)
-
         r_mat = st.R if st is not None else SymMatrix()
-        u = np.empty(ell, dtype=_F64)
-        u[:-1] = r_mat.matvec(ktilde[:-1])
-        u[-1] = -1.0
-        denom = cfg.lam * w - float(np.dot(u, ktilde))
-        if denom <= EPS_SING:
-            raise SingularUpdate(
-                "task block would lose positive definiteness (%.3e)" % denom
-            )
-        gamma = 1.0 / denom
+        u, gamma = schur_enlarge_plan(r_mat, ktilde, cfg.lam * w)
         y_ext = np.append(st.y.values, y) if st is not None else np.array([y])
         mu = gamma * float(np.dot(u, y_ext))
 
         n = self.n
         if grow is not None:
-            r, beta, _ = grow
+            # the new input's row of L is (r, 1)
+            r = grow[0]
             v = np.zeros(n + 1, dtype=_F64)
             v[:n] = self.factors.L.rows_t_matvec(old_slots, u[:-1])
             v[:n] += u[-1] * r
@@ -219,18 +214,14 @@ class ServerEngine:
         else:
             v = self.factors.L.rows_t_matvec(old_slots + [slot], u)
 
-        z = denom_h = None
-        if alpha > 0.0:
+        h_plan = None
+        if cfg.alpha > 0.0:
+            z = None
             if grow is not None:
-                z = np.empty(n + 1, dtype=_F64)
-                z[:n] = self.H.matvec(v[:n])
-                z[n] = grow[1] * v[n]
-            else:
-                z = self.H.matvec(v)
-            denom_h = 1.0 / (alpha * gamma) + float(np.dot(v, z))
-            if abs(denom_h) < EPS_SING:
-                raise SingularUpdate("disclosed inverse update is singular")
-        return u, gamma, mu, v, z, denom_h
+                # H is bordered by (0, beta) when the new input commits
+                z = np.append(self.H.matvec(v[:n]), grow[1] * v[n])
+            h_plan = smw_rank_one_plan(self.H, v, cfg.alpha * gamma, z=z)
+        return u, gamma, mu, v, h_plan
 
     def _plan_merge(self, task, p, y, w):
         cfg = self.cfg
@@ -241,16 +232,13 @@ class ServerEngine:
         y_new = y_old + (w_new / w) * (y - y_old)
 
         u = st.R.column(p)
-        # the regularized diagonal drops by exactly lam * (w_old - w_new);
-        # Sherman-Morrison on the inverse with that (negative) change
+        # the regularized diagonal drops by exactly lam * (w_old - w_new):
+        # a rank-one downdate of the task block along e_p
         c = cfg.lam * (w_old - w_new)
         if c > 0.0:
-            denom_g = 1.0 / c - float(u[p])
-            if denom_g <= EPS_SING:
-                raise SingularUpdate(
-                    "merge would lose positive definiteness (%.3e)" % denom_g
-                )
-            gamma = 1.0 / denom_g
+            e_p = np.zeros(len(u), dtype=_F64)
+            e_p[p] = 1.0
+            u, gamma = smw_rank_one_plan(st.R, e_p, -c, z=u, definite=True)
         else:
             gamma = 0.0  # weight change underflowed; inverse is unchanged
 
@@ -259,13 +247,10 @@ class ServerEngine:
         mu = (y_new - y_old) + gamma * float(np.dot(u, y_ext))
         v = self.factors.L.rows_t_matvec(st.slots, u)
 
-        z = denom_h = None
+        h_plan = None
         if cfg.alpha > 0.0 and gamma != 0.0:
-            z = self.H.matvec(v)
-            denom_h = 1.0 / (cfg.alpha * gamma) + float(np.dot(v, z))
-            if abs(denom_h) < EPS_SING:
-                raise SingularUpdate("disclosed inverse update is singular")
-        return w_new, y_new, u, gamma, mu, v, z, denom_h
+            h_plan = smw_rank_one_plan(self.H, v, cfg.alpha * gamma)
+        return w_new, y_new, u, gamma, mu, v, h_plan
 
     # ----- commits (no failure paths) -----------------------------------
 
@@ -280,7 +265,7 @@ class ServerEngine:
         self.H.append_border_row(border)
 
     def _commit_task_extension(self, task, slot, y, w, ext):
-        u, gamma, mu, v, z, denom_h = ext
+        u, gamma, mu, v, h_plan = ext
         st = self.tasks.get(task)
         if st is None:
             st = self.tasks[task] = TaskState()
@@ -288,22 +273,22 @@ class ServerEngine:
         st.slots.append(slot)
         st.y.append(y)
         st.w.append(w)
-        st.R.append_border_row(np.zeros(st.R.n + 1, dtype=_F64))
-        st.R.add_scaled_outer(gamma, u)
-        self.y_cond.values[:] += mu * v
-        if z is not None:
-            self.H.add_scaled_outer(-1.0 / denom_h, z)
+        schur_enlarge_apply(st.R, u, gamma)
+        self._commit_disclosed(mu, v, h_plan)
 
     def _commit_merge(self, task, p, merge):
-        w_new, y_new, u, gamma, mu, v, z, denom_h = merge
+        w_new, y_new, u, gamma, mu, v, h_plan = merge
         st = self.tasks[task]
         st.w.values[p] = w_new
         st.y.values[p] = y_new
         if gamma != 0.0:
-            st.R.add_scaled_outer(gamma, u)
+            smw_rank_one_apply(st.R, u, gamma)
+        self._commit_disclosed(mu, v, h_plan)
+
+    def _commit_disclosed(self, mu, v, h_plan):
         self.y_cond.values[:] += mu * v
-        if z is not None:
-            self.H.add_scaled_outer(-1.0 / denom_h, z)
+        if h_plan is not None:
+            smw_rank_one_apply(self.H, *h_plan)
 
     # ----- reads --------------------------------------------------------
 

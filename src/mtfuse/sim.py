@@ -256,34 +256,24 @@ def _estimate_via_daemon(world, mcfg):
     engine = ServerEngine(mcfg)
     srv = start_server(engine, ("127.0.0.1", 0), tokens)
     try:
-        addr = srv.address
-        with RemoteServer(addr) as admin:
-            wire_cfg = admin.get_config()
         by_task = {}
         for tr in world.ds.triples:
             by_task.setdefault(tr.task, []).append(tr)
-        # interleave submissions round-robin across users
-        conns = {}
-        pending = [list(v) for v in by_task.values()]
-        while any(pending):
-            for lst in pending:
-                if lst:
-                    tr = lst.pop(0)
-                    conn = conns.get(tr.task)
-                    if conn is None:
-                        conn = conns[tr.task] = RemoteServer(
-                            addr, task=tr.task, token=tokens[tr.task]
-                        )
-                    conn.submit(tr.x, tr.y, tr.w)
         out = np.zeros((m, len(world.inputs)), dtype=_F64)
-        for j in range(m):
-            conn = conns.get(j)
-            if conn is None:
-                conn = conns[j] = RemoteServer(addr, task=j, token=tokens[j])
-            model = Client(j, wire_cfg).active_refresh(conn)
-            out[j] = [predict_client(model, wire_cfg, x) for x in world.inputs]
-        for conn in conns.values():
-            conn.close()
+        with RemoteServer(srv.address) as conn:
+            wire_cfg = conn.get_config()
+            # interleave submissions round-robin across users
+            pending = [list(v) for v in by_task.values()]
+            while any(pending):
+                for lst in pending:
+                    if lst:
+                        tr = lst.pop(0)
+                        conn.submit(tr.x, tr.y, tr.w,
+                                    task=tr.task, token=tokens[tr.task])
+            for j in range(m):
+                conn.token = tokens[j]
+                model = Client(j, wire_cfg).active_refresh(conn)
+                out[j] = [predict_client(model, wire_cfg, x) for x in world.inputs]
         return out
     finally:
         srv.shutdown()

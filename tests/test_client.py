@@ -4,24 +4,18 @@ active and passive refresh, and prediction."""
 import numpy as np
 from scipy.special import expit
 
-from mtfuse.client import (
-    Client,
-    PrivateData,
-    compute_bias_and_acheck,
-    predict_client,
-    preference_score,
-    reconstruct_factors,
-)
+from mtfuse.client import Client, PrivateData, predict_client, preference_score
 from mtfuse.kernels import eval_kernel, eval_shared
 from mtfuse.offline import (
     Dataset,
+    build_factors,
     build_index_structures,
     merge_repeats,
     predictions_grid,
     solve_condensed,
     solve_full_system,
 )
-from mtfuse.server import ServerEngine
+from mtfuse.server import ServerEngine, shared_coefficients
 
 from util import (
     ALPHAS,
@@ -57,7 +51,7 @@ def recovery_identity_residual(model):
 class TestReconstructFactors:
     def test_empty(self):
         cfg = make_config(0.5, 0.1)
-        fac = reconstruct_factors([], cfg)
+        fac = build_factors([], cfg)
         assert fac.n == 0
         assert fac.L.n == 0 and fac.D.n == 0
 
@@ -65,7 +59,7 @@ class TestReconstructFactors:
         rng = np.random.default_rng(0)
         cfg = make_config(0.5, 0.1, d=1)
         (x,) = make_inputs(rng, 1, unit=True)
-        fac = reconstruct_factors([x], cfg)
+        fac = build_factors([x], cfg)
         k_self = eval_shared(cfg, x, x)
         assert fac.L.dense() == np.array([[1.0]])
         assert tuple(fac.D.values) == (k_self,)
@@ -76,7 +70,7 @@ class TestReconstructFactors:
         for _ in range(10):
             ds, cfg, _ = random_instance(rng, d=1)
             eng = stream_into_engine(ServerEngine(cfg), ds.triples)
-            fac = reconstruct_factors(eng.inputs, cfg)
+            fac = build_factors(eng.inputs, cfg)
             assert fac.L.dense().tobytes() == eng.factors.L.dense().tobytes()
             assert np.asarray(fac.D.values).tobytes() == np.asarray(eng.factors.D.values).tobytes()
             assert np.asarray(fac.M).tobytes() == np.asarray(eng.factors.M).tobytes()
@@ -90,7 +84,7 @@ class TestBiasAndAcheck:
         for t in ds.triples:
             zeroed.add(t.task, t.x, 0.0, t.w)
         eng = stream_into_engine(ServerEngine(cfg), zeroed.triples)
-        b, a_cond = compute_bias_and_acheck(
+        b, a_cond = shared_coefficients(
             np.asarray(eng.y_cond.values), eng.H, eng.factors, cfg.alpha
         )
         assert np.all(b == 0.0)
@@ -101,7 +95,7 @@ class TestBiasAndAcheck:
         ds, cfg, _ = random_instance(rng, d=0, alpha=0.5)
         eng = stream_into_engine(ServerEngine(cfg), ds.triples)
         y = np.asarray(eng.y_cond.values)
-        b, a_cond = compute_bias_and_acheck(y, eng.H, eng.factors, cfg.alpha)
+        b, a_cond = shared_coefficients(y, eng.H, eng.factors, cfg.alpha)
         assert b.shape == (0,)
         L = eng.factors.L.dense()
         D = np.asarray(eng.factors.D.values)
@@ -121,7 +115,7 @@ class TestBiasAndAcheck:
             for i, tr in enumerate(ds.triples):
                 want[st.key_slot[tr.x.key]] += full.a_raw[i]
             eng = stream_into_engine(ServerEngine(cfg), ds.triples)
-            _, a_cond = compute_bias_and_acheck(
+            _, a_cond = shared_coefficients(
                 np.asarray(eng.y_cond.values), eng.H, eng.factors, cfg.alpha
             )
             assert rel_err(a_cond, want) < 1e-8

@@ -11,11 +11,18 @@ import pytest
 
 from mtfuse import protocol as proto
 from mtfuse.client import Client, predict_client
-from mtfuse.daemon import RemoteServer, load_daemon_config, start_server
+from mtfuse.daemon import (
+    DaemonConfig,
+    RemoteServer,
+    load_daemon_config,
+    serve,
+    start_server,
+)
 from mtfuse.errors import (
     ChecksumMismatch,
     MalformedFrame,
     NonPositiveWeight,
+    ProtocolError,
     Unauthorized,
     UnsupportedVersion,
 )
@@ -349,6 +356,20 @@ class TestDaemon:
                     conn.submit(x, 1.0, -2.0)
                 assert eng.epoch == 0
 
+    def test_internal_error_replies_and_keeps_connection(self):
+        # exp(30 * 30) overflows in the kernel: an error the engine does
+        # not classify must come back as ERR_INTERNAL on a live connection
+        rng = np.random.default_rng(16)
+        cfg = make_config(0.5, 0.1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                conn.submit(make_inputs(rng, 1, unit=True)[0], 1.0, 1.0)
+                big = InputPoint(b"big", np.array([30.0, 0.0, 0.0, 0.0]))
+                with pytest.raises(ProtocolError, match="OverflowError"):
+                    conn.submit(big, 1.0, 1.0)
+                assert conn.get_disclosed().epoch == 1
+            assert eng.epoch == 1
+
     def test_garbage_frame_reply_then_state_survives(self):
         rng = np.random.default_rng(11)
         cfg = make_config(0.5, 0.1)
@@ -449,3 +470,32 @@ class TestDaemonConfigFile:
         path.write_text('{"lam": 0.01}')
         with pytest.raises(ValueError):
             load_daemon_config(str(path))
+        # a misspelt bias must not fall back to no bias
+        path.write_text('{"alpha": 0.5, "lam": 0.01, "bias": "constnat"}')
+        with pytest.raises(ValueError, match="bad daemon config"):
+            load_daemon_config(str(path))
+
+    def test_snapshot_with_other_model_config_refused(self, tmp_path):
+        rng = np.random.default_rng(17)
+        ds, cfg, _ = random_instance(rng, m_max=2, ell_max=4, n_max=4, d=1,
+                                     alpha=0.5)
+        snap = tmp_path / "engine.snap"
+        snap.write_bytes(
+            proto.save_snapshot(stream_into_engine(ServerEngine(cfg), ds.triples))
+        )
+        dc = DaemonConfig(make_config(0.9, cfg.lam, d=1), "127.0.0.1", 0,
+                          str(snap), {})
+        raised = []
+
+        def run():
+            try:
+                serve(dc)
+            except ValueError as exc:
+                raised.append(str(exc))
+
+        # a thread with a timeout, so a serve() past the check cannot hang
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive(), "serve started from a mismatched snapshot"
+        assert len(raised) == 1 and str(snap) in raised[0]

@@ -246,6 +246,16 @@ class TestTransactionality:
         with pytest.raises(NonPositiveWeight):
             eng.receive_example(0, pool[0], 1.0, -2.0)
         assert self._state_fingerprint(eng) == before
+        # non-finite features of a new input
+        dim = pool[0].features.shape[0]
+        for bad in (np.nan, np.inf, -np.inf):
+            feats = np.zeros(dim)
+            feats[0] = bad
+            with pytest.raises(ValueError):
+                eng.receive_example(0, InputPoint(b"bad", feats), 1.0, 1.0)
+            assert self._state_fingerprint(eng) == before
+        fresh = make_inputs(rng, 1, dim=dim, prefix=b"fresh", unit=True)[0]
+        assert eng.receive_example(0, fresh, 1.0, 1.0).case == CASE_NEW_INPUT
 
     def test_degenerate_input_rejected_and_state_kept(self):
         rng = np.random.default_rng(12)
