@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import UnknownTask
+from .kernels import FeatureRows
 from .offline import build_factors, mixed_predictions
 from .server import ServerEngine, TaskCoeffsView, shared_coefficients
 
@@ -36,6 +37,7 @@ class ClientModel:
     task: int
     epoch: int
     inputs: tuple
+    feats: FeatureRows
     factors: object
     y_cond: np.ndarray
     H: object
@@ -81,10 +83,12 @@ class Client:
         else:
             raise RuntimeError("server kept changing between reads")
         key_slot = {x.key: i for i, x in enumerate(db.inputs)}
+        feats = FeatureRows(db.inputs)
         self._cached = self._model(
             db.epoch,
             db.inputs,
-            build_factors(db.inputs, self.cfg),
+            feats,
+            build_factors(db.inputs, self.cfg, feats),
             db.y_cond,
             db.H,
             tc.a,
@@ -111,19 +115,20 @@ class Client:
         except UnknownTask:
             a_task, slots = np.zeros(0, dtype=_F64), []
         return self._model(
-            disclosed.epoch, local.inputs, local.factors, local.y_cond.values,
-            local.H, a_task, slots,
+            disclosed.epoch, local.inputs, local.feats, local.factors,
+            local.y_cond.values, local.H, a_task, slots,
         )
 
-    def _model(self, epoch, inputs, factors, y_cond, h_mat, a_task, slots):
+    def _model(self, epoch, inputs, feats, factors, y_cond, h_mat, a_task, slots):
         """The model of this task from the shared state and its own
-        coefficients; factors must be those of inputs."""
+        coefficients; feats and factors must be those of inputs."""
         y = np.asarray(y_cond, dtype=_F64).copy()
         b, a_cond = shared_coefficients(y, h_mat, factors, self.cfg.alpha)
         return ClientModel(
             task=self.task,
             epoch=epoch,
             inputs=tuple(inputs),
+            feats=feats,
             factors=factors,
             y_cond=y,
             H=h_mat,
@@ -136,9 +141,11 @@ class Client:
 
 def predict_client(model, cfg, x):
     """Mixed-effect prediction from a client model; 0 on an empty model."""
-    own = (model.task, model.a_task, [model.inputs[s] for s in model.slots])
+    own = (model.task, model.a_task, model.slots)
     return float(
-        mixed_predictions(cfg, model.inputs, model.a_cond, model.b, [own], [x])[0, 0]
+        mixed_predictions(
+            cfg, model.inputs, model.feats, model.a_cond, model.b, [own], [x]
+        )[0, 0]
     )
 
 

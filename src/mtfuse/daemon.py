@@ -7,12 +7,14 @@ because the engine finishes (or rejects) an update before any reply
 bytes are written.
 """
 
+import hmac
 import json
 import logging
 import os
 import signal
 import socket
 import socketserver
+import tempfile
 import threading
 
 import numpy as np
@@ -118,7 +120,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
 
     def _authorized(self, task, token):
         expected = self.tokens.get(int(task))
-        return expected is not None and expected == token
+        return expected is not None and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
         try:
@@ -169,10 +171,33 @@ def start_server(engine, address, tokens):
     return srv
 
 
+def write_snapshot(path, engine):
+    """Replace the snapshot file at path with the engine's state.
+
+    The bytes go to a temporary file in the same directory, which is
+    flushed, fsync'd and then renamed over path: a failure or a crash
+    at any point leaves the previous snapshot whole.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+        dir=os.path.dirname(os.path.abspath(path)),
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(proto.save_snapshot(engine))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def serve(daemon_config):
     """Run the daemon from a DaemonConfig until interrupted.
 
-    Loads the snapshot file when one exists, saves it back on shutdown.
+    Loads the snapshot file when one exists, saves it back on shutdown
+    (atomically, see write_snapshot).
     """
     path = daemon_config.snapshot_path
     if path and os.path.exists(path):
@@ -202,8 +227,7 @@ def serve(daemon_config):
         signal.signal(signal.SIGTERM, previous)
         srv.server_close()
         if path:
-            with open(path, "wb") as fh:
-                fh.write(proto.save_snapshot(engine))
+            write_snapshot(path, engine)
     return srv.address
 
 

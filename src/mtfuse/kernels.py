@@ -1,10 +1,18 @@
 """Input identity, kernel evaluation and the mixed-effect combination.
 
 An input is identified by an opaque byte key; two inputs are the same
-point iff their keys are byte-equal.  Kernel values are always computed
-entrywise through the same scalar path so that every component of the
-system (server, clients, offline solvers) sees bit-identical numbers for
-the same pair of inputs.
+point iff their keys are byte-equal.
+
+Every kernel value in the system comes from one function, kernel_row:
+the values of one input against a pool of inputs, computed as one
+vector.  Entry i depends only on the input and pool[i], never on how
+many rows are evaluated with it or where they sit in memory, so the
+server's row over its whole pool, a client's row over a prefix of it, a
+gather of one task's rows and a single pair (eval_kernel) all give
+bit-identical numbers for the same pair of inputs.  Feature kernels get
+that from np.vecdot, which takes one dot product per row; a
+matrix-vector product (F @ f) may sum a row differently depending on
+the rows around it.
 """
 
 import math
@@ -12,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import MissingFeatures, UnknownKey
+from .linalg import _grown
 
 _F64 = np.float64
 
@@ -79,13 +88,11 @@ class LookupTable:
     def keys(self):
         return tuple(self.index.keys())
 
-    def value(self, key1, key2):
+    def position(self, key):
         try:
-            i = self.index[key1]
-            j = self.index[key2]
-        except KeyError as exc:
-            raise UnknownKey("key %r not in lookup table" % (exc.args[0],)) from None
-        return float(self.matrix[i, j])
+            return self.index[key]
+        except KeyError:
+            raise UnknownKey("key %r not in lookup table" % (key,)) from None
 
 
 class KernelSpec:
@@ -135,20 +142,86 @@ class KernelSpec:
         return "KernelSpec(%r)" % (self.variant,)
 
 
+class FeatureRows:
+    """Feature vectors of a growing pool as one n x D float64 matrix.
+
+    Row i holds the features of the pool's i-th input.  A pool given
+    at construction is allocated once; later appends double the buffer
+    like linalg's, so an append is amortized O(D) and a prefix is a
+    view.  Rows are kept while every input has features of one length;
+    past the first input that breaks this, prefix and take return None,
+    and kernel_row then stacks the inputs themselves and raises what a
+    pair would (MissingFeatures, or ValueError on a length mismatch).
+    """
+
+    __slots__ = ("_buf", "n", "good")
+
+    def __init__(self, inputs=()):
+        self._buf = np.zeros((8, 0), dtype=_F64)
+        self.n = 0
+        self.good = 0  # leading rows that are stored
+        for x in inputs:
+            self.append(x, reserve=len(inputs))
+
+    def append(self, x, reserve=8):
+        # reserve: rows to allocate when the first row fixes the length
+        f = x.features
+        if self.good == self.n and f is not None:
+            if self.n == 0:
+                self._buf = np.zeros((max(reserve, 8), len(f)), dtype=_F64)
+            if len(f) == self._buf.shape[1]:
+                self._buf = _grown(self._buf, self.n + 1)
+                self._buf[self.n] = f
+                self.good += 1
+        self.n += 1
+
+    def prefix(self, m=None):
+        """Rows 0..m-1 (all rows by default) as a view, or None."""
+        m = self.n if m is None else m
+        return self._buf[:m] if 0 < m <= self.good else None
+
+    def take(self, idx):
+        """The rows at positions idx, gathered into a new matrix, or None."""
+        return self._buf[idx] if 0 < self.good == self.n else None
+
+
+def kernel_row(spec, x, pool, feats=None):
+    """Kernel values of input x against each input of pool, as a vector.
+
+    feats, when given, holds the feature vectors of pool as the rows of
+    a float64 matrix (a FeatureRows prefix or gather); otherwise they
+    are stacked from pool.  Entry i is the same for any pool holding
+    pool[i], at any position.  Raises OverflowError when a value is not
+    finite, MissingFeatures when a feature kernel meets an input without
+    features.
+    """
+    variant = spec.variant
+    if variant == LOOKUP:
+        tbl = spec.table
+        out = tbl.matrix[tbl.position(x.key), [tbl.position(p.key) for p in pool]]
+    else:
+        f = x.features
+        if f is None or feats is None and any(p.features is None for p in pool):
+            raise MissingFeatures(
+                "kernel %r needs feature vectors on both inputs" % variant
+            )
+        if feats is None:
+            feats = np.array([p.features for p in pool], dtype=_F64)
+            feats = feats.reshape(len(pool), len(f))
+        # an overflow is reported below, as an exception, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.vecdot(feats, f)
+            if variant == RBF_TAGS:
+                np.exp(out, out=out)
+    if not np.isfinite(out).all():
+        raise OverflowError("kernel %r value is not finite" % variant)
+    return out
+
+
 def eval_kernel(spec, x1, x2):
-    """Scalar kernel value for a pair of inputs."""
-    if spec.variant == LOOKUP:
-        return spec.table.value(x1.key, x2.key)
-    z1, z2 = x1.features, x2.features
-    if z1 is None or z2 is None:
-        raise MissingFeatures(
-            "kernel %r needs feature vectors on both inputs" % spec.variant
-        )
-    # scalar dot keeps the value independent of any surrounding matrix shape
-    dot = float(np.dot(z1, z2))
-    if spec.variant == RBF_TAGS:
-        return math.exp(dot)
-    return dot
+    """Kernel value for a pair of inputs: the one-row case of kernel_row."""
+    f2 = x2.features
+    return float(kernel_row(spec, x1, (x2,), None if f2 is None else f2[None])[0])
 
 
 class BiasBasis:
@@ -254,11 +327,16 @@ def eval_mixed(cfg, x1, t1, x2, t2):
     return val
 
 
-def kernel_matrix(xs, ys, spec):
-    """Entrywise kernel matrix, shape (len(xs), len(ys))."""
+def kernel_matrix(xs, ys, spec, feats=None):
+    """Kernel matrix, shape (len(xs), len(ys)), one kernel_row per column.
+
+    feats optionally holds the feature vectors of xs as matrix rows.
+    """
+    if feats is None:
+        feats = FeatureRows(xs).prefix()
     out = np.empty((len(xs), len(ys)), dtype=_F64)
     for j, y in enumerate(ys):
-        out[:, j] = [eval_kernel(spec, x, y) for x in xs]
+        out[:, j] = kernel_row(spec, y, xs, feats)
     return out
 
 

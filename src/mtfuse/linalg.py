@@ -98,7 +98,12 @@ class UnitLowerFactor:
     """Row-appendable unit lower triangular matrix.
 
     Only the strictly-lower entries are stored; the unit diagonal is
-    implicit.  Row i carries exactly i stored entries.
+    implicit.  Row i carries exactly i stored entries.  The row-major
+    cap x cap buffer, read transposed, is a column-major unit-upper
+    matrix with leading dimension cap, which BLAS solves in place.  cap
+    is always a power of two (8 or more), copies included: OpenBLAS's
+    dtrsv can round differently when the leading dimension is not a
+    multiple of 4, and the solve must not depend on the buffer.
     """
 
     __slots__ = ("_buf", "n")
@@ -123,12 +128,13 @@ class UnitLowerFactor:
         return self._buf[i, :i]
 
     def solve_unit_lower(self, b):
-        # L t = b by forward substitution, unit diagonal
+        # L t = b by forward substitution, unit diagonal: one dtrsv on the
+        # whole buffer; rows past n only reach entries past n
         n = self.n
-        t = _as_vec(b, n).copy()
-        for i in range(1, n):
-            t[i] -= np.dot(self._buf[i, :i], t[:i])
-        return t
+        t = np.zeros(self._buf.shape[0], dtype=_F64)
+        t[:n] = _as_vec(b, n)
+        t = _blas.dtrsv(self._buf.T, t, lower=0, trans=1, diag=1, overwrite_x=1)
+        return t[:n]
 
     def solve_unit_upper_t(self, t):
         # L^T x = t by back substitution on the stored columns
@@ -180,7 +186,7 @@ class UnitLowerFactor:
 
     def copy(self):
         out = UnitLowerFactor()
-        out._buf = self._buf[: self.n, : self.n].copy()
+        out._buf = self._buf.copy()
         out.n = self.n
         return out
 

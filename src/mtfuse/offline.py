@@ -20,7 +20,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonPositiveWeight, SingularSystem, UnknownTask
-from .kernels import InputPoint, basis_matrix, eval_kernel, eval_shared, kernel_matrix
+from .kernels import (
+    FeatureRows,
+    InputPoint,
+    basis_matrix,
+    eval_kernel,
+    kernel_matrix,
+    kernel_row,
+)
 from .linalg import FactorSet
 
 _F64 = np.float64
@@ -143,19 +150,14 @@ class ModelCoefficients:
 
 
 def _assemble_dense(ds, cfg):
-    ell = len(ds)
-    K = np.empty((ell, ell), dtype=_F64)
-    for i, ti in enumerate(ds.triples):
-        for j, tj in enumerate(ds.triples[: i + 1]):
-            K[i, j] = K[j, i] = (
-                cfg.alpha * eval_shared(cfg, ti.x, tj.x)
-                + (
-                    (1.0 - cfg.alpha)
-                    * eval_kernel(cfg.individual_for(ti.task), ti.x, tj.x)
-                    if ti.task == tj.task
-                    else 0.0
-                )
-            )
+    xs = [t.x for t in ds.triples]
+    K = cfg.alpha * kernel_matrix(xs, xs, cfg.shared)
+    tasks = np.array([t.task for t in ds.triples], dtype=np.int64)
+    for j in ds.tasks:
+        rows = np.flatnonzero(tasks == j)
+        xj = [xs[i] for i in rows]
+        kj = kernel_matrix(xj, xj, cfg.individual_for(j))
+        K[np.ix_(rows, rows)] += (1.0 - cfg.alpha) * kj
     y = np.array([t.y for t in ds.triples], dtype=_F64)
     w = np.array([t.w for t in ds.triples], dtype=_F64)
     psi = basis_matrix([t.x for t in ds.triples], cfg.bias)
@@ -263,14 +265,17 @@ def _task_blocks(merged, ms, cfg):
     return blocks
 
 
-def build_factors(inputs, cfg):
-    """LDL^T + bias factors over a sequence of inputs, in order."""
+def build_factors(inputs, cfg, feats=None):
+    """LDL^T + bias factors over a sequence of inputs, in order.
+
+    feats holds the FeatureRows of inputs when the caller has them.
+    """
+    if feats is None:
+        feats = FeatureRows(inputs)
     factors = FactorSet(cfg.bias_dim)
     for i, x in enumerate(inputs):
-        k_head = np.array(
-            [eval_shared(cfg, x, inputs[j]) for j in range(i)], dtype=_F64
-        )
-        factors.append(k_head, eval_shared(cfg, x, x), cfg.bias.row(x))
+        k_head = kernel_row(cfg.shared, x, inputs[:i], feats.prefix(i))
+        factors.append(k_head, eval_kernel(cfg.shared, x, x), cfg.bias.row(x))
     return factors
 
 
@@ -330,11 +335,12 @@ def solve_condensed(ds, cfg):
 # ===== prediction ========================================================
 
 
-def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
+def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
     """Mixed-effect predictions of several tasks over common inputs.
 
-    pool holds the unique inputs a_cond lives on; tasks holds one
-    (task, a_task, task_inputs) triple per output row.  Row r is
+    pool holds the unique inputs a_cond lives on and feats their
+    FeatureRows; tasks holds one (task, a_task, slots) triple per output
+    row, slots indexing pool.  Row r is
     alpha * (shared rows . a_cond + bias rows . b)
     + (1 - alpha) * (individual rows . a_task), with the shared part
     evaluated once for all rows.
@@ -343,15 +349,18 @@ def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
     shared = np.zeros(len(xs), dtype=_F64)
     if alpha > 0.0:
         if len(pool):
-            shared = a_cond @ kernel_matrix(pool, xs, cfg.shared)
+            shared = a_cond @ kernel_matrix(pool, xs, cfg.shared, feats.prefix())
         if cfg.bias_dim:
             shared = shared + basis_matrix(xs, cfg.bias) @ b
         shared = alpha * shared
     out = np.empty((len(tasks), len(xs)), dtype=_F64)
-    for r, (task, a_task, task_inputs) in enumerate(tasks):
+    for r, (task, a_task, slots) in enumerate(tasks):
         out[r] = shared
-        if alpha < 1.0 and len(task_inputs):
-            kt = kernel_matrix(task_inputs, xs, cfg.individual_for(task))
+        if alpha < 1.0 and len(slots):
+            task_inputs = [pool[s] for s in slots]
+            kt = kernel_matrix(
+                task_inputs, xs, cfg.individual_for(task), feats.take(slots)
+            )
             out[r] += (1.0 - alpha) * (a_task @ kt)
     return out
 
@@ -369,5 +378,7 @@ def predictions_grid(coeffs, cfg, structures, tasks, xs):
     for j in tasks:
         if j not in coeffs.a_task:
             raise UnknownTask("no coefficients for task %r" % (j,))
-        rows.append((j, coeffs.a_task[j], [inputs[s] for s in coeffs.task_slots[j]]))
-    return mixed_predictions(cfg, inputs, coeffs.a_cond, coeffs.b, rows, xs)
+        rows.append((j, coeffs.a_task[j], coeffs.task_slots[j]))
+    return mixed_predictions(
+        cfg, inputs, FeatureRows(inputs), coeffs.a_cond, coeffs.b, rows, xs
+    )

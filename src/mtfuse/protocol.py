@@ -23,6 +23,7 @@ from .kernels import (
     LOOKUP,
     RBF_TAGS,
     BiasBasis,
+    FeatureRows,
     InputPoint,
     KernelSpec,
     MixedEffectConfig,
@@ -657,6 +658,7 @@ def load_snapshot(data):
         factors.append_precomputed(rows[i], dvals[i], m_rows[i])
 
     engine.inputs = inputs
+    engine.feats = FeatureRows(inputs)
     engine.key_slot = {x.key: i for i, x in enumerate(inputs)}
     engine.y_cond = GrowVec(y_cond)
     engine.H = SymMatrix.from_packed(h_packed, n)

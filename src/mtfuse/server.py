@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonPositiveWeight, SingularSystem, UnknownTask
-from .kernels import InputPoint, eval_kernel, eval_shared
+from .kernels import FeatureRows, InputPoint, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
     GrowVec,
@@ -114,6 +114,7 @@ class ServerEngine:
         self.cfg = cfg
         self.factors = FactorSet(cfg.bias_dim)
         self.inputs = []
+        self.feats = FeatureRows()
         self.key_slot = {}
         self.y_cond = GrowVec()
         self.H = SymMatrix()
@@ -128,7 +129,8 @@ class ServerEngine:
     def from_disclosed(cls, db, cfg):
         """Local engine seeded from a disclosed snapshot (no task data)."""
         eng = cls(cfg)
-        eng.factors = build_factors(db.inputs, cfg)
+        eng.feats = FeatureRows(db.inputs)
+        eng.factors = build_factors(db.inputs, cfg, eng.feats)
         eng.inputs = list(db.inputs)
         eng.key_slot = {x.key: i for i, x in enumerate(db.inputs)}
         eng.y_cond = GrowVec(db.y_cond)
@@ -179,10 +181,8 @@ class ServerEngine:
 
     def _plan_new_input(self, x):
         cfg = self.cfg
-        k_head = np.array(
-            [eval_shared(cfg, x, xi) for xi in self.inputs], dtype=_F64
-        )
-        k_self = eval_shared(cfg, x, x)
+        k_head = kernel_row(cfg.shared, x, self.inputs, self.feats.prefix())
+        k_self = eval_kernel(cfg.shared, x, x)
         r, beta = ldl_append(self.factors.L, self.factors.D, k_head, k_self)
         mrow = self.factors.bias_row(r, beta, cfg.bias.row(x))
         return r, beta, mrow
@@ -194,10 +194,11 @@ class ServerEngine:
         old_slots = st.slots if st is not None else []
         scale = 1.0 - cfg.alpha
 
-        ktilde = np.empty(len(old_slots) + 1, dtype=_F64)
-        for i, sl in enumerate(old_slots):
-            ktilde[i] = scale * eval_kernel(spec, xc, self.inputs[sl])
-        ktilde[-1] = scale * eval_kernel(spec, xc, xc)
+        # one row over the task's inputs and xc itself; a new input is not
+        # in the pool's matrix yet, so its task's rows are stacked instead
+        task_inputs = [self.inputs[sl] for sl in old_slots] + [xc]
+        feats = self.feats.take(old_slots + [slot]) if grow is None else None
+        ktilde = scale * kernel_row(spec, xc, task_inputs, feats)
         r_mat = st.R if st is not None else SymMatrix()
         u, gamma = schur_enlarge_plan(r_mat, ktilde, cfg.lam * w)
         y_ext = np.append(st.y.values, y) if st is not None else np.array([y])
@@ -258,6 +259,7 @@ class ServerEngine:
         r, beta, mrow = grow
         self.factors.append_precomputed(r, beta, mrow)
         self.inputs.append(x)
+        self.feats.append(x)
         self.key_slot[x.key] = self.n - 1
         self.y_cond.append(0.0)
         border = np.zeros(self.n, dtype=_F64)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mtfuse.errors import MissingFeatures, UnknownKey
 from mtfuse.kernels import (
     BiasBasis,
+    FeatureRows,
     InputPoint,
     KernelSpec,
     LookupTable,
@@ -19,6 +20,7 @@ from mtfuse.kernels import (
     eval_shared,
     find,
     kernel_matrix,
+    kernel_row,
 )
 
 from util import make_config, make_inputs
@@ -190,6 +192,86 @@ class TestKernelMatrix:
             [kernel_matrix(xs[:2], ys, spec), kernel_matrix(xs[2:], ys, spec)]
         )
         assert np.array_equal(whole, parts)
+
+
+class TestKernelRow:
+    """Server/client factor parity rests on these: the same pair gives
+    the same bits wherever it sits in a row."""
+
+    SPECS = (KernelSpec.rbf_tags(), KernelSpec.linear_tags())
+
+    def test_entry_independent_of_row_length_and_gather(self):
+        rng = np.random.default_rng(20)
+        for dim in (4, 19, 64):
+            pool = make_inputs(rng, 70, dim=dim, unit=True)
+            rows = FeatureRows(pool)
+            slots = [int(s) for s in rng.integers(0, len(pool), size=12)]
+            for x in make_inputs(rng, 3, dim=dim, prefix=b"q", unit=True) + pool[:2]:
+                for spec in self.SPECS:
+                    full = kernel_row(spec, x, pool, rows.prefix())
+                    pairs = np.array([eval_kernel(spec, x, p) for p in pool])
+                    assert full.tobytes() == pairs.tobytes()
+                    for m in range(1, len(pool) + 1):
+                        part = kernel_row(spec, x, pool[:m], rows.prefix(m))
+                        assert part.tobytes() == full[:m].tobytes()
+                    task = kernel_row(spec, x, [pool[s] for s in slots],
+                                      rows.take(slots))
+                    assert task.tobytes() == full[slots].tobytes()
+                    stacked = kernel_row(spec, x, pool)
+                    assert stacked.tobytes() == full.tobytes()
+
+    def test_feature_rows_grow_and_match_inputs(self):
+        rng = np.random.default_rng(21)
+        pool = make_inputs(rng, 37, dim=5)
+        rows = FeatureRows()
+        for i, x in enumerate(pool):
+            rows.append(x)
+            assert np.array_equal(rows.prefix(), [p.features for p in pool[: i + 1]])
+        assert np.array_equal(rows.take([3, 0, 3]),
+                              [pool[3].features, pool[0].features, pool[3].features])
+
+    def test_rows_stop_at_an_input_without_usable_features(self):
+        rng = np.random.default_rng(22)
+        pool = make_inputs(rng, 3)
+        rows = FeatureRows(pool + [InputPoint(b"bare")] + make_inputs(rng, 2, prefix=b"z"))
+        assert rows.n == 6 and rows.good == 3
+        assert rows.prefix(3) is not None
+        assert rows.prefix(4) is None and rows.take([0]) is None
+        short = FeatureRows(pool + make_inputs(rng, 1, dim=3, prefix=b"s"))
+        assert short.good == 3 and short.prefix() is None
+        x = make_inputs(rng, 1, prefix=b"q")[0]
+        with pytest.raises(MissingFeatures):
+            kernel_row(KernelSpec.rbf_tags(), x, pool + [InputPoint(b"bare")],
+                       rows.prefix(4))
+        with pytest.raises(ValueError):
+            kernel_row(KernelSpec.linear_tags(), x,
+                       pool + make_inputs(rng, 1, dim=3, prefix=b"s"), short.prefix())
+
+    def test_lookup_row_gathers_the_table(self):
+        tbl = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 1.0]])
+        spec = KernelSpec.lookup([b"a", b"b", b"c"], tbl)
+        pool = [InputPoint(b"c"), InputPoint(b"a"), InputPoint(b"c")]
+        row = kernel_row(spec, InputPoint(b"b"), pool)
+        assert row.tolist() == [0.2, 0.5, 0.2]
+        with pytest.raises(UnknownKey):
+            kernel_row(spec, InputPoint(b"b"), pool + [InputPoint(b"zzz")])
+
+    def test_non_finite_values_raise_overflow(self):
+        pool = [InputPoint(b"p", np.array([0.0, 1.0, 0.0, 0.0])),
+                InputPoint(b"q", np.array([2.0, -2.0, 0.0, 0.0]))]
+        huge = InputPoint(b"huge", np.array([1e200, 0.0, 0.0, 0.0]))
+        nan_dot = InputPoint(b"nan", np.array([1e308, 1e308, 0.0, 0.0]))
+        for spec in self.SPECS:
+            with pytest.raises(OverflowError):
+                eval_kernel(spec, huge, huge)  # 1e400 overflows the dot
+            with pytest.raises(OverflowError):
+                kernel_row(spec, nan_dot, pool)  # inf - inf is NaN
+        # a finite dot product whose exp overflows; exp(709) still is a value
+        one = InputPoint(b"o", np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(OverflowError):
+            eval_kernel(KernelSpec.rbf_tags(), one, InputPoint(b"b", [710.0, 0, 0, 0]))
+        edge = InputPoint(b"e", np.array([709.0, 0.0, 0.0, 0.0]))
+        assert math.isfinite(eval_kernel(KernelSpec.rbf_tags(), edge, one))
 
 
 class TestBias:

@@ -245,6 +245,35 @@ class TestFactorSet:
         assert np.array_equal(fs1.D.values, fs2.D.values)
         assert np.array_equal(fs1.M, fs2.M)
 
+    def test_forward_solve_independent_of_buffer(self):
+        # server and client factors share bits only if the solve does not
+        # depend on how the buffer was grown, copied or rebuilt
+        rng = np.random.default_rng(30)
+        for n in (1, 3, 9, 66, 70, 130, 257):
+            xs = make_inputs(rng, n + 40, dim=6, unit=True)
+            gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
+            grown = FactorSet(bias_dim=1)
+            for i in range(n):
+                grown.append(gram[i, :i], gram[i, i], [1.0])
+            copied = grown.copy()
+            rebuilt = FactorSet(bias_dim=1)
+            for i in range(n):
+                rebuilt.append_precomputed(grown.L.row_strict(i), grown.D.values[i],
+                                           grown.M[i])
+            b = rng.normal(size=n)
+            want = grown.L.solve_unit_lower(b)
+            for other in (copied, rebuilt):
+                assert other.L.solve_unit_lower(b).tobytes() == want.tobytes()
+            assert_allclose(want, np.linalg.solve(grown.L.dense(), b),
+                            rtol=0, atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
+            for i in range(n, n + 40):
+                r, _ = grown.append(gram[i, :i], gram[i, i], [1.0])
+                r2, _ = copied.append(gram[i, :i], gram[i, i], [1.0])
+                assert r.tobytes() == r2.tobytes()
+            b = rng.normal(size=n + 40)
+            assert (copied.L.solve_unit_lower(b).tobytes()
+                    == grown.L.solve_unit_lower(b).tobytes())
+
 
 class TestSmw:
     def test_zero_vector_keeps_h(self):

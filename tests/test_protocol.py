@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mtfuse import daemon as daemon_mod
 from mtfuse import protocol as proto
 from mtfuse.client import Client, predict_client
 from mtfuse.daemon import (
@@ -370,6 +371,20 @@ class TestDaemon:
                 assert conn.get_disclosed().epoch == 1
             assert eng.epoch == 1
 
+    def test_kernel_overflow_keeps_snapshot_and_connection(self):
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {1: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=1, token=b"t") as conn:
+                conn.submit(InputPoint(b"p", np.array([0.0, 1.0, 0.0, 0.0])), 1.0, 1.0)
+                before = proto.save_snapshot(eng)
+                huge = InputPoint(b"huge", np.array([1e200, 0.0, 0.0, 0.0]))
+                with pytest.raises(ProtocolError, match="OverflowError"):
+                    conn.submit(huge, 0.1, 1.0)
+                assert proto.save_snapshot(eng) == before
+                assert conn.get_disclosed().epoch == 1
+                ok = InputPoint(b"ok", np.array([0.5, 0.5, 0.5, 0.5]))
+                assert conn.submit(ok, 0.1, 1.0).case == CASE_NEW_INPUT
+
     def test_garbage_frame_reply_then_state_survives(self):
         rng = np.random.default_rng(11)
         cfg = make_config(0.5, 0.1)
@@ -474,6 +489,28 @@ class TestDaemonConfigFile:
         path.write_text('{"alpha": 0.5, "lam": 0.01, "bias": "constnat"}')
         with pytest.raises(ValueError, match="bad daemon config"):
             load_daemon_config(str(path))
+
+    def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(18)
+        ds, cfg, _ = random_instance(rng, m_max=2, ell_max=4, n_max=4, d=1)
+        snap = tmp_path / "engine.snap"
+        old = proto.save_snapshot(stream_into_engine(ServerEngine(cfg), ds.triples))
+        snap.write_bytes(old)
+        dc = DaemonConfig(cfg, "127.0.0.1", 0, str(snap), {})
+        # serve() returns at once, as after Ctrl-C, and saves on the way out
+        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
+                            lambda self, *a, **k: None)
+        serve(dc)
+        assert snap.read_bytes() == old  # resume + save is bit-exact
+
+        def broken(engine):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(proto, "save_snapshot", broken)
+        with pytest.raises(RuntimeError, match="disk full"):
+            serve(dc)
+        assert snap.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["engine.snap"]
 
     def test_snapshot_with_other_model_config_refused(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -15,6 +15,7 @@ from mtfuse.offline import (
     predictions_grid,
     solve_condensed,
 )
+from mtfuse.protocol import save_snapshot
 from mtfuse.server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -256,6 +257,21 @@ class TestTransactionality:
             assert self._state_fingerprint(eng) == before
         fresh = make_inputs(rng, 1, dim=dim, prefix=b"fresh", unit=True)[0]
         assert eng.receive_example(0, fresh, 1.0, 1.0).case == CASE_NEW_INPUT
+
+    def test_kernel_overflow_rejected_and_snapshot_kept(self):
+        # exp(1e400) is inf and inf - inf is NaN: both must raise before
+        # the pivot test, which NaN would pass
+        cfg = make_config(0.5, 0.1, d=1)
+        eng = ServerEngine(cfg)
+        eng.receive_example(0, InputPoint(b"p", [0.0, 1.0, 0.0, 0.0]), 1.0, 1.0)
+        eng.receive_example(0, InputPoint(b"q", [0.0, 0.0, 2.0, -2.0]), 1.0, 1.0)
+        before = save_snapshot(eng)
+        for feats in ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 1e308, 1e308]):
+            with pytest.raises(OverflowError):
+                eng.receive_example(1, InputPoint(b"huge", feats), 0.1, 1.0)
+            assert save_snapshot(eng) == before
+        assert eng.receive_example(1, InputPoint(b"ok", [0.5, 0.5, 0.5, 0.5]),
+                                   0.1, 1.0).case == CASE_NEW_INPUT
 
     def test_degenerate_input_rejected_and_state_kept(self):
         rng = np.random.default_rng(12)

@@ -18,7 +18,7 @@ from mtfuse.kernels import (
     MixedEffectConfig,
     eval_kernel,
     eval_mixed,
-    eval_shared,
+    kernel_row,
 )
 from mtfuse import protocol as proto
 from mtfuse.offline import Dataset
@@ -221,20 +221,21 @@ def engine_state_predictions(engine, cfg, tasks, xs):
         except UnknownTask:
             a, slots = np.zeros(0), []
         spec = cfg.individual_for(task)
+        own = [engine.inputs[s] for s in slots]
         for c, x in enumerate(xs):
+            # kernel_row entries equal eval_kernel's pair values bit for bit
             val = 0.0
             if a_cond is not None:
                 sh = sum(
-                    ai * eval_shared(cfg, xi, x)
-                    for ai, xi in zip(a_cond, engine.inputs)
+                    ai * float(ki)
+                    for ai, ki in zip(a_cond, kernel_row(cfg.shared, x, engine.inputs))
                 )
                 if cfg.bias_dim:
                     sh += float(np.dot(b, cfg.bias.row(x)))
                 val += cfg.alpha * sh
             if cfg.alpha < 1.0 and len(a):
                 val += (1.0 - cfg.alpha) * sum(
-                    ai * eval_kernel(spec, engine.inputs[s], x)
-                    for ai, s in zip(a, slots)
+                    ai * float(ki) for ai, ki in zip(a, kernel_row(spec, x, own))
                 )
             out[r, c] = val
     return out
