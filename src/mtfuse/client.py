@@ -32,15 +32,12 @@ class PrivateData:
 
 @dataclass
 class ClientModel:
-    """Everything needed to predict for one task at one epoch."""
+    """What prediction reads for one task at one epoch."""
 
     task: int
     epoch: int
     inputs: tuple
     feats: FeatureRows
-    factors: object
-    y_cond: np.ndarray
-    H: object
     b: np.ndarray
     a_cond: np.ndarray
     a_task: np.ndarray
@@ -121,17 +118,14 @@ class Client:
 
     def _model(self, epoch, inputs, feats, factors, y_cond, h_mat, a_task, slots):
         """The model of this task from the shared state and its own
-        coefficients; feats and factors must be those of inputs."""
-        y = np.asarray(y_cond, dtype=_F64).copy()
-        b, a_cond = shared_coefficients(y, h_mat, factors, self.cfg.alpha)
+        coefficients; feats and factors must be those of inputs.  The
+        model keeps neither factors nor the disclosed pair."""
+        b, a_cond = shared_coefficients(y_cond, h_mat, factors, self.cfg.alpha)
         return ClientModel(
             task=self.task,
             epoch=epoch,
             inputs=tuple(inputs),
             feats=feats,
-            factors=factors,
-            y_cond=y,
-            H=h_mat,
             b=b,
             a_cond=a_cond,
             a_task=np.asarray(a_task, dtype=_F64),

@@ -48,10 +48,10 @@ class GrowVec:
     __slots__ = ("_buf", "n")
 
     def __init__(self, values=()):
-        self._buf = np.zeros(8, dtype=_F64)
-        self.n = 0
-        for v in np.asarray(values, dtype=_F64).ravel():
-            self.append(v)
+        values = np.asarray(values, dtype=_F64).ravel()
+        self.n = len(values)
+        self._buf = _grown(np.zeros(8, dtype=_F64), self.n)
+        self._buf[: self.n] = values
 
     @property
     def values(self):
@@ -66,31 +66,6 @@ class GrowVec:
         out = GrowVec()
         out._buf = self._buf[: self.n].copy()
         out.n = self.n
-        return out
-
-
-class DiagonalFactor:
-    """Strictly positive diagonal D of the LDL^T factorization."""
-
-    __slots__ = ("_vec",)
-
-    def __init__(self, values=()):
-        self._vec = GrowVec(values)
-
-    @property
-    def n(self):
-        return self._vec.n
-
-    @property
-    def values(self):
-        return self._vec.values
-
-    def append(self, beta):
-        self._vec.append(beta)
-
-    def copy(self):
-        out = DiagonalFactor()
-        out._vec = self._vec.copy()
         return out
 
 
@@ -127,60 +102,39 @@ class UnitLowerFactor:
         # stored (strictly lower) part of row i, length i
         return self._buf[i, :i]
 
-    def solve_unit_lower(self, b):
-        # L t = b by forward substitution, unit diagonal: one dtrsv on the
-        # whole buffer; rows past n only reach entries past n
+    def _solve(self, b, trans):
+        # one dtrsv on the whole buffer, read as U = L^T; the right-hand
+        # side is zero past n, and so is the solution there
         n = self.n
         t = np.zeros(self._buf.shape[0], dtype=_F64)
         t[:n] = _as_vec(b, n)
-        t = _blas.dtrsv(self._buf.T, t, lower=0, trans=1, diag=1, overwrite_x=1)
+        t = _blas.dtrsv(self._buf.T, t, lower=0, trans=trans, diag=1, overwrite_x=1)
         return t[:n]
 
+    def solve_unit_lower(self, b):
+        # L t = b by forward substitution
+        return self._solve(b, 1)
+
     def solve_unit_upper_t(self, t):
-        # L^T x = t by back substitution on the stored columns
-        n = self.n
-        x = _as_vec(t, n).copy()
-        for i in range(n - 2, -1, -1):
-            x[i] -= np.dot(self._buf[i + 1 : n, i], x[i + 1 : n])
-        return x
-
-    def matvec(self, x):
-        n = self.n
-        x = _as_vec(x, n)
-        y = x.copy()
-        for i in range(1, n):
-            y[i] += np.dot(self._buf[i, :i], x[:i])
-        return y
-
-    def t_matvec(self, x):
-        n = self.n
-        x = _as_vec(x, n)
-        y = x.copy()
-        for i in range(n - 1):
-            y[i] += np.dot(self._buf[i + 1 : n, i], x[i + 1 : n])
-        return y
+        # L^T x = t by back substitution
+        return self._solve(t, 0)
 
     def rows_t_matvec(self, idx, u):
-        # v = L(idx, :)^T u, accumulated row by row; v has full length n
-        n = self.n
-        v = np.zeros(n, dtype=_F64)
-        for pos, i in enumerate(idx):
-            ui = u[pos]
-            v[:i] += ui * self._buf[i, :i]
-            v[i] += ui
+        # v = L(idx, :)^T u, full length n; a row's stored part is zero
+        # from its diagonal on, and add.at sums the diagonal over repeats
+        u = _as_vec(u, len(idx))
+        v = u @ self._buf[idx, : self.n]
+        np.add.at(v, idx, u)
         return v
 
     def rows_matvec(self, idx, x):
         # L(idx, :) x for a full-length x
         x = _as_vec(x, self.n)
-        out = np.empty(len(idx), dtype=_F64)
-        for pos, i in enumerate(idx):
-            out[pos] = x[i] + np.dot(self._buf[i, :i], x[:i])
-        return out
+        return self._buf[idx, : self.n] @ x + x[idx]
 
     def dense(self):
         n = self.n
-        out = np.tril(self._buf[:n, :n].copy(), -1)
+        out = np.tril(self._buf[:n, :n], -1)
         np.fill_diagonal(out, 1.0)
         return out
 
@@ -210,15 +164,10 @@ class SymMatrix:
         a = np.asarray(a, dtype=_F64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("need a square matrix, got %r" % (a.shape,))
-        if a.size and not np.allclose(a, a.T, rtol=0.0, atol=0.0):
-            if not np.array_equal(a, a.T):
-                raise ValueError("matrix is not symmetric")
-        out = cls()
-        n = a.shape[0]
-        out._buf = np.concatenate([a[i, : i + 1] for i in range(n)]) if n else np.zeros(0)
-        out._buf = np.ascontiguousarray(out._buf, dtype=_F64)
-        out.n = n
-        return out
+        if not np.array_equal(a, a.T):
+            raise ValueError("matrix is not symmetric")
+        # the lower triangle row by row is the packed order
+        return cls.from_packed(a[np.tril_indices(a.shape[0])], a.shape[0])
 
     @classmethod
     def from_packed(cls, packed, n):
@@ -277,10 +226,7 @@ class SymMatrix:
     def to_dense(self):
         n = self.n
         out = np.zeros((n, n), dtype=_F64)
-        k = 0
-        for i in range(n):
-            out[i, : i + 1] = self._buf[k : k + i + 1]
-            k += i + 1
+        out[np.tril_indices(n)] = self.packed
         return out + np.tril(out, -1).T
 
     def copy(self):
@@ -353,7 +299,7 @@ class FactorSet:
 
     def __init__(self, bias_dim):
         self.L = UnitLowerFactor()
-        self.D = DiagonalFactor()
+        self.D = GrowVec()
         self.bias_dim = int(bias_dim)
         self._m = np.zeros((8, self.bias_dim), dtype=_F64)
 

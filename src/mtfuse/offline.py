@@ -308,7 +308,7 @@ def solve_condensed(ds, cfg):
         sl = ms.task_slots[j]
         np.add.at(s, sl, r_j @ y_j)
         G[np.ix_(sl, sl)] += r_j
-    y_cond = factors.L.t_matvec(s)
+    y_cond = ld.T @ s
 
     try:
         h_mat = np.linalg.inv(np.diag(1.0 / dvals) + alpha * (ld.T @ G @ ld))

@@ -332,14 +332,10 @@ def _write_kernel_spec(w, spec):
     w.u8(_KERNELS[spec.variant][0])
     if spec.variant == LOOKUP:
         keys = spec.table.keys
-        n = len(keys)
-        w.u32(n)
+        w.u32(len(keys))
         for k in keys:
             w.bytestr(k)
-        packed = np.concatenate(
-            [spec.table.matrix[i, : i + 1] for i in range(n)]
-        ) if n else np.zeros(0)
-        w.f64s(packed)
+        w.f64s(SymMatrix.from_dense(spec.table.matrix).packed)
 
 
 def _read_kernel_spec(r):
@@ -352,13 +348,7 @@ def _read_kernel_spec(r):
     n = r.u32()
     keys = [r.bytestr() for _ in range(n)]
     packed = r.f64s(n * (n + 1) // 2)
-    mat = np.zeros((n, n), dtype=_F64)
-    k = 0
-    for i in range(n):
-        mat[i, : i + 1] = packed[k : k + i + 1]
-        k += i + 1
-    mat = mat + np.tril(mat, -1).T
-    return KernelSpec.lookup(keys, mat)
+    return KernelSpec.lookup(keys, SymMatrix.from_packed(packed, n).to_dense())
 
 
 def _write_config(w, msg):
@@ -673,13 +663,12 @@ def load_snapshot(data):
             s = r.u32()
             if s >= n:
                 raise errors.MalformedFrame("task slot %d out of range" % s)
+            if s in st.pos:
+                raise errors.MalformedFrame("task slot %d listed twice" % s)
             st.pos[s] = len(st.slots)
             st.slots.append(s)
-        y = r.f64s(ell)
-        wv = r.f64s(ell)
-        for i in range(ell):
-            st.y.append(y[i])
-            st.w.append(wv[i])
+        st.y = GrowVec(r.f64s(ell))
+        st.w = GrowVec(r.f64s(ell))
         st.R = SymMatrix.from_packed(r.f64s(ell * (ell + 1) // 2), ell)
         engine.tasks[task] = st
     r.done()

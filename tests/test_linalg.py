@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from mtfuse.errors import DegenerateGram, SingularUpdate
 from mtfuse.kernels import KernelSpec, kernel_matrix
 from mtfuse.linalg import (
-    DiagonalFactor,
     FactorSet,
     GrowVec,
     SymMatrix,
@@ -67,8 +66,6 @@ class TestContainers:
                         rtol=0, atol=1e-12)
         assert_allclose(lf.solve_unit_upper_t(b), np.linalg.solve(dense.T, b),
                         rtol=0, atol=1e-12)
-        assert_allclose(lf.matvec(b), dense @ b, rtol=0, atol=1e-12)
-        assert_allclose(lf.t_matvec(b), dense.T @ b, rtol=0, atol=1e-12)
         idx = np.array([4, 1, 1, 6], dtype=np.intp)
         u = rng.normal(size=4)
         assert_allclose(lf.rows_t_matvec(idx, u), dense[idx].T @ u,
@@ -117,7 +114,7 @@ class TestContainers:
 class TestTriSolves:
     def test_identity_factors(self):
         lf = UnitLowerFactor()
-        d = DiagonalFactor()
+        d = GrowVec()
         for i in range(3):
             lf.append_row(np.zeros(i))
             d.append(1.0)
@@ -128,14 +125,14 @@ class TestTriSolves:
     def test_scalar_case(self):
         lf = UnitLowerFactor()
         lf.append_row(np.zeros(0))
-        d = DiagonalFactor([2.0])
+        d = GrowVec([2.0])
         assert_allclose(tri_solve_ldl(lf, d, [4.0]), [2.0], rtol=0, atol=0)
         assert_allclose(tri_solve_dlt(lf, d, [4.0]), [2.0], rtol=0, atol=0)
 
     def test_round_trip_order_4(self):
         rng = np.random.default_rng(4)
         lf = UnitLowerFactor()
-        d = DiagonalFactor()
+        d = GrowVec()
         for i in range(4):
             lf.append_row(rng.normal(size=i))
             d.append(float(rng.uniform(0.5, 2.0)))
@@ -149,7 +146,7 @@ class TestTriSolves:
     def test_nonpositive_pivot_rejected(self):
         lf = UnitLowerFactor()
         lf.append_row(np.zeros(0))
-        d = DiagonalFactor([0.0])
+        d = GrowVec([0.0])
         with pytest.raises(DegenerateGram):
             tri_solve_ldl(lf, d, [1.0])
         with pytest.raises(DegenerateGram):
@@ -158,13 +155,13 @@ class TestTriSolves:
 
 class TestLdlAppend:
     def test_first_input_beta_is_self_kernel(self):
-        lf, d = UnitLowerFactor(), DiagonalFactor()
+        lf, d = UnitLowerFactor(), GrowVec()
         r, beta = ldl_append(lf, d, np.zeros(0), math.e)
         assert r.shape == (0,)
         assert beta == math.e
 
     def test_orthogonal_second_input(self):
-        lf, d = UnitLowerFactor(), DiagonalFactor()
+        lf, d = UnitLowerFactor(), GrowVec()
         r, beta = ldl_append(lf, d, np.zeros(0), 1.7)
         lf.append_row(r)
         d.append(beta)
@@ -176,7 +173,7 @@ class TestLdlAppend:
         rng = np.random.default_rng(5)
         xs = make_inputs(rng, 3, dim=3, unit=True)
         gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
-        lf, d = UnitLowerFactor(), DiagonalFactor()
+        lf, d = UnitLowerFactor(), GrowVec()
         for i in range(3):
             r, beta = ldl_append(lf, d, gram[i, :i], gram[i, i])
             lf.append_row(r)
@@ -189,7 +186,7 @@ class TestLdlAppend:
         for trial in range(5):
             xs = make_inputs(rng, 12, dim=5)
             gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
-            lf, d = UnitLowerFactor(), DiagonalFactor()
+            lf, d = UnitLowerFactor(), GrowVec()
             for i in range(12):
                 r, beta = ldl_append(lf, d, gram[i, :i], gram[i, i])
                 lf.append_row(r)
@@ -203,7 +200,7 @@ class TestLdlAppend:
         xs = make_inputs(rng, 4, dim=3)
         xs.append(xs[2])  # exact feature repeat => dependent Gram row
         gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
-        lf, d = UnitLowerFactor(), DiagonalFactor()
+        lf, d = UnitLowerFactor(), GrowVec()
         for i in range(4):
             r, beta = ldl_append(lf, d, gram[i, :i], gram[i, i])
             lf.append_row(r)
@@ -261,18 +258,21 @@ class TestFactorSet:
                 rebuilt.append_precomputed(grown.L.row_strict(i), grown.D.values[i],
                                            grown.M[i])
             b = rng.normal(size=n)
-            want = grown.L.solve_unit_lower(b)
-            for other in (copied, rebuilt):
-                assert other.L.solve_unit_lower(b).tobytes() == want.tobytes()
-            assert_allclose(want, np.linalg.solve(grown.L.dense(), b),
-                            rtol=0, atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
+            for solve, dense in (("solve_unit_lower", grown.L.dense()),
+                                 ("solve_unit_upper_t", grown.L.dense().T)):
+                want = getattr(grown.L, solve)(b)
+                for other in (copied, rebuilt):
+                    assert getattr(other.L, solve)(b).tobytes() == want.tobytes()
+                assert_allclose(want, np.linalg.solve(dense, b), rtol=0,
+                                atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
             for i in range(n, n + 40):
                 r, _ = grown.append(gram[i, :i], gram[i, i], [1.0])
                 r2, _ = copied.append(gram[i, :i], gram[i, i], [1.0])
                 assert r.tobytes() == r2.tobytes()
             b = rng.normal(size=n + 40)
-            assert (copied.L.solve_unit_lower(b).tobytes()
-                    == grown.L.solve_unit_lower(b).tobytes())
+            for solve in ("solve_unit_lower", "solve_unit_upper_t"):
+                assert (getattr(copied.L, solve)(b).tobytes()
+                        == getattr(grown.L, solve)(b).tobytes())
 
 
 class TestSmw:

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import zlib
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -294,6 +295,21 @@ class TestSnapshot:
         versioned = proto.MAGIC + struct.pack("<I", 99) + b"\x00" * 8
         with pytest.raises(UnsupportedVersion):
             proto.load_snapshot(versioned)
+
+    def test_duplicate_task_slot_rejected(self):
+        # a task listing one input twice would take a re-rating of its
+        # other input as new to the task and grow its block past its inputs
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for x in make_inputs(np.random.default_rng(8), 2, unit=True):
+            eng.receive_example(0, x, 1.0, 1.0)
+        body = bytearray(proto.save_snapshot(eng)[:-4])
+        # the one task ends with its slots (2 x u32), y, w and packed R
+        at = len(body) - 8 * (2 + 2 + 3) - 8
+        assert struct.unpack_from("<II", body, at) == (0, 1)
+        struct.pack_into("<II", body, at, 1, 1)
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(MalformedFrame, match="twice"):
+            proto.load_snapshot(blob)
 
     def test_lookup_kernel_state_round_trips(self):
         rng = np.random.default_rng(7)
