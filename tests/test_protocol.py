@@ -1,5 +1,6 @@
 """Wire encoding, snapshots, and the TCP daemon."""
 
+import hashlib
 import socket
 import struct
 import threading
@@ -126,6 +127,58 @@ class TestMessageRoundTrip:
         for _ in range(300):
             msg = random_message(rng)
             assert proto.decode(proto.encode(msg)) == msg
+
+
+def _lookup_engine(rng, alpha):
+    # keys without features, so the snapshot also pins the no-features flag
+    keys = [b"song-%d" % i for i in range(6)]
+    a = rng.standard_normal((6, 6))
+    spec = KernelSpec.lookup(keys, a @ a.T + 6.0 * np.eye(6))
+    cfg = MixedEffectConfig(alpha=alpha, lam=0.1, shared=spec, individual=spec,
+                            bias=BiasBasis.constant())
+    eng = ServerEngine(cfg)
+    for _ in range(40):
+        key = keys[int(rng.integers(0, 6))]
+        eng.receive_example(int(rng.integers(0, 4)), InputPoint(key, None),
+                            float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+    return eng
+
+
+class TestGoldenBytes:
+    """Message and snapshot bytes pinned by SHA-256.
+
+    The digests were computed before the codec became table-driven; a
+    codec change that moves one byte of either format fails here.  The
+    snapshot digests also pin the engine's floating-point arithmetic
+    (numpy 2.4, OpenBLAS 0.3, x86-64).
+    """
+
+    MESSAGES = "ed6503da714fa7e0dcd3494a3bb9b9971c369c6c8bfe219b10b63c319d25d2ef"
+    SNAPSHOTS = {
+        0.0: "1886b605265c4084120e559c29b8272f6162d12fd85966140e1705a849cba0d6",
+        0.5: "792efaaf28ba340058bfb3191446cbcbeffa1b321c93e333d041f86a7b26fcf0",
+        1.0: "d8350aeb369e7865ca5a405c4654b30768ade5718eac6f08210aa2169e8c625c",
+    }
+
+    def test_message_bytes(self):
+        h = hashlib.sha256()
+        rng = np.random.default_rng(6061)
+        for _ in range(400):
+            data = proto.encode(random_message(rng))
+            h.update(struct.pack("<I", len(data)) + data)
+        assert h.hexdigest() == self.MESSAGES
+
+    def test_snapshot_bytes(self):
+        rng = np.random.default_rng(6062)
+        got = {}
+        for alpha in (0.0, 0.5, 1.0):
+            if alpha == 0.5:
+                eng = _lookup_engine(rng, alpha)
+            else:
+                ds, cfg, _ = random_instance(rng, alpha=alpha, d=1)
+                eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+            got[alpha] = hashlib.sha256(proto.save_snapshot(eng)).hexdigest()
+        assert got == self.SNAPSHOTS
 
 
 class TestMalformedInput:
