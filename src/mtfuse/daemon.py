@@ -26,6 +26,10 @@ from .server import ServerEngine, TaskCoeffsView, UpdateReceipt
 
 _log = logging.getLogger(__name__)
 
+# largest request frame, refused from its header before authentication;
+# replies keep protocol.MAX_FRAME (a Disclosed at n=4,000 is ~64 MB)
+MAX_REQUEST_FRAME = 1 << 20
+
 
 # ===== daemon configuration file =========================================
 
@@ -85,7 +89,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         while True:
             try:
-                msg = proto.read_message(self.rfile)
+                msg = proto.read_message(self.rfile, MAX_REQUEST_FRAME)
             except ProtocolError as exc:
                 try:
                     proto.write_message(
@@ -258,13 +262,17 @@ class RemoteServer:
     def __exit__(self, *exc):
         self.close()
 
-    def _rpc(self, msg):
+    def _rpc(self, msg, reply_cls):
         proto.write_message(self._wfile, msg)
         reply = proto.read_message(self._rfile)
         if reply is None:
             raise ProtocolError("server closed the connection")
         if isinstance(reply, proto.Error):
             proto.raise_for_error(reply)
+        if not isinstance(reply, reply_cls):
+            raise ProtocolError(
+                "expected %s, got %s" % (reply_cls.__name__, type(reply).__name__)
+            )
         return reply
 
     def submit(self, x, y, w, task=None, token=None):
@@ -276,28 +284,21 @@ class RemoteServer:
             y=float(y),
             w=float(w),
         )
-        ack = self._rpc(msg)
-        if not isinstance(ack, proto.Ack):
-            raise ProtocolError("expected Ack, got %s" % type(ack).__name__)
+        ack = self._rpc(msg, proto.Ack)
         return UpdateReceipt(epoch=ack.epoch, case=ack.case)
 
     def get_disclosed(self):
-        reply = self._rpc(proto.GetDisclosed())
-        if not isinstance(reply, proto.Disclosed):
-            raise ProtocolError("expected Disclosed, got %s" % type(reply).__name__)
+        reply = self._rpc(proto.GetDisclosed(), proto.Disclosed)
         return proto.disclosed_from_message(reply)
 
     def get_config(self):
-        reply = self._rpc(proto.GetConfig())
-        if not isinstance(reply, proto.Config):
-            raise ProtocolError("expected Config, got %s" % type(reply).__name__)
-        return proto.config_from_message(reply)
+        return proto.config_from_message(self._rpc(proto.GetConfig(), proto.Config))
 
     def task_coefficients(self, task=None):
         task = int(self.task if task is None else task)
-        reply = self._rpc(proto.GetTaskCoeffs(task=task, token=self.token))
-        if not isinstance(reply, proto.TaskCoeffs):
-            raise ProtocolError("expected TaskCoeffs, got %s" % type(reply).__name__)
+        reply = self._rpc(
+            proto.GetTaskCoeffs(task=task, token=self.token), proto.TaskCoeffs
+        )
         return TaskCoeffsView(epoch=reply.epoch, a=reply.a, keys=reply.keys)
 
     def get_task_coefficients(self, task=None):

@@ -6,6 +6,12 @@ packed lower triangles (row-major).  Encoding is canonical — the same
 value always produces the same bytes — so snapshots can be compared for
 bit-exactness.
 
+Each message is one row of a table: its wire tag, its dataclass, and
+its fields in wire order, each with the codec of its type.  encode and
+decode are one loop over a row; a payload that decode cannot turn into a
+message raises MalformedFrame.  Snapshots reuse the Config and
+Disclosed rows' bodies.
+
 Snapshot layout: magic ``MTLS``, u32 format version, config block,
 engine state, and a trailing CRC-32 over everything before it.
 """
@@ -13,7 +19,8 @@ engine state, and a trailing CRC-32 over everything before it.
 import struct
 import zlib
 from dataclasses import dataclass, fields
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,7 +30,6 @@ from .kernels import (
     LOOKUP,
     RBF_TAGS,
     BiasBasis,
-    FeatureRows,
     InputPoint,
     KernelSpec,
     MixedEffectConfig,
@@ -84,7 +90,6 @@ _ERR_CLASS = {
 _CLASS_ERR = {v: k for k, v in _ERR_CLASS.items()}
 
 _CASE_TAG = {CASE_REPEAT_TASK: 1, CASE_REPEAT_GLOBAL: 2, CASE_NEW_INPUT: 3}
-_TAG_CASE = {v: k for k, v in _CASE_TAG.items()}
 
 
 def exception_to_code(exc):
@@ -193,47 +198,25 @@ class Error(_Msg):
     detail: str
 
 
-# ===== primitive writers/readers =========================================
+# ===== field codecs ======================================================
+#
+# A codec is one kind of wire field: write(w, value) appends the value's
+# bytes to the list w, and read(r) returns the next value.  While a
+# message is read, r.got holds its fields read so far, so that an array
+# can take its element count from an earlier field.
 
 
-class _Writer:
-    def __init__(self):
-        self.parts = []
-
-    def u8(self, v):
-        self.parts.append(struct.pack("<B", v))
-
-    def u32(self, v):
-        self.parts.append(struct.pack("<I", v))
-
-    def u64(self, v):
-        self.parts.append(struct.pack("<Q", v))
-
-    def i64(self, v):
-        self.parts.append(struct.pack("<q", v))
-
-    def f64(self, v):
-        self.parts.append(struct.pack("<d", v))
-
-    def raw(self, b):
-        self.parts.append(bytes(b))
-
-    def bytestr(self, b):
-        self.u32(len(b))
-        self.raw(b)
-
-    def f64s(self, arr):
-        arr = np.ascontiguousarray(arr, dtype=_F64)
-        self.raw(arr.tobytes())
-
-    def getvalue(self):
-        return b"".join(self.parts)
+class _Codec(NamedTuple):
+    write: Callable
+    read: Callable
 
 
 class _Reader:
     def __init__(self, data):
-        self.data = data
+        # slices of a view copy nothing: an array is copied once, by array()
+        self.data = memoryview(data)
         self.pos = 0
+        self.got = None
 
     def take(self, n):
         if n < 0 or self.pos + n > len(self.data):
@@ -242,28 +225,8 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def i64(self):
-        return struct.unpack("<q", self.take(8))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
-
-    def bytestr(self):
-        n = self.u32()
-        if n > MAX_FRAME:
-            raise errors.MalformedFrame("byte string too long")
-        return bytes(self.take(n))
-
-    def f64s(self, count):
+    def array(self, count):
+        """The next count f64 values, with no count of their own."""
         if count > MAX_FRAME // 8:
             raise errors.MalformedFrame("array too long")
         buf = self.take(8 * count)
@@ -276,23 +239,96 @@ class _Reader:
             )
 
 
+def _write_array(w, arr):
+    w.append(np.ascontiguousarray(arr, dtype=_F64).tobytes())
+
+
+def _fixed(fmt):
+    st = struct.Struct("<" + fmt)
+    return _Codec(
+        lambda w, v: w.append(st.pack(v)), lambda r: st.unpack(r.take(st.size))[0]
+    )
+
+
+_u8, _u32, _u64, _i64, _f64 = (_fixed(fmt) for fmt in "BIQqd")
+
+
+def _write_bytes(w, b):
+    _u32.write(w, len(b))
+    w.append(bytes(b))
+
+
+def _read_bytes(r):
+    n = _u32.read(r)
+    if n > MAX_FRAME:
+        raise errors.MalformedFrame("byte string too long")
+    return bytes(r.take(n))
+
+
+_bytes = _Codec(_write_bytes, _read_bytes)
+
+
+def _read_text(r):
+    try:
+        return _read_bytes(r).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.MalformedFrame("text is not UTF-8: %s" % exc.reason) from None
+
+
+_text = _Codec(lambda w, s: _write_bytes(w, s.encode("utf-8")), _read_text)
+
+
+def _write_f64s(w, arr):
+    _u32.write(w, len(arr))
+    _write_array(w, arr)
+
+
+# an f64 array after its u32 element count
+_f64s = _Codec(_write_f64s, lambda r: r.array(_u32.read(r)))
+
+
+def _sized_f64s(count):
+    """An f64 array of count(got) elements, with no count of its own."""
+    return _Codec(_write_array, lambda r: r.array(count(r.got)))
+
+
+def _repeated(item, count):
+    """count(got) values of one codec, with no count of their own."""
+
+    def write(w, values):
+        for v in values:
+            item.write(w, v)
+
+    return _Codec(write, lambda r: tuple(item.read(r) for _ in range(count(r.got))))
+
+
+def _tag(tags, what):
+    """A value from a fixed set, sent as its u8 tag; tags maps value -> tag."""
+    values = {tag: v for v, tag in tags.items()}
+
+    def read(r):
+        tag = _u8.read(r)
+        if tag not in values:
+            raise errors.MalformedFrame("bad %s tag %d" % (what, tag))
+        return values[tag]
+
+    return _Codec(lambda w, v: _u8.write(w, tags[v]), read)
+
+
+_case = _tag(_CASE_TAG, "case")
+_present = _tag({False: 0, True: 1}, "features flag")
+
+
 def _write_features(w, feats):
-    if feats is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.u32(len(feats))
-        w.f64s(feats)
+    _present.write(w, feats is not None)
+    if feats is not None:
+        _f64s.write(w, feats)
 
 
-def _read_features(r):
-    flag = r.u8()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise errors.MalformedFrame("bad features flag %d" % flag)
-    n = r.u32()
-    return r.f64s(n)
+# optional features: a flag byte, then the counted array when present
+_features = _Codec(
+    _write_features, lambda r: _f64s.read(r) if _present.read(r) else None
+)
 
 
 # built-in kernels and bias kinds: name (as in the daemon config file and
@@ -307,8 +343,8 @@ _BIASES = {
     BiasBasis.NONE: (0, BiasBasis.empty),
     BiasBasis.CONSTANT: (1, BiasBasis.constant),
 }
-_TAG_KERNEL = {tag: name for name, (tag, _) in _KERNELS.items()}
-_TAG_BIAS = {tag: name for name, (tag, _) in _BIASES.items()}
+_variant = _tag({name: tag for name, (tag, _) in _KERNELS.items()}, "kernel variant")
+_bias = _tag({name: tag for name, (tag, _) in _BIASES.items()}, "bias")
 
 
 def _by_name(table, what, name):
@@ -328,52 +364,111 @@ def bias_from_name(name):
     return _by_name(_BIASES, "bias", name)
 
 
-def _write_kernel_spec(w, spec):
-    w.u8(_KERNELS[spec.variant][0])
+def _write_kernel(w, spec):
+    _variant.write(w, spec.variant)
     if spec.variant == LOOKUP:
         keys = spec.table.keys
-        w.u32(len(keys))
+        _u32.write(w, len(keys))
         for k in keys:
-            w.bytestr(k)
-        w.f64s(SymMatrix.from_dense(spec.table.matrix).packed)
+            _write_bytes(w, k)
+        _write_array(w, SymMatrix.from_dense(spec.table.matrix).packed)
 
 
-def _read_kernel_spec(r):
-    tag = r.u8()
-    name = _TAG_KERNEL.get(tag)
-    if name is None:
-        raise errors.MalformedFrame("bad kernel variant tag %d" % tag)
+def _read_kernel(r):
+    name = _variant.read(r)
     if name != LOOKUP:
         return kernel_from_name(name)
-    n = r.u32()
-    keys = [r.bytestr() for _ in range(n)]
-    packed = r.f64s(n * (n + 1) // 2)
-    return KernelSpec.lookup(keys, SymMatrix.from_packed(packed, n).to_dense())
+    n = _u32.read(r)
+    keys = [_read_bytes(r) for _ in range(n)]
+    packed = r.array(n * (n + 1) // 2)
+    try:
+        return KernelSpec.lookup(keys, SymMatrix.from_packed(packed, n).to_dense())
+    except ValueError as exc:  # a repeated key, or a NaN that breaks symmetry
+        raise errors.MalformedFrame("bad lookup table: %s" % exc) from None
 
 
-def _write_config(w, msg):
-    w.f64(msg.alpha)
-    w.f64(msg.lam)
-    _write_kernel_spec(w, msg.shared)
-    _write_kernel_spec(w, msg.individual)
-    w.u8(_BIASES[msg.bias_kind][0])
+_kernel = _Codec(_write_kernel, _read_kernel)
 
 
-def _read_config(r):
-    alpha = r.f64()
-    lam = r.f64()
-    shared = _read_kernel_spec(r)
-    individual = _read_kernel_spec(r)
-    bias_tag = r.u8()
-    if bias_tag not in _TAG_BIAS:
-        raise errors.MalformedFrame("bad bias tag %d" % bias_tag)
-    return Config(
-        alpha=alpha,
-        lam=lam,
-        shared=shared,
-        individual=individual,
-        bias_kind=_TAG_BIAS[bias_tag],
-    )
+def _write_inputs(w, keys_features):
+    keys, features = keys_features
+    _u32.write(w, len(keys))
+    for key, feats in zip(keys, features):
+        _write_bytes(w, key)
+        _write_features(w, feats)
+
+
+def _read_inputs(r):
+    keys, features = [], []
+    for _ in range(_u32.read(r)):
+        keys.append(_read_bytes(r))
+        features.append(_features.read(r))
+    return tuple(keys), tuple(features)
+
+
+# a u32 count, then each input's key and features in turn
+_inputs = _Codec(_write_inputs, _read_inputs)
+
+
+# ===== the message table =================================================
+
+
+class _Row:
+    """One message on the wire: its tag, its class and its fields in wire
+    order, each a (name, codec) pair.  A codec that interleaves several
+    fields is listed under their names joined by spaces, and writes and
+    reads the tuple of their values."""
+
+    __slots__ = ("tag", "cls", "fields")
+
+    def __init__(self, tag, cls, *fields):
+        self.tag = tag
+        self.cls = cls
+        self.fields = [(n.split(), attrgetter(*n.split()), c) for n, c in fields]
+
+
+def _n_inputs(got):
+    return len(got["keys"])
+
+
+def _n_packed(got):
+    return _n_inputs(got) * (_n_inputs(got) + 1) // 2
+
+
+_ROWS = (
+    _Row(_T_SUBMIT, SubmitExample, ("task", _i64), ("token", _bytes),
+         ("key", _bytes), ("features", _features), ("y", _f64), ("w", _f64)),
+    _Row(_T_ACK, Ack, ("epoch", _u64), ("case", _case)),
+    _Row(_T_GET_DISCLOSED, GetDisclosed),
+    _Row(_T_DISCLOSED, Disclosed, ("epoch", _u64), ("keys features", _inputs),
+         ("y_cond", _sized_f64s(_n_inputs)), ("h_packed", _sized_f64s(_n_packed))),
+    _Row(_T_GET_TASK_COEFFS, GetTaskCoeffs, ("task", _i64), ("token", _bytes)),
+    _Row(_T_TASK_COEFFS, TaskCoeffs, ("epoch", _u64), ("a", _f64s),
+         ("keys", _repeated(_bytes, lambda got: len(got["a"])))),
+    _Row(_T_GET_CONFIG, GetConfig),
+    _Row(_T_CONFIG, Config, ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
+         ("individual", _kernel), ("bias_kind", _bias)),
+    _Row(_T_ERROR, Error, ("code", _u32), ("detail", _text)),
+)
+_ROW_OF_TAG = {row.tag: row for row in _ROWS}
+_ROW_OF_CLASS = {row.cls: row for row in _ROWS}
+
+
+def _write_body(w, row, msg):
+    for _, get, codec in row.fields:
+        codec.write(w, get(msg))
+
+
+def _read_body(r, row):
+    got = r.got = {}
+    for names, _, codec in row.fields:
+        value = codec.read(r)
+        if len(names) == 1:
+            got[names[0]] = value
+        else:
+            got.update(zip(names, value))
+    r.got = None  # the message alone holds its fields now
+    return row.cls(**got)
 
 
 # ===== message encode/decode =============================================
@@ -381,114 +476,25 @@ def _read_config(r):
 
 def encode(msg):
     """Canonical bytes for one message."""
-    w = _Writer()
-    w.u8(WIRE_VERSION)
-    if isinstance(msg, SubmitExample):
-        w.u8(_T_SUBMIT)
-        w.i64(msg.task)
-        w.bytestr(msg.token)
-        w.bytestr(msg.key)
-        _write_features(w, msg.features)
-        w.f64(msg.y)
-        w.f64(msg.w)
-    elif isinstance(msg, Ack):
-        w.u8(_T_ACK)
-        w.u64(msg.epoch)
-        w.u8(_CASE_TAG[msg.case])
-    elif isinstance(msg, GetDisclosed):
-        w.u8(_T_GET_DISCLOSED)
-    elif isinstance(msg, Disclosed):
-        w.u8(_T_DISCLOSED)
-        w.u64(msg.epoch)
-        n = len(msg.keys)
-        w.u32(n)
-        for key, feats in zip(msg.keys, msg.features):
-            w.bytestr(key)
-            _write_features(w, feats)
-        w.f64s(msg.y_cond)
-        w.f64s(msg.h_packed)
-    elif isinstance(msg, GetTaskCoeffs):
-        w.u8(_T_GET_TASK_COEFFS)
-        w.i64(msg.task)
-        w.bytestr(msg.token)
-    elif isinstance(msg, TaskCoeffs):
-        w.u8(_T_TASK_COEFFS)
-        w.u64(msg.epoch)
-        w.u32(len(msg.a))
-        w.f64s(msg.a)
-        for key in msg.keys:
-            w.bytestr(key)
-    elif isinstance(msg, GetConfig):
-        w.u8(_T_GET_CONFIG)
-    elif isinstance(msg, Config):
-        w.u8(_T_CONFIG)
-        _write_config(w, msg)
-    elif isinstance(msg, Error):
-        w.u8(_T_ERROR)
-        w.u32(msg.code)
-        w.bytestr(msg.detail.encode("utf-8"))
-    else:
+    row = _ROW_OF_CLASS.get(type(msg))
+    if row is None:
         raise TypeError("cannot encode %r" % type(msg).__name__)
-    return w.getvalue()
+    w = [bytes((WIRE_VERSION, row.tag))]
+    _write_body(w, row, msg)
+    return b"".join(w)
 
 
 def decode(data):
     """Parse one message; raises MalformedFrame / UnsupportedVersion."""
     r = _Reader(bytes(data))
-    version = r.u8()
+    version = _u8.read(r)
     if version != WIRE_VERSION:
         raise errors.UnsupportedVersion("wire version %d" % version)
-    tag = r.u8()
-    if tag == _T_SUBMIT:
-        msg = SubmitExample(
-            task=r.i64(),
-            token=r.bytestr(),
-            key=r.bytestr(),
-            features=_read_features(r),
-            y=r.f64(),
-            w=r.f64(),
-        )
-    elif tag == _T_ACK:
-        epoch = r.u64()
-        case_tag = r.u8()
-        if case_tag not in _TAG_CASE:
-            raise errors.MalformedFrame("bad case tag %d" % case_tag)
-        msg = Ack(epoch=epoch, case=_TAG_CASE[case_tag])
-    elif tag == _T_GET_DISCLOSED:
-        msg = GetDisclosed()
-    elif tag == _T_DISCLOSED:
-        epoch = r.u64()
-        n = r.u32()
-        keys, feats = [], []
-        for _ in range(n):
-            keys.append(r.bytestr())
-            feats.append(_read_features(r))
-        y_cond = r.f64s(n)
-        h_packed = r.f64s(n * (n + 1) // 2)
-        msg = Disclosed(
-            epoch=epoch,
-            keys=tuple(keys),
-            features=tuple(feats),
-            y_cond=y_cond,
-            h_packed=h_packed,
-        )
-    elif tag == _T_GET_TASK_COEFFS:
-        msg = GetTaskCoeffs(task=r.i64(), token=r.bytestr())
-    elif tag == _T_TASK_COEFFS:
-        epoch = r.u64()
-        count = r.u32()
-        a = r.f64s(count)
-        keys = tuple(r.bytestr() for _ in range(count))
-        msg = TaskCoeffs(epoch=epoch, a=a, keys=keys)
-    elif tag == _T_GET_CONFIG:
-        msg = GetConfig()
-    elif tag == _T_CONFIG:
-        msg = _read_config(r)
-    elif tag == _T_ERROR:
-        code = r.u32()
-        msg = Error(code=code, detail=r.bytestr().decode("utf-8"))
-    else:
+    tag = _u8.read(r)
+    row = _ROW_OF_TAG.get(tag)
+    if row is None:
         raise errors.MalformedFrame("unknown message tag %d" % tag)
+    msg = _read_body(r, row)
     r.done()
     return msg
 
@@ -502,15 +508,19 @@ def write_message(stream, msg):
     stream.flush()
 
 
-def read_message(stream):
-    """Next message from a stream, or None on clean end-of-stream."""
+def read_message(stream, max_frame=MAX_FRAME):
+    """Next message from a stream, or None on clean end-of-stream.
+
+    A frame longer than max_frame bytes is refused from its header, so
+    nothing of its payload is read or allocated.
+    """
     header = stream.read(4)
     if header == b"":
         return None
     if len(header) != 4:
         raise errors.MalformedFrame("truncated frame header")
     (size,) = struct.unpack("<I", header)
-    if size > MAX_FRAME:
+    if size > max_frame:
         raise errors.MalformedFrame("frame too large (%d bytes)" % size)
     payload = stream.read(size)
     if len(payload) != size:
@@ -522,15 +532,13 @@ def read_message(stream):
 
 
 def disclosed_to_message(db):
+    """The Disclosed message of db; it shares db's arrays."""
     return Disclosed(
         epoch=db.epoch,
         keys=tuple(x.key for x in db.inputs),
-        features=tuple(
-            None if x.features is None else np.asarray(x.features, dtype=_F64)
-            for x in db.inputs
-        ),
-        y_cond=np.asarray(db.y_cond, dtype=_F64).copy(),
-        h_packed=db.H.packed.copy(),
+        features=tuple(x.features for x in db.inputs),
+        y_cond=db.y_cond,
+        h_packed=db.H.packed,
     )
 
 
@@ -573,41 +581,39 @@ def config_from_message(msg):
 
 
 # ===== snapshots =========================================================
+#
+# After the magic and version, a snapshot holds a Config message body, a
+# Disclosed message body (epoch, inputs, y_cond, H), the factors L, D
+# and M, and each task's block; a CRC-32 of all of it comes last.
+
+_CONFIG = _ROW_OF_CLASS[Config]
+_DISCLOSED = _ROW_OF_CLASS[Disclosed]
 
 
 def save_snapshot(engine):
     """Serialize full server state; bit-exact under load + save."""
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(SNAPSHOT_VERSION)
+    w = [MAGIC]
+    _u32.write(w, SNAPSHOT_VERSION)
+    _write_body(w, _CONFIG, config_to_message(engine.cfg))
+    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch)
+    _write_body(w, _DISCLOSED, disclosed_to_message(db))
 
-    _write_config(w, config_to_message(engine.cfg))
+    for i in range(engine.n):
+        _write_array(w, engine.factors.L.row_strict(i))
+    _write_array(w, engine.factors.D.values)
+    _write_array(w, engine.factors.M.ravel())
 
-    w.u64(engine.epoch)
-    n = engine.n
-    w.u32(n)
-    for x in engine.inputs:
-        w.bytestr(x.key)
-        _write_features(w, x.features)
-    w.f64s(engine.y_cond.values)
-    w.f64s(engine.H.packed)
-    for i in range(n):
-        w.f64s(engine.factors.L.row_strict(i))
-    w.f64s(engine.factors.D.values)
-    w.f64s(engine.factors.M.ravel())
-
-    w.u32(len(engine.tasks))
+    _u32.write(w, len(engine.tasks))
     for task, st in engine.tasks.items():
-        w.i64(task)
-        ell = len(st.slots)
-        w.u32(ell)
+        _i64.write(w, task)
+        _u32.write(w, len(st.slots))
         for s in st.slots:
-            w.u32(s)
-        w.f64s(st.y.values)
-        w.f64s(st.w.values)
-        w.f64s(st.R.packed)
+            _u32.write(w, s)
+        _write_array(w, st.y.values)
+        _write_array(w, st.w.values)
+        _write_array(w, st.R.packed)
 
-    body = w.getvalue()
+    body = b"".join(w)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
@@ -626,50 +632,36 @@ def load_snapshot(data):
 
     r = _Reader(body)
     r.take(8)  # magic + version already checked
-    cfg = config_from_message(_read_config(r))
-
-    engine = ServerEngine(cfg)
-    engine.epoch = r.u64()
-    n = r.u32()
-    inputs = []
-    for _ in range(n):
-        key = r.bytestr()
-        feats = _read_features(r)
-        inputs.append(InputPoint(key, feats))
-    y_cond = r.f64s(n)
-    h_packed = r.f64s(n * (n + 1) // 2)
+    cfg = config_from_message(_read_body(r, _CONFIG))
+    db = disclosed_from_message(_read_body(r, _DISCLOSED))
+    n = len(db.inputs)
 
     factors = FactorSet(cfg.bias_dim)
-    rows = [r.f64s(i) for i in range(n)]
-    dvals = r.f64s(n)
-    m_flat = r.f64s(n * cfg.bias_dim)
-    m_rows = m_flat.reshape(n, cfg.bias_dim) if n else m_flat.reshape(0, cfg.bias_dim)
+    rows = [r.array(i) for i in range(n)]
+    dvals = r.array(n)
+    m_rows = r.array(n * cfg.bias_dim).reshape(n, cfg.bias_dim)
     for i in range(n):
         factors.append_precomputed(rows[i], dvals[i], m_rows[i])
 
-    engine.inputs = inputs
-    engine.feats = FeatureRows(inputs)
-    engine.key_slot = {x.key: i for i, x in enumerate(inputs)}
-    engine.y_cond = GrowVec(y_cond)
-    engine.H = SymMatrix.from_packed(h_packed, n)
-    engine.factors = factors
+    engine = ServerEngine.from_disclosed(db, cfg, factors)
 
-    task_count = r.u32()
-    for _ in range(task_count):
-        task = r.i64()
-        ell = r.u32()
+    for _ in range(_u32.read(r)):
+        task = _i64.read(r)
+        if task in engine.tasks:
+            raise errors.MalformedFrame("task %d listed twice" % task)
+        ell = _u32.read(r)
         st = TaskState()
         for _ in range(ell):
-            s = r.u32()
+            s = _u32.read(r)
             if s >= n:
                 raise errors.MalformedFrame("task slot %d out of range" % s)
             if s in st.pos:
                 raise errors.MalformedFrame("task slot %d listed twice" % s)
             st.pos[s] = len(st.slots)
             st.slots.append(s)
-        st.y = GrowVec(r.f64s(ell))
-        st.w = GrowVec(r.f64s(ell))
-        st.R = SymMatrix.from_packed(r.f64s(ell * (ell + 1) // 2), ell)
+        st.y = GrowVec(r.array(ell))
+        st.w = GrowVec(r.array(ell))
+        st.R = SymMatrix.from_packed(r.array(ell * (ell + 1) // 2), ell)
         engine.tasks[task] = st
     r.done()
     return engine

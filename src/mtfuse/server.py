@@ -126,11 +126,17 @@ class ServerEngine:
         return len(self.inputs)
 
     @classmethod
-    def from_disclosed(cls, db, cfg):
-        """Local engine seeded from a disclosed snapshot (no task data)."""
+    def from_disclosed(cls, db, cfg, factors=None):
+        """Local engine seeded from a disclosed snapshot (no task data).
+
+        factors are the LDL^T factors of db's inputs; a snapshot stores
+        them, a client builds them from the inputs (factors=None).
+        """
         eng = cls(cfg)
         eng.feats = FeatureRows(db.inputs)
-        eng.factors = build_factors(db.inputs, cfg, eng.feats)
+        if factors is None:
+            factors = build_factors(db.inputs, cfg, eng.feats)
+        eng.factors = factors
         eng.inputs = list(db.inputs)
         eng.key_slot = {x.key: i for i, x in enumerate(db.inputs)}
         eng.y_cond = GrowVec(db.y_cond)

@@ -128,6 +128,12 @@ class TestMessageRoundTrip:
             msg = random_message(rng)
             assert proto.decode(proto.encode(msg)) == msg
 
+    def test_fuzz_draws_every_message_in_the_table(self):
+        # a message added to the table must be added to the fuzzer too
+        rng = np.random.default_rng(2)
+        drawn = {type(random_message(rng)) for _ in range(300)}
+        assert drawn == {row.cls for row in proto._ROWS}
+
 
 def _lookup_engine(rng, alpha):
     # keys without features, so the snapshot also pins the no-features flag
@@ -208,6 +214,36 @@ class TestMalformedInput:
         data[-1] = 77
         with pytest.raises(MalformedFrame):
             proto.decode(bytes(data))
+
+    def test_bad_utf8_text(self):
+        data = proto.encode(proto.Error(code=proto.ERR_INTERNAL, detail="ab"))
+        with pytest.raises(MalformedFrame, match="UTF-8"):
+            proto.decode(data[:-2] + b"\xff\xfe")
+
+    def test_repeated_lookup_key(self):
+        spec = KernelSpec.lookup([b"a", b"b"], [[2.0, 1.0], [1.0, 2.0]])
+        msg = proto.Config(alpha=0.5, lam=0.1, shared=spec,
+                           individual=KernelSpec.linear_tags(),
+                           bias_kind=BiasBasis.CONSTANT)
+        data = proto.encode(msg)
+        key_b = struct.pack("<I", 1) + b"b"
+        assert data.count(key_b) == 1
+        with pytest.raises(MalformedFrame, match="duplicate"):
+            proto.decode(data.replace(key_b, struct.pack("<I", 1) + b"a"))
+
+    def test_corrupted_payloads_raise_only_frame_errors(self):
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            data = bytearray(proto.encode(random_message(rng)))
+            for _ in range(int(rng.integers(1, 4))):
+                if len(data) > 2:
+                    data[int(rng.integers(2, len(data)))] = int(rng.integers(0, 256))
+            cut = int(rng.integers(0, len(data) + 1))
+            for payload in (bytes(data), bytes(data[:cut])):
+                try:
+                    proto.decode(payload)
+                except (MalformedFrame, UnsupportedVersion):
+                    pass
 
     def test_stream_framing_errors(self):
         import io
@@ -364,6 +400,22 @@ class TestSnapshot:
         with pytest.raises(MalformedFrame, match="twice"):
             proto.load_snapshot(blob)
 
+    def test_duplicate_task_rejected(self):
+        # a second block for task 0 would replace the first, while y_cond
+        # and H still hold both blocks' contributions
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        xs = make_inputs(np.random.default_rng(20), 2, unit=True)
+        eng.receive_example(0, xs[0], 1.0, 1.0)
+        eng.receive_example(5, xs[1], 1.0, 1.0)
+        body = bytearray(proto.save_snapshot(eng)[:-4])
+        # the last task block is i64 id, u32 count, slot, y, w and packed R
+        at = len(body) - 8 - 4 - 4 - 3 * 8
+        assert struct.unpack_from("<q", body, at) == (5,)
+        struct.pack_into("<q", body, at, 0)
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(MalformedFrame, match="task 0 listed twice"):
+            proto.load_snapshot(blob)
+
     def test_lookup_kernel_state_round_trips(self):
         rng = np.random.default_rng(7)
         keys = [b"s1", b"s2", b"s3"]
@@ -471,6 +523,47 @@ class TestDaemon:
             with RemoteServer(srv.address, task=0, token=b"t") as conn:
                 x = make_inputs(rng, 1, unit=True)[0]
                 assert conn.submit(x, 1.0, 1.0).epoch == 1
+
+    def test_undecodable_requests_answered_malformed(self):
+        bad_text = proto.encode(proto.Error(code=proto.ERR_INTERNAL, detail="ab"))
+        spec = KernelSpec.lookup([b"a", b"b"], [[2.0, 1.0], [1.0, 2.0]])
+        config = proto.encode(proto.Config(
+            alpha=0.5, lam=0.1, shared=spec, individual=spec,
+            bias_kind=BiasBasis.CONSTANT))
+        payloads = (
+            bad_text[:-2] + b"\xff\xfe",
+            config.replace(struct.pack("<I", 1) + b"b", struct.pack("<I", 1) + b"a"),
+        )
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                conn.submit(make_inputs(np.random.default_rng(21), 1, unit=True)[0],
+                            1.0, 1.0)
+            before = proto.save_snapshot(eng)
+            for payload in payloads:
+                with socket.create_connection(srv.address, timeout=10) as raw:
+                    raw.sendall(struct.pack("<I", len(payload)) + payload)
+                    reply = proto.read_message(raw.makefile("rb"))
+                assert isinstance(reply, proto.Error)
+                assert reply.code == proto.ERR_MALFORMED
+            assert proto.save_snapshot(eng) == before
+
+    def test_oversized_request_refused_from_its_header(self):
+        # the header alone is sent: a daemon that waited for the payload
+        # would time out here instead of replying
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                x = make_inputs(np.random.default_rng(22), 1, unit=True)[0]
+                conn.submit(x, 1.0, 1.0)
+                before = proto.save_snapshot(eng)
+                with socket.create_connection(srv.address, timeout=10) as raw:
+                    raw.sendall(struct.pack("<I", daemon_mod.MAX_REQUEST_FRAME + 1))
+                    reply = proto.read_message(raw.makefile("rb"))
+                assert isinstance(reply, proto.Error)
+                assert reply.code == proto.ERR_MALFORMED
+                assert proto.save_snapshot(eng) == before
+                assert conn.submit(x, 2.0, 1.0).epoch == 2
 
     def test_interleaved_clients_match_offline_solver(self):
         rng = np.random.default_rng(12)
