@@ -10,6 +10,7 @@ Subcommands:
 """
 
 import argparse
+import logging
 import os
 import sys
 
@@ -136,6 +137,7 @@ def cmd_report(args):
 
 
 def cmd_serve(args):
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     dcfg = daemon.load_daemon_config(args.config)
     try:
         daemon.serve(dcfg)

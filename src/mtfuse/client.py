@@ -4,9 +4,10 @@ An *active* client downloads its private coefficients from the server.
 A *passive* client never sends its observations anywhere: it seeds a
 local engine with the public disclosed snapshot, replays its own triples
 through the exact same update rules the server runs, and recovers its
-coefficients locally.  Both paths rebuild the shared factors from the
-disclosed unique inputs, in the server's append order, so the rebuilt
-factors match the server's bit for bit.
+coefficients locally.  Both paths rebuild one local engine from the
+disclosed snapshot (ServerEngine.from_disclosed: the shared factors of
+the unique inputs, in the server's append order, so they match the
+server's bit for bit) and take b, a_cond and q from one shared solve.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from scipy.special import expit
 
 from .errors import UnknownTask
 from .kernels import FeatureRows
-from .offline import build_factors, mixed_predictions
+from .offline import mixed_predictions
 from .server import ServerEngine, TaskCoeffsView, shared_coefficients
 
 _F64 = np.float64
@@ -47,9 +48,9 @@ class ClientModel:
 class Client:
     """One task's view of the system.
 
-    `server` arguments are duck-typed: anything with get_config /
-    get_disclosed / task_coefficients works, in particular both a local
-    ServerEngine and the TCP proxy from the daemon module.
+    `server` arguments are duck-typed: anything with get_disclosed and
+    task_coefficients works, in particular both a local ServerEngine and
+    the TCP proxy from the daemon module.
     """
 
     def __init__(self, task, cfg, token=None):
@@ -79,18 +80,9 @@ class Client:
                 break
         else:
             raise RuntimeError("server kept changing between reads")
-        key_slot = {x.key: i for i, x in enumerate(db.inputs)}
-        feats = FeatureRows(db.inputs)
-        self._cached = self._model(
-            db.epoch,
-            db.inputs,
-            feats,
-            build_factors(db.inputs, self.cfg, feats),
-            db.y_cond,
-            db.H,
-            tc.a,
-            [key_slot[k] for k in tc.keys],
-        )
+        local = ServerEngine.from_disclosed(db, self.cfg)
+        own = (tc.a, [local.key_slot[k] for k in tc.keys])
+        self._cached = self._model(db.epoch, local, own)
         return self._cached
 
     # ----- passive path -------------------------------------------------
@@ -106,26 +98,28 @@ class Client:
         local = ServerEngine.from_disclosed(disclosed, self.cfg)
         for x, y, w in private.triples:
             local.receive_example(self.task, x, y, w)
-        try:
-            a_task = local.get_task_coefficients(self.task)
-            slots = local.tasks[self.task].slots
-        except UnknownTask:
-            a_task, slots = np.zeros(0, dtype=_F64), []
-        return self._model(
-            disclosed.epoch, local.inputs, local.feats, local.factors,
-            local.y_cond.values, local.H, a_task, slots,
-        )
+        return self._model(disclosed.epoch, local)
 
-    def _model(self, epoch, inputs, feats, factors, y_cond, h_mat, a_task, slots):
-        """The model of this task from the shared state and its own
-        coefficients; feats and factors must be those of inputs.  The
+    def _model(self, epoch, local, own=None):
+        """The model of this task from an engine rebuilt from disclosed
+        data.  own is (a_task, slots) as the server sent them; without
+        it, they come from the engine's own state of this task.  The
         model keeps neither factors nor the disclosed pair."""
-        b, a_cond = shared_coefficients(y_cond, h_mat, factors, self.cfg.alpha)
+        b, a_cond, q = shared_coefficients(
+            local.y_cond.values, local.H, local.factors, self.cfg.alpha
+        )
+        if own is None:
+            try:
+                a_task = local.get_task_coefficients(self.task, q)
+                own = (a_task, local.tasks[self.task].slots)
+            except UnknownTask:
+                own = ((), ())
+        a_task, slots = own
         return ClientModel(
             task=self.task,
             epoch=epoch,
-            inputs=tuple(inputs),
-            feats=feats,
+            inputs=tuple(local.inputs),
+            feats=local.feats,
             b=b,
             a_cond=a_cond,
             a_task=np.asarray(a_task, dtype=_F64),
@@ -133,14 +127,18 @@ class Client:
         )
 
 
-def predict_client(model, cfg, x):
-    """Mixed-effect prediction from a client model; 0 on an empty model."""
+def client_predictions(model, cfg, xs):
+    """Mixed-effect predictions of a client model over the points xs;
+    zeros on an empty model."""
     own = (model.task, model.a_task, model.slots)
-    return float(
-        mixed_predictions(
-            cfg, model.inputs, model.feats, model.a_cond, model.b, [own], [x]
-        )[0, 0]
-    )
+    return mixed_predictions(
+        cfg, model.inputs, model.feats, model.a_cond, model.b, [own], xs
+    )[0]
+
+
+def predict_client(model, cfg, x):
+    """Mixed-effect prediction from a client model at one point."""
+    return float(client_predictions(model, cfg, [x])[0])
 
 
 def preference_score(model, cfg, x):

@@ -217,6 +217,7 @@ def serve(daemon_config):
     else:
         engine = ServerEngine(daemon_config.cfg)
     srv = DaemonServer(engine, (daemon_config.host, daemon_config.port), daemon_config.tokens)
+    _log.info("listening on %s port %d", *srv.address)
 
     def _terminate(signum, frame):
         raise SystemExit(0)
@@ -300,6 +301,3 @@ class RemoteServer:
             proto.GetTaskCoeffs(task=task, token=self.token), proto.TaskCoeffs
         )
         return TaskCoeffsView(epoch=reply.epoch, a=reply.a, keys=reply.keys)
-
-    def get_task_coefficients(self, task=None):
-        return self.task_coefficients(task).a

@@ -543,6 +543,12 @@ def disclosed_to_message(db):
 
 
 def disclosed_from_message(msg):
+    """The DisclosedDB of msg; an input key listed twice is malformed."""
+    seen = set()
+    for k in msg.keys:
+        if k in seen:
+            raise errors.MalformedFrame("input key %r listed twice" % (k,))
+        seen.add(k)
     inputs = tuple(
         InputPoint(k, f) for k, f in zip(msg.keys, msg.features)
     )

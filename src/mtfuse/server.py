@@ -78,33 +78,35 @@ class TaskState:
 
 
 def shared_coefficients(y_cond, h_mat, factors, alpha):
-    """Recover bias b and condensed coefficients from disclosed data.
+    """The one shared solve: bias b, condensed coefficients a_cond and
+    q = H (y_cond + M b) from disclosed data.
 
     b solves M^T (D - H) M b = M^T H y_cond; the condensed coefficients
-    solve D L^T a = H y_cond + (H - D) M b.  With no bias or alpha = 0,
+    solve D L^T a = q - D M b; every task's coefficients read q (see
+    ServerEngine.get_task_coefficients).  With no bias or alpha = 0,
     b is zero by convention.
     """
     d = factors.bias_dim
     n = factors.n
     y_cond = np.asarray(y_cond, dtype=_F64)
-    z = h_mat.matvec(y_cond)
+    q = rhs = h_mat.matvec(y_cond)
     if d == 0 or alpha == 0.0 or n == 0:
         b = np.zeros(d, dtype=_F64)
-        rhs = z
     else:
         m_mat = factors.M
         dvals = factors.D.values
         dm = dvals[:, None] * m_mat
         hm = np.column_stack([h_mat.matvec(col) for col in m_mat.T])
         try:
-            b = np.linalg.solve(m_mat.T @ (dm - hm), m_mat.T @ z)
+            b = np.linalg.solve(m_mat.T @ (dm - hm), m_mat.T @ q)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("bias system is singular") from exc
         if not np.all(np.isfinite(b)):
             raise SingularSystem("bias solve produced non-finite values")
-        rhs = z + hm @ b - dm @ b
+        q = q + hm @ b
+        rhs = q - dm @ b
     a_cond = tri_solve_dlt(factors.L, factors.D, rhs)
-    return b, a_cond
+    return b, a_cond, q
 
 
 class ServerEngine:
@@ -313,32 +315,23 @@ class ServerEngine:
     def get_config(self):
         return self.cfg
 
-    def get_task_coefficients(self, task):
-        """Private coefficients a_j of one task, from current state."""
+    def get_task_coefficients(self, task, q=None):
+        """Private coefficients a_j = R_j (y_j - alpha L[slots] q) of one
+        task; q is the shared solve's (computed here when not given)."""
         st = self.tasks.get(task)
         if st is None:
             raise UnknownTask("task %r has no data on this server" % (task,))
         alpha = self.cfg.alpha
         if alpha == 0.0:
             return st.R.matvec(st.y.values)
-        b, _ = shared_coefficients(
-            self.y_cond.values, self.H, self.factors, alpha
-        )
-        q = self.H.matvec(self.y_cond.values)
-        if self.cfg.bias_dim:
-            q = q + self.H.matvec(self.factors.M @ b)
+        if q is None:
+            _, _, q = shared_coefficients(
+                self.y_cond.values, self.H, self.factors, alpha
+            )
         proj = self.factors.L.rows_matvec(st.slots, q)
         return st.R.matvec(st.y.values - alpha * proj)
 
-    def task_input_keys(self, task):
-        st = self.tasks.get(task)
-        if st is None:
-            raise UnknownTask("task %r has no data on this server" % (task,))
-        return tuple(self.inputs[s].key for s in st.slots)
-
     def task_coefficients(self, task):
-        return TaskCoeffsView(
-            epoch=self.epoch,
-            a=self.get_task_coefficients(task),
-            keys=self.task_input_keys(task),
-        )
+        a = self.get_task_coefficients(task)
+        keys = tuple(self.inputs[s].key for s in self.tasks[task].slots)
+        return TaskCoeffsView(epoch=self.epoch, a=a, keys=keys)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .client import Client, predict_client
+from .client import Client, client_predictions
 from .daemon import RemoteServer, start_server
 from .errors import DegenerateGram, EngineError
 from .kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, kernel_matrix
@@ -273,7 +273,7 @@ def _estimate_via_daemon(world, mcfg):
             for j in range(m):
                 conn.token = tokens[j]
                 model = Client(j, wire_cfg).active_refresh(conn)
-                out[j] = [predict_client(model, wire_cfg, x) for x in world.inputs]
+                out[j] = client_predictions(model, wire_cfg, world.inputs)
         return out
     finally:
         srv.shutdown()

@@ -4,7 +4,13 @@ active and passive refresh, and prediction."""
 import numpy as np
 from scipy.special import expit
 
-from mtfuse.client import Client, PrivateData, predict_client, preference_score
+from mtfuse.client import (
+    Client,
+    PrivateData,
+    client_predictions,
+    predict_client,
+    preference_score,
+)
 from mtfuse.kernels import eval_kernel, eval_shared
 from mtfuse.offline import (
     Dataset,
@@ -90,7 +96,7 @@ class TestBiasAndAcheck:
         for t in ds.triples:
             zeroed.add(t.task, t.x, 0.0, t.w)
         eng = stream_into_engine(ServerEngine(cfg), zeroed.triples)
-        b, a_cond = shared_coefficients(
+        b, a_cond, _ = shared_coefficients(
             np.asarray(eng.y_cond.values), eng.H, eng.factors, cfg.alpha
         )
         assert np.all(b == 0.0)
@@ -101,7 +107,7 @@ class TestBiasAndAcheck:
         ds, cfg, _ = random_instance(rng, d=0, alpha=0.5)
         eng = stream_into_engine(ServerEngine(cfg), ds.triples)
         y = np.asarray(eng.y_cond.values)
-        b, a_cond = shared_coefficients(y, eng.H, eng.factors, cfg.alpha)
+        b, a_cond, _ = shared_coefficients(y, eng.H, eng.factors, cfg.alpha)
         assert b.shape == (0,)
         L = eng.factors.L.dense()
         D = np.asarray(eng.factors.D.values)
@@ -121,7 +127,7 @@ class TestBiasAndAcheck:
             for i, tr in enumerate(ds.triples):
                 want[st.key_slot[tr.x.key]] += full.a_raw[i]
             eng = stream_into_engine(ServerEngine(cfg), ds.triples)
-            _, a_cond = shared_coefficients(
+            _, a_cond, _ = shared_coefficients(
                 np.asarray(eng.y_cond.values), eng.H, eng.factors, cfg.alpha
             )
             assert rel_err(a_cond, want) < 1e-8
@@ -246,6 +252,32 @@ class TestPassiveRefresh:
             want = [predict_client(active, cfg, x) for x in xs]
             assert rel_err(got, want) < 1e-8
 
+    def test_task_last_matches_active_bitwise(self):
+        # a server that receives the task's triples last runs the same
+        # updates as the passive replay on the disclosed state just before
+        # them, so both paths end in one engine state and one model
+        rng = np.random.default_rng(23)
+        for alpha in (0.0, 0.5, 1.0):
+            for d in (0, 1):
+                for _ in range(4):
+                    ds, cfg, _ = random_instance(rng, m_max=4, ell_max=8,
+                                                 alpha=alpha, d=d)
+                    mine = max(ds.tasks)
+                    public = [t for t in ds.triples if t.task != mine]
+                    private = [t for t in ds.triples if t.task == mine]
+                    eng = stream_into_engine(ServerEngine(cfg), public)
+                    passive = Client(mine, cfg).passive_refresh(
+                        eng.get_disclosed(),
+                        PrivateData([(t.x, t.y, t.w) for t in private]),
+                    )
+                    active = Client(mine, cfg).active_refresh(
+                        stream_into_engine(eng, private)
+                    )
+                    for f in ("b", "a_cond", "a_task", "slots"):
+                        got, want = getattr(passive, f), getattr(active, f)
+                        assert got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes(), (alpha, d, f)
+
     def test_union_matches_offline_solver(self):
         rng = np.random.default_rng(13)
         ds, cfg, _ = random_instance(rng, m_max=3, ell_max=6, alpha=0.5, d=1)
@@ -317,6 +349,21 @@ class TestPredict:
         for model in models[1:]:
             got = [predict_client(model, cfg, x) for x in xs]
             assert rel_err(got, base) < 1e-12
+
+    def test_catalog_call_matches_one_point_calls(self):
+        # one call over many points sums in gemv order, one point at a
+        # time in another, so the two agree to rounding
+        rng = np.random.default_rng(24)
+        for alpha in ALPHAS:
+            ds, cfg, pool = random_instance(rng, m_max=4, alpha=alpha)
+            eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+            xs = probe_points(rng, pool)
+            for task in (max(ds.tasks), 999):
+                _, model = refreshed_client(eng, task)
+                got = client_predictions(model, cfg, xs)
+                want = [predict_client(model, cfg, x) for x in xs]
+                assert got.shape == (len(xs),)
+                assert rel_err(got, want) < 1e-12
 
     def test_training_point_recovery_small_ridge(self):
         # single task, tiny ridge: predictions at the training inputs

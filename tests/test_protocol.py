@@ -6,7 +6,7 @@ import struct
 import threading
 import zlib
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -308,6 +308,19 @@ class TestDisclosedConversion:
         assert np.asarray(back.y_cond).tobytes() == np.asarray(db.y_cond).tobytes()
         assert back.H.packed.tobytes() == db.H.packed.tobytes()
 
+    def test_duplicate_input_key_rejected(self):
+        # a key listed twice would leave its first slot unreachable, and
+        # a later rating of that key would land on the second slot
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        xs = make_inputs(np.random.default_rng(21), 2, unit=True)
+        for t, x in enumerate(xs):
+            eng.receive_example(t, x, 1.0, 1.0)
+        msg = proto.disclosed_to_message(eng.get_disclosed())
+        msg = replace(msg, keys=(xs[0].key, xs[0].key))
+        back = proto.decode(proto.encode(msg))
+        with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
+            proto.disclosed_from_message(back)
+
     def test_config_round_trip(self):
         for alpha, d in ((0.0, 0), (0.5, 1), (1.0, 1)):
             cfg = make_config(alpha, 0.1, d=d)
@@ -414,6 +427,19 @@ class TestSnapshot:
         struct.pack_into("<q", body, at, 0)
         blob = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         with pytest.raises(MalformedFrame, match="task 0 listed twice"):
+            proto.load_snapshot(blob)
+
+    def test_duplicate_input_key_rejected(self):
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        xs = make_inputs(np.random.default_rng(22), 2, unit=True)
+        for t, x in enumerate(xs):
+            eng.receive_example(t, x, 1.0, 1.0)
+        body = bytearray(proto.save_snapshot(eng)[:-4])
+        at = body.index(xs[1].key)
+        assert body.count(xs[1].key) == 1
+        body[at:at + len(xs[1].key)] = xs[0].key
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
             proto.load_snapshot(blob)
 
     def test_lookup_kernel_state_round_trips(self):
@@ -673,6 +699,17 @@ class TestDaemonConfigFile:
             serve(dc)
         assert snap.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["engine.snap"]
+
+    def test_serve_logs_bound_port(self, monkeypatch, caplog):
+        dc = DaemonConfig(make_config(0.5, 0.1), "127.0.0.1", 0, None, {})
+        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
+                            lambda self, *a, **k: None)
+        with caplog.at_level("INFO", logger="mtfuse.daemon"):
+            host, port = serve(dc)
+        (rec,) = [r for r in caplog.records if r.name == "mtfuse.daemon"]
+        assert rec.levelname == "INFO"
+        assert port != 0 and rec.args == (host, port)
+        assert rec.getMessage() == "listening on 127.0.0.1 port %d" % port
 
     def test_snapshot_with_other_model_config_refused(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -208,7 +208,7 @@ def engine_state_predictions(engine, cfg, tasks, xs):
     n = engine.n
     b = a_cond = None
     if n and cfg.alpha > 0.0:
-        b, a_cond = shared_coefficients(
+        b, a_cond, _ = shared_coefficients(
             np.asarray(engine.y_cond.values, dtype=float),
             engine.H,
             engine.factors,
