@@ -1,5 +1,6 @@
 """Synthetic world generation, metrics, the grid sweep, reports, CLI."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -418,3 +419,79 @@ class TestCli:
                        "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestHarnessGoldenBytes:
+    """Result, report and generated-world bytes pinned by SHA-256.
+
+    The digests were computed before the harness schemas were declared
+    once each; a change that moves one byte of these files fails here.
+    The result and report digests involve no solver arithmetic.  The
+    generate digests pin the world draw, so they hold on one numpy and
+    OpenBLAS build only (numpy 2.4, OpenBLAS 0.3, x86-64).
+    """
+
+    RESULT = "2794dfe4c1e30b2f35cddeb61d5f8880da30d1e4afdbdbf6074feebe01c2af00"
+    REPORTS = {
+        "grid_metrics.tsv": "6a5cc409479c9f54b03194b8e58c361db76a0af256ab059234d92b84180cafbc",
+        "hits_histogram.tsv": "546bd281df9aba5399681d2719c09ea3306f361b91ab8d76f63ad4b56ae61996",
+        "user_topk.tsv": "fa49bebaa16339df1d1cbe165ed7589d274e96fbad08f16b162e23456a77d972",
+    }
+    GENERATE = {
+        "artists.tsv": "d1afaebf822b32c9318eccdc90b9a090933101b65138f1218289bd23703f0bca",
+        "triples.tsv": "d7f6cb5662eeb8fc7300a3dd5219eb8d4af378c328f330d408a77c5afcc25a98",
+        "true_scores.tsv": "4ef91629373bae18451ffc294a6f3cdda325b772b3efff703ff098b29ce526e2",
+    }
+
+    @staticmethod
+    def hand_built_result():
+        def ints(rows):
+            return np.asarray(rows, dtype=np.intp)
+
+        cells = [
+            sim.CellResult(alpha=0.0, lam=1e-07, ok=True, rmse=0.123456789,
+                           top20hits=0.75, hits_per_user=ints([1, 0, 2, 0])),
+            sim.CellResult(alpha=0.0, lam=0.1, ok=True, rmse=1.0 / 3.0,
+                           top20hits=1.25, hits_per_user=ints([2, 1, 2, 0])),
+            sim.CellResult(alpha=1.0, lam=1e-07, ok=False,
+                           error="Gram factor\tfailed:\nsingular pivot"),
+            sim.CellResult(alpha=1.0, lam=0.1, ok=True, rmse=2.5e-17,
+                           top20hits=2.0, hits_per_user=ints([2, 2, 2, 2])),
+        ]
+        return sim.SweepResult(
+            mode="client-server", k=2,
+            names=["Björk", "Sigur Rós", "Motörhead", "坂本龍一",
+                   "Ólafur Arnalds", "artist-0005"],
+            alphas=np.array([0.0, 1.0]), lambdas=np.array([1e-07, 0.1]),
+            cells=cells, best_index=(0, 1),
+            best_top_true=ints([[0, 3], [1, 2], [5, 4], [3, 0]]),
+            best_top_est=ints([[3, 0], [1, 4], [5, 4], [2, 1]]),
+        )
+
+    @staticmethod
+    def digests(directory, names):
+        return {n: hashlib.sha256(read_bytes(os.path.join(directory, n)))
+                .hexdigest() for n in names}
+
+    def test_result_and_report_bytes(self, tmp_path):
+        res = self.hand_built_result()
+        path = str(tmp_path / "result.json")
+        save_result(res, path)
+        saved = read_bytes(path)
+        assert hashlib.sha256(saved).hexdigest() == self.RESULT
+        back = load_result(path)
+        save_result(back, path)
+        assert read_bytes(path) == saved
+        for i, r in enumerate((res, back)):
+            out = str(tmp_path / ("r%d" % i))
+            emit_report(r, out)
+            assert self.digests(out, self.REPORTS) == self.REPORTS
+
+    def test_generate_bytes(self, tmp_path, capsys):
+        out = str(tmp_path / "world")
+        rc = cli.main(["generate", "--num-artists", "24", "--tag-dim", "3",
+                       "--num-users", "5", "--samples-per-user", "3",
+                       "--noise-sd", "0.05", "--mix-shared", "0.5",
+                       "--seed", "11", "--out", out])
+        assert rc == 0
+        assert self.digests(out, self.GENERATE) == self.GENERATE
