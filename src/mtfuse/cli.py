@@ -10,6 +10,7 @@ Subcommands:
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -23,27 +24,17 @@ from .protocol import bias_from_name
 def _world_flags(p):
     p.add_argument("--scale", choices=("desk", "full"), default="desk",
                    help="preset for world size and grids (default desk)")
-    p.add_argument("--num-artists", type=int)
-    p.add_argument("--tag-dim", type=int)
-    p.add_argument("--num-users", type=int)
-    p.add_argument("--samples-per-user", type=int)
-    p.add_argument("--noise-sd", type=float)
-    p.add_argument("--mix-shared", type=float)
-    p.add_argument("--mix-individual", type=float)
-    p.add_argument("--seed", type=int)
+    for f in dataclasses.fields(sim.SynthConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     p.add_argument("--tags", metavar="FILE",
                    help="tab-separated artist tag file (name + values per line)")
 
 
 def _build_config(args):
     base = sim.FULL_SCALE if args.scale == "full" else sim.DESK_SCALE
-    cfg = sim.SynthConfig(**vars(base))
-    for name in ("num_artists", "tag_dim", "num_users", "samples_per_user",
-                 "noise_sd", "mix_shared", "mix_individual", "seed"):
-        val = getattr(args, name)
-        if val is not None:
-            setattr(cfg, name, val)
-    return cfg
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(base)}
+    return dataclasses.replace(
+        base, **{name: val for name, val in given.items() if val is not None})
 
 
 def _build_world(args):
@@ -62,6 +53,8 @@ def _parse_grid(spec, default):
         return default
     parts = spec.split(":")
     if parts[0] == "lin":
+        if len(parts) not in (2, 4):
+            raise ValueError("lin grid needs lin:N or lin:N:LO:HI")
         lo, hi = (float(parts[2]), float(parts[3])) if len(parts) == 4 else (0.0, 1.0)
         return np.linspace(lo, hi, int(parts[1]))
     if parts[0] == "log":
@@ -72,32 +65,22 @@ def _parse_grid(spec, default):
     return np.asarray([float(p) for p in spec.split(",")], dtype=np.float64)
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def cmd_generate(args):
     world = _build_world(args)
     os.makedirs(args.out, exist_ok=True)
-    p = os.path.join(args.out, "artists.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        for i, name in enumerate(world.names):
-            fh.write(name + "\t" + "\t".join(_fmt(v) for v in world.tags[i]) + "\n")
-    print("wrote", p)
-    p = os.path.join(args.out, "triples.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user\tartist\ty\tw\n")
-        for tr in world.ds.triples:
-            fh.write("%d\t%s\t%s\t%s\n"
-                     % (tr.task, tr.x.key.decode("utf-8"), _fmt(tr.y), _fmt(tr.w)))
-    print("wrote", p)
-    p = os.path.join(args.out, "true_scores.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user\t" + "\t".join(world.names) + "\n")
-        for j in range(world.cfg.num_users):
-            fh.write("%d\t" % j
-                     + "\t".join(_fmt(v) for v in world.s_true[j]) + "\n")
-    print("wrote", p)
+    fmt = sim._fmt
+    for name, header, rows in (
+        ("artists.tsv", None,
+         ([artist] + [fmt(v) for v in tags]
+          for artist, tags in zip(world.names, world.tags))),
+        ("triples.tsv", ("user", "artist", "y", "w"),
+         (("%d" % tr.task, tr.x.key.decode("utf-8"), fmt(tr.y), fmt(tr.w))
+          for tr in world.ds.triples)),
+        ("true_scores.tsv", ["user"] + world.names,
+         (["%d" % j] + [fmt(v) for v in scores]
+          for j, scores in enumerate(world.s_true))),
+    ):
+        print("wrote", sim.write_tsv(os.path.join(args.out, name), header, rows))
     return 0
 
 

@@ -16,6 +16,7 @@ import socket
 import socketserver
 import tempfile
 import threading
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,17 +35,14 @@ MAX_REQUEST_FRAME = 1 << 20
 # ===== daemon configuration file =========================================
 
 
-class DaemonConfig:
+class DaemonConfig(NamedTuple):
     """Parsed daemon config: model config, listen address, tokens."""
 
-    __slots__ = ("cfg", "host", "port", "snapshot_path", "tokens")
-
-    def __init__(self, cfg, host, port, snapshot_path, tokens):
-        self.cfg = cfg
-        self.host = host
-        self.port = port
-        self.snapshot_path = snapshot_path
-        self.tokens = tokens
+    cfg: MixedEffectConfig
+    host: str
+    port: int
+    snapshot_path: Optional[str]
+    tokens: dict
 
 
 def load_daemon_config(path):
@@ -52,7 +50,8 @@ def load_daemon_config(path):
 
     Keys: alpha, lam, shared_kernel, individual_kernel ("rbf-tags" or
     "linear-tags"), bias ("constant" or "none"), listen {host, port},
-    snapshot (path or null), tokens {task-id: token-string}.
+    snapshot (path or null), tokens {task-id: token-string}.  Any
+    malformed value raises ValueError("bad daemon config ...").
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -67,19 +66,23 @@ def load_daemon_config(path):
             bias=proto.bias_from_name(raw.get("bias", "constant")),
         )
         listen = raw.get("listen", {})
+        host = listen.get("host", "127.0.0.1")
+        port = listen.get("port", 0)
+        snapshot = raw.get("snapshot")
         tokens = {
             int(task): tok.encode("utf-8")
             for task, tok in raw.get("tokens", {}).items()
         }
-    except (KeyError, ValueError, AttributeError) as exc:
+        if not isinstance(host, str):
+            raise ValueError("listen host must be a string, got %r" % (host,))
+        if type(port) is not int or not 0 <= port <= 65535:
+            raise ValueError("listen port must be an integer from 0 to 65535, "
+                             "got %r" % (port,))
+        if snapshot is not None and not isinstance(snapshot, str):
+            raise ValueError("snapshot must be a path or null, got %r" % (snapshot,))
+    except (KeyError, ValueError, AttributeError, TypeError) as exc:
         raise ValueError("bad daemon config %s: %s" % (path, exc)) from exc
-    return DaemonConfig(
-        cfg=cfg,
-        host=listen.get("host", "127.0.0.1"),
-        port=int(listen.get("port", 0)),
-        snapshot_path=raw.get("snapshot"),
-        tokens=tokens,
-    )
+    return DaemonConfig(cfg, host, port, snapshot, tokens)
 
 
 # ===== server side =======================================================

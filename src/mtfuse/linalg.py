@@ -17,7 +17,6 @@ from .errors import DegenerateGram, SingularUpdate
 # update denominators are guarded by an absolute floor
 BETA_MIN_REL = 1e-10
 EPS_SING = 1e-12
-EPS_SOLVE = 1e-10
 
 _F64 = np.float64
 

@@ -11,8 +11,10 @@ Desk-scale defaults keep the whole sweep in CI territory; the constants
 of the full-scale experiment are kept alongside for manual runs.
 """
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -338,74 +340,81 @@ def sweep(world, alphas, lambdas, mode="offline", k=20, bias=None):
 # ===== persistence and reports ===========================================
 
 
+def _json_default(obj):
+    # numpy arrays and integers, which json cannot encode itself
+    return obj.tolist()
+
+
 def save_result(result, path):
-    doc = {
-        "mode": result.mode,
-        "k": result.k,
-        "names": list(result.names),
-        "alphas": [float(a) for a in result.alphas],
-        "lambdas": [float(l) for l in result.lambdas],
-        "cells": [
-            {
-                "alpha": c.alpha,
-                "lam": c.lam,
-                "ok": c.ok,
-                "rmse": c.rmse,
-                "top20hits": c.top20hits,
-                "hits_per_user": None
-                if c.hits_per_user is None
-                else [int(h) for h in c.hits_per_user],
-                "error": c.error,
-            }
-            for c in result.cells
-        ],
-        "best_index": None if result.best_index is None else list(result.best_index),
-        "best_top_true": None
-        if result.best_top_true is None
-        else result.best_top_true.tolist(),
-        "best_top_est": None
-        if result.best_top_est is None
-        else result.best_top_est.tolist(),
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=True)
+        json.dump(asdict(result), fh, indent=1, allow_nan=True,
+                  default=_json_default)
         fh.write("\n")
+
+
+def _from_doc(cls, doc, **converted):
+    """cls from the doc's value per field, apart from the converted ones."""
+    plain = {f.name: doc[f.name] for f in fields(cls)
+             if f.name not in converted}
+    return cls(**plain, **converted)
+
+
+def _number(x):
+    return float("nan") if x is None else x
+
+
+def _indices(v):
+    return None if v is None else np.asarray(v, dtype=np.intp)
 
 
 def load_result(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    result = SweepResult(
-        mode=doc["mode"],
-        k=doc["k"],
-        names=list(doc["names"]),
+    cells = [
+        _from_doc(CellResult, c, rmse=_number(c["rmse"]),
+                  top20hits=_number(c["top20hits"]),
+                  hits_per_user=_indices(c["hits_per_user"]))
+        for c in doc["cells"]
+    ]
+    best = doc["best_index"]
+    return _from_doc(
+        SweepResult, doc, cells=cells,
         alphas=np.asarray(doc["alphas"], dtype=_F64),
         lambdas=np.asarray(doc["lambdas"], dtype=_F64),
+        best_index=None if best is None else tuple(best),
+        best_top_true=_indices(doc["best_top_true"]),
+        best_top_est=_indices(doc["best_top_est"]),
     )
-    for c in doc["cells"]:
-        result.cells.append(
-            CellResult(
-                alpha=c["alpha"],
-                lam=c["lam"],
-                ok=c["ok"],
-                rmse=c["rmse"] if c["rmse"] is not None else float("nan"),
-                top20hits=c["top20hits"] if c["top20hits"] is not None else float("nan"),
-                hits_per_user=None
-                if c["hits_per_user"] is None
-                else np.asarray(c["hits_per_user"], dtype=np.intp),
-                error=c["error"],
-            )
-        )
-    if doc["best_index"] is not None:
-        result.best_index = tuple(doc["best_index"])
-        result.best_top_true = np.asarray(doc["best_top_true"], dtype=np.intp)
-        result.best_top_est = np.asarray(doc["best_top_est"], dtype=np.intp)
-    return result
 
 
 def _fmt(x):
     # shortest decimal that round-trips a float64
     return repr(float(x))
+
+
+def write_tsv(path, header, rows):
+    """Write tab-separated rows of str fields; header None writes none."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows if header is None else itertools.chain([header], rows):
+            fh.write("\t".join(row) + "\n")
+    return path
+
+
+def _grid_row(c):
+    status = "ok" if c.ok else "failed: " + c.error.replace("\t", " ").replace("\n", " ")
+    return _fmt(c.alpha), _fmt(c.lam), _fmt(c.rmse), _fmt(c.top20hits), status
+
+
+def _topk_rows(result):
+    if result.best_top_true is None:
+        return
+    for j, (true_row, est_row) in enumerate(
+            zip(result.best_top_true, result.best_top_est)):
+        true_set = set(true_row.tolist())
+        for r in range(result.k):
+            ei = int(est_row[r])
+            yield ("%d" % j, "%d" % (r + 1), result.names[int(true_row[r])],
+                   result.names[ei], "*" if ei in true_set else "")
 
 
 def emit_report(result, out_dir):
@@ -416,45 +425,18 @@ def emit_report(result, out_dir):
     user_topk.tsv: per-user true/estimated top-k with overlap marks.
     Returns the written paths.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    p = os.path.join(out_dir, "grid_metrics.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha\tlambda\trmse\ttop20hits\tstatus\n")
-        for c in result.cells:
-            status = "ok" if c.ok else "failed: " + c.error.replace("\t", " ").replace("\n", " ")
-            fh.write(
-                "%s\t%s\t%s\t%s\t%s\n"
-                % (_fmt(c.alpha), _fmt(c.lam), _fmt(c.rmse), _fmt(c.top20hits), status)
-            )
-    paths.append(p)
-
-    p = os.path.join(out_dir, "hits_histogram.tsv")
     best = result.best_cell()
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("hits\tusers\n")
-        if best is not None and best.hits_per_user is not None:
-            counts = np.bincount(best.hits_per_user, minlength=result.k + 1)
-            for h, cnt in enumerate(counts):
-                fh.write("%d\t%d\n" % (h, cnt))
-    paths.append(p)
-
-    p = os.path.join(out_dir, "user_topk.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user\trank\ttrue_artist\test_artist\thit\n")
-        if result.best_top_true is not None:
-            for j in range(result.best_top_true.shape[0]):
-                true_set = set(result.best_top_true[j].tolist())
-                for r in range(result.k):
-                    ti = int(result.best_top_true[j, r])
-                    ei = int(result.best_top_est[j, r])
-                    mark = "*" if ei in true_set else ""
-                    fh.write(
-                        "%d\t%d\t%s\t%s\t%s\n"
-                        % (j, r + 1, result.names[ti], result.names[ei], mark)
-                    )
-    paths.append(p)
-    return paths
+    counts = []
+    if best is not None and best.hits_per_user is not None:
+        counts = np.bincount(best.hits_per_user, minlength=result.k + 1)
+    return [
+        write_tsv(os.path.join(out_dir, "grid_metrics.tsv"),
+                  ("alpha", "lambda", "rmse", "top20hits", "status"),
+                  map(_grid_row, result.cells)),
+        write_tsv(os.path.join(out_dir, "hits_histogram.tsv"), ("hits", "users"),
+                  (("%d" % h, "%d" % cnt) for h, cnt in enumerate(counts))),
+        write_tsv(os.path.join(out_dir, "user_topk.tsv"),
+                  ("user", "rank", "true_artist", "est_artist", "hit"),
+                  _topk_rows(result)),
+    ]

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from mtfuse import cli
 from mtfuse import daemon as daemon_mod
 from mtfuse import protocol as proto
 from mtfuse.client import Client, predict_client
@@ -677,6 +678,40 @@ class TestDaemonConfigFile:
         path.write_text('{"alpha": 0.5, "lam": 0.01, "bias": "constnat"}')
         with pytest.raises(ValueError, match="bad daemon config"):
             load_daemon_config(str(path))
+
+    MALFORMED = {
+        "listen-list": '{"alpha": 0.5, "lam": 0.01, "listen": [1, 2]}',
+        "top-level-list": '[{"alpha": 0.5, "lam": 0.01}]',
+        "port-text": '{"alpha": 0.5, "lam": 0.01, "listen": {"port": "abc"}}',
+        "port-too-large": '{"alpha": 0.5, "lam": 0.01, "listen": {"port": 70000}}',
+        "port-negative": '{"alpha": 0.5, "lam": 0.01, "listen": {"port": -1}}',
+        "port-fraction": '{"alpha": 0.5, "lam": 0.01, "listen": {"port": 7001.5}}',
+        "host-number": '{"alpha": 0.5, "lam": 0.01, "listen": {"host": 7}}',
+        "snapshot-number": '{"alpha": 0.5, "lam": 0.01, "snapshot": 3}',
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_value_refused(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_text(self.MALFORMED[case])
+        with pytest.raises(ValueError, match="bad daemon config") as exc:
+            load_daemon_config(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_port_bounds_accepted(self, tmp_path):
+        path = tmp_path / "daemon.json"
+        for port in (0, 65535):
+            path.write_text('{"alpha": 0.5, "lam": 0.01, "snapshot": null,'
+                            ' "listen": {"port": %d}}' % port)
+            dc = load_daemon_config(str(path))
+            assert dc.port == port and dc.snapshot_path is None
+
+    @pytest.mark.parametrize("case", ["listen-list", "top-level-list"])
+    def test_cli_serve_refuses_malformed_config(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.json"
+        path.write_text(self.MALFORMED[case])
+        assert cli.main(["serve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad daemon config")
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)

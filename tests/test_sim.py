@@ -403,6 +403,9 @@ class TestCli:
         assert got.tolist() == [0.25, 0.75]
         default = np.array([1.0])
         assert cli._parse_grid(None, default) is default
+        for spec in ("lin:3:1", "lin:3:1:2:9"):
+            with pytest.raises(ValueError, match="lin grid"):
+                cli._parse_grid(spec, None)
 
     def test_serve_demo_smoke(self, tmp_path, capsys):
         rc = cli.main([
