@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import daemon, sim
+from .errors import EngineError
 from .protocol import bias_from_name
 
 
@@ -188,7 +189,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EngineError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -50,8 +50,8 @@ def load_daemon_config(path):
 
     Keys: alpha, lam, shared_kernel, individual_kernel ("rbf-tags" or
     "linear-tags"), bias ("constant" or "none"), listen {host, port},
-    snapshot (path or null), tokens {task-id: token-string}.  Any
-    malformed value raises ValueError("bad daemon config ...").
+    snapshot (path or null), tokens {task-id: non-empty token-string}.
+    Any malformed value raises ValueError("bad daemon config ...").
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -73,6 +73,8 @@ def load_daemon_config(path):
             int(task): tok.encode("utf-8")
             for task, tok in raw.get("tokens", {}).items()
         }
+        if not all(tokens.values()):
+            raise ValueError("a task's token must not be empty")
         if not isinstance(host, str):
             raise ValueError("listen host must be a string, got %r" % (host,))
         if type(port) is not int or not 0 <= port <= 65535:

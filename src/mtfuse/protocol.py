@@ -6,11 +6,12 @@ packed lower triangles (row-major).  Encoding is canonical — the same
 value always produces the same bytes — so snapshots can be compared for
 bit-exactness.
 
-Each message is one row of a table: its wire tag, its dataclass, and
-its fields in wire order, each with the codec of its type.  encode and
-decode are one loop over a row; a payload that decode cannot turn into a
-message raises MalformedFrame.  Snapshots reuse the Config and
-Disclosed rows' bodies.
+Each message is declared once, by one _message call: its wire tag, its
+name, and its fields in wire order, each with the codec of its type.
+The call adds the message's row to a table and makes its dataclass from
+the same fields.  encode and decode are one loop over a row; a payload
+that decode cannot turn into a message raises MalformedFrame.
+Snapshots reuse the Config and Disclosed rows' bodies.
 
 Snapshot layout: magic ``MTLS``, u32 format version, config block,
 engine state, and a trailing CRC-32 over everything before it.
@@ -18,9 +19,9 @@ engine state, and a trailing CRC-32 over everything before it.
 
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,17 +51,6 @@ MAGIC = b"MTLS"
 WIRE_VERSION = 1
 SNAPSHOT_VERSION = 1
 MAX_FRAME = 1 << 30
-
-# message type tags
-_T_SUBMIT = 1
-_T_ACK = 2
-_T_GET_DISCLOSED = 3
-_T_DISCLOSED = 4
-_T_GET_TASK_COEFFS = 5
-_T_TASK_COEFFS = 6
-_T_GET_CONFIG = 7
-_T_CONFIG = 8
-_T_ERROR = 9
 
 # error codes on the wire
 ERR_MALFORMED = 1
@@ -102,100 +92,6 @@ def exception_to_code(exc):
 def raise_for_error(msg):
     cls = _ERR_CLASS.get(msg.code, errors.ProtocolError)
     raise cls(msg.detail)
-
-
-# ===== message dataclasses ===============================================
-
-
-def _values_equal(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-            and a.shape == b.shape
-            and np.array_equal(a, b)
-        )
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(
-            _values_equal(u, v) for u, v in zip(a, b)
-        )
-    return a == b
-
-
-class _Msg:
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return all(
-            _values_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
-
-    def __hash__(self):  # pragma: no cover
-        return object.__hash__(self)
-
-
-@dataclass(eq=False)
-class SubmitExample(_Msg):
-    task: int
-    token: bytes
-    key: bytes
-    features: Optional[np.ndarray]
-    y: float
-    w: float
-
-
-@dataclass(eq=False)
-class Ack(_Msg):
-    epoch: int
-    case: str
-
-
-@dataclass(eq=False)
-class GetDisclosed(_Msg):
-    pass
-
-
-@dataclass(eq=False)
-class Disclosed(_Msg):
-    epoch: int
-    keys: tuple
-    features: tuple
-    y_cond: np.ndarray
-    h_packed: np.ndarray
-
-
-@dataclass(eq=False)
-class GetTaskCoeffs(_Msg):
-    task: int
-    token: bytes
-
-
-@dataclass(eq=False)
-class TaskCoeffs(_Msg):
-    epoch: int
-    a: np.ndarray
-    keys: tuple
-
-
-@dataclass(eq=False)
-class GetConfig(_Msg):
-    pass
-
-
-@dataclass(eq=False)
-class Config(_Msg):
-    alpha: float
-    lam: float
-    shared: KernelSpec
-    individual: KernelSpec
-    bias_kind: str
-
-
-@dataclass(eq=False)
-class Error(_Msg):
-    code: int
-    detail: str
 
 
 # ===== field codecs ======================================================
@@ -413,6 +309,34 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 # ===== the message table =================================================
 
 
+def _values_equal(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.shape == b.shape
+            and np.array_equal(a, b)
+        )
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(
+            _values_equal(u, v) for u, v in zip(a, b)
+        )
+    return a == b
+
+
+class _Msg:
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return all(
+            _values_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    def __hash__(self):  # pragma: no cover
+        return object.__hash__(self)
+
+
 class _Row:
     """One message on the wire: its tag, its class and its fields in wire
     order, each a (name, codec) pair.  A codec that interleaves several
@@ -427,6 +351,19 @@ class _Row:
         self.fields = [(n.split(), attrgetter(*n.split()), c) for n, c in fields]
 
 
+_ROWS = []
+
+
+def _message(tag, name, *fields):
+    """Declare one message: append its row to _ROWS and return its class,
+    a dataclass whose fields are the row's field names in wire order."""
+    cls = make_dataclass(
+        name, [n for spec, _ in fields for n in spec.split()], bases=(_Msg,),
+        eq=False, namespace={"__module__": __name__})
+    _ROWS.append(_Row(tag, cls, *fields))
+    return cls
+
+
 def _n_inputs(got):
     return len(got["keys"])
 
@@ -435,21 +372,21 @@ def _n_packed(got):
     return _n_inputs(got) * (_n_inputs(got) + 1) // 2
 
 
-_ROWS = (
-    _Row(_T_SUBMIT, SubmitExample, ("task", _i64), ("token", _bytes),
-         ("key", _bytes), ("features", _features), ("y", _f64), ("w", _f64)),
-    _Row(_T_ACK, Ack, ("epoch", _u64), ("case", _case)),
-    _Row(_T_GET_DISCLOSED, GetDisclosed),
-    _Row(_T_DISCLOSED, Disclosed, ("epoch", _u64), ("keys features", _inputs),
-         ("y_cond", _sized_f64s(_n_inputs)), ("h_packed", _sized_f64s(_n_packed))),
-    _Row(_T_GET_TASK_COEFFS, GetTaskCoeffs, ("task", _i64), ("token", _bytes)),
-    _Row(_T_TASK_COEFFS, TaskCoeffs, ("epoch", _u64), ("a", _f64s),
-         ("keys", _repeated(_bytes, lambda got: len(got["a"])))),
-    _Row(_T_GET_CONFIG, GetConfig),
-    _Row(_T_CONFIG, Config, ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
-         ("individual", _kernel), ("bias_kind", _bias)),
-    _Row(_T_ERROR, Error, ("code", _u32), ("detail", _text)),
-)
+SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
+                         ("key", _bytes), ("features", _features), ("y", _f64),
+                         ("w", _f64))
+Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
+GetDisclosed = _message(3, "GetDisclosed")
+Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("keys features", _inputs),
+                     ("y_cond", _sized_f64s(_n_inputs)),
+                     ("h_packed", _sized_f64s(_n_packed)))
+GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes))
+TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("a", _f64s),
+                      ("keys", _repeated(_bytes, lambda got: len(got["a"]))))
+GetConfig = _message(7, "GetConfig")
+Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
+                  ("individual", _kernel), ("bias_kind", _bias))
+Error = _message(9, "Error", ("code", _u32), ("detail", _text))
 _ROW_OF_TAG = {row.tag: row for row in _ROWS}
 _ROW_OF_CLASS = {row.cls: row for row in _ROWS}
 

@@ -368,23 +368,28 @@ def _indices(v):
 
 
 def load_result(path):
+    """The SweepResult saved at path; a document that is not one raises
+    ValueError("<path> is not a saved sweep result: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    cells = [
-        _from_doc(CellResult, c, rmse=_number(c["rmse"]),
-                  top20hits=_number(c["top20hits"]),
-                  hits_per_user=_indices(c["hits_per_user"]))
-        for c in doc["cells"]
-    ]
-    best = doc["best_index"]
-    return _from_doc(
-        SweepResult, doc, cells=cells,
-        alphas=np.asarray(doc["alphas"], dtype=_F64),
-        lambdas=np.asarray(doc["lambdas"], dtype=_F64),
-        best_index=None if best is None else tuple(best),
-        best_top_true=_indices(doc["best_top_true"]),
-        best_top_est=_indices(doc["best_top_est"]),
-    )
+    try:
+        cells = [
+            _from_doc(CellResult, c, rmse=_number(c["rmse"]),
+                      top20hits=_number(c["top20hits"]),
+                      hits_per_user=_indices(c["hits_per_user"]))
+            for c in doc["cells"]
+        ]
+        best = doc["best_index"]
+        return _from_doc(
+            SweepResult, doc, cells=cells,
+            alphas=np.asarray(doc["alphas"], dtype=_F64),
+            lambdas=np.asarray(doc["lambdas"], dtype=_F64),
+            best_index=None if best is None else tuple(best),
+            best_top_true=_indices(doc["best_top_true"]),
+            best_top_est=_indices(doc["best_top_est"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("%s is not a saved sweep result: %r" % (path, exc)) from exc
 
 
 def _fmt(x):

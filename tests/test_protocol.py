@@ -1,6 +1,9 @@
 """Wire encoding, snapshots, and the TCP daemon."""
 
 import hashlib
+import json
+import os
+import re
 import socket
 import struct
 import threading
@@ -134,6 +137,16 @@ class TestMessageRoundTrip:
         rng = np.random.default_rng(2)
         drawn = {type(random_message(rng)) for _ in range(300)}
         assert drawn == {row.cls for row in proto._ROWS}
+
+    def test_readme_wire_table_lists_every_message(self):
+        # README's table is where field types are written out: a message
+        # added to _ROWS must be added there too, under its tag
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Wire format\n", 1)[1].split("\n## ", 1)[0]
+        listed = [(int(tag), name) for tag, name in
+                  re.findall(r"^\| *(\d+) *\| *`(\w+)` *\|", section, re.M)]
+        assert listed == [(row.tag, row.cls.__name__) for row in proto._ROWS]
 
 
 def _lookup_engine(rng, alpha):
@@ -688,6 +701,7 @@ class TestDaemonConfigFile:
         "port-fraction": '{"alpha": 0.5, "lam": 0.01, "listen": {"port": 7001.5}}',
         "host-number": '{"alpha": 0.5, "lam": 0.01, "listen": {"host": 7}}',
         "snapshot-number": '{"alpha": 0.5, "lam": 0.01, "snapshot": 3}',
+        "token-empty": '{"alpha": 0.5, "lam": 0.01, "tokens": {"3": ""}}',
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -712,6 +726,36 @@ class TestDaemonConfigFile:
         path.write_text(self.MALFORMED[case])
         assert cli.main(["serve", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad daemon config")
+
+    @staticmethod
+    def _refused_snapshot(case):
+        good = proto.save_snapshot(ServerEngine(make_config(0.5, 0.1, d=1)))
+        if case == "bad-magic":
+            return b"XXXX" + good[4:]
+        if case == "version":
+            return b"MTLSgarbagegarbage"
+        if case == "crc":
+            flipped = bytearray(good)
+            flipped[len(good) // 2] ^= 0xFF
+            return bytes(flipped)
+        body = good[:-4] + b"\x00"  # a trailing byte under a valid CRC
+        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+    @pytest.mark.parametrize("case", ["bad-magic", "version", "crc", "malformed"])
+    def test_cli_serve_refuses_bad_snapshot(self, tmp_path, capsys, monkeypatch,
+                                            case):
+        snap = tmp_path / "engine.snap"
+        blob = self._refused_snapshot(case)
+        snap.write_bytes(blob)
+        path = tmp_path / "daemon.json"
+        path.write_text(json.dumps({"alpha": 0.5, "lam": 0.1,
+                                    "snapshot": str(snap)}))
+        # a snapshot taken by mistake would serve at once and save over it
+        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
+                            lambda self, *a, **k: None)
+        assert cli.main(["serve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert snap.read_bytes() == blob
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)

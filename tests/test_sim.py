@@ -423,6 +423,16 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_report_refuses_json_that_is_not_a_result(self, tmp_path, capsys):
+        for text in ('{"mode": "offline"}', "[1]"):
+            path = tmp_path / "not_a_result.json"
+            path.write_text(text)
+            rc = cli.main(["report", "--result", str(path),
+                           "--out", str(tmp_path / "r")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                "error: %s is not a saved sweep result: " % path)
+
 
 class TestHarnessGoldenBytes:
     """Result, report and generated-world bytes pinned by SHA-256.
