@@ -2,8 +2,9 @@
 
 Per-task observation streams are fused into a shared disclosed database
 (unique inputs, condensed responses, a condensed inverse) kept current by
-rank-one updates; clients rebuild the global part of the model from the
-disclosed data alone and combine it with their own coefficients.
+rank-one updates; an active client reads its task's model from the
+server, and a passive client rebuilds it from the disclosed data and its
+own observations.
 """
 
 __version__ = "0.1.0"

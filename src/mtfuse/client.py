@@ -1,13 +1,10 @@
-"""Client-side model recovery from disclosed data.
+"""Client-side model recovery.
 
-An *active* client downloads its private coefficients from the server.
+An *active* client reads its task's model from the server in one call.
 A *passive* client never sends its observations anywhere: it seeds a
 local engine with the public disclosed snapshot, replays its own triples
-through the exact same update rules the server runs, and recovers its
-coefficients locally.  Both paths rebuild one local engine from the
-disclosed snapshot (ServerEngine.from_disclosed: the shared factors of
-the unique inputs, in the server's append order, so they match the
-server's bit for bit) and take b, a_cond and q from one shared solve.
+through the exact same update rules the server runs, and reads its
+model from that engine with the same call.
 """
 
 from dataclasses import dataclass
@@ -16,12 +13,9 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .errors import UnknownTask
 from .kernels import FeatureRows
 from .offline import mixed_predictions
-from .server import ServerEngine, TaskCoeffsView, shared_coefficients
-
-_F64 = np.float64
+from .server import ServerEngine
 
 
 @dataclass
@@ -48,9 +42,9 @@ class ClientModel:
 class Client:
     """One task's view of the system.
 
-    `server` arguments are duck-typed: anything with get_disclosed and
-    task_coefficients works, in particular both a local ServerEngine and
-    the TCP proxy from the daemon module.
+    `server` arguments are duck-typed: anything with task_coefficients
+    works, in particular both a local ServerEngine and the TCP proxy
+    from the daemon module.
     """
 
     def __init__(self, task, cfg, token=None):
@@ -62,27 +56,11 @@ class Client:
     # ----- active path --------------------------------------------------
 
     def active_refresh(self, server):
-        """Download disclosed data + own coefficients; rebuild the model.
-
-        Retries when a write lands between the two reads; models are
-        cached by epoch, so refreshing an unchanged server is free and
-        returns the identical object.
-        """
-        for _ in range(8):
-            db = server.get_disclosed()
-            if self._cached is not None and self._cached.epoch == db.epoch:
-                return self._cached
-            try:
-                tc = server.task_coefficients(self.task)
-            except UnknownTask:
-                tc = TaskCoeffsView(epoch=db.epoch, a=np.zeros(0, dtype=_F64), keys=())
-            if tc.epoch == db.epoch:
-                break
-        else:
-            raise RuntimeError("server kept changing between reads")
-        local = ServerEngine.from_disclosed(db, self.cfg)
-        own = (tc.a, [local.key_slot[k] for k in tc.keys])
-        self._cached = self._model(db.epoch, local, own)
+        """Read this task's model from the server; models are cached by
+        epoch, so refreshing an unchanged server returns the same object."""
+        view = server.task_coefficients(self.task)
+        if self._cached is None or self._cached.epoch != view.epoch:
+            self._cached = self._model(view.epoch, view)
         return self._cached
 
     # ----- passive path -------------------------------------------------
@@ -98,32 +76,19 @@ class Client:
         local = ServerEngine.from_disclosed(disclosed, self.cfg)
         for x, y, w in private.triples:
             local.receive_example(self.task, x, y, w)
-        return self._model(disclosed.epoch, local)
+        return self._model(disclosed.epoch, local.task_coefficients(self.task))
 
-    def _model(self, epoch, local, own=None):
-        """The model of this task from an engine rebuilt from disclosed
-        data.  own is (a_task, slots) as the server sent them; without
-        it, they come from the engine's own state of this task.  The
-        model keeps neither factors nor the disclosed pair."""
-        b, a_cond, q = shared_coefficients(
-            local.y_cond.values, local.H, local.factors, self.cfg.alpha
-        )
-        if own is None:
-            try:
-                a_task = local.get_task_coefficients(self.task, q)
-                own = (a_task, local.tasks[self.task].slots)
-            except UnknownTask:
-                own = ((), ())
-        a_task, slots = own
+    def _model(self, epoch, view):
+        """The model of this task from a TaskCoeffsView."""
         return ClientModel(
             task=self.task,
             epoch=epoch,
-            inputs=tuple(local.inputs),
-            feats=local.feats,
-            b=b,
-            a_cond=a_cond,
-            a_task=np.asarray(a_task, dtype=_F64),
-            slots=np.asarray(slots, dtype=np.intp),
+            inputs=view.inputs,
+            feats=FeatureRows(view.inputs),
+            b=view.b,
+            a_cond=view.a_cond,
+            a_task=view.a,
+            slots=np.asarray(view.slots, dtype=np.intp),
         )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import protocol as proto
 from .errors import EngineError, ProtocolError, Unauthorized
 from .kernels import InputPoint, MixedEffectConfig
-from .server import ServerEngine, TaskCoeffsView, UpdateReceipt
+from .server import ServerEngine, UpdateReceipt
 
 _log = logging.getLogger(__name__)
 
@@ -129,7 +129,8 @@ class DaemonServer(socketserver.ThreadingTCPServer):
 
     def _authorized(self, task, token):
         expected = self.tokens.get(int(task))
-        return expected is not None and hmac.compare_digest(expected, token)
+        # an empty token would match a client that sends none
+        return bool(expected) and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
         try:
@@ -148,8 +149,8 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
                 with self.lock:
-                    tc = self.engine.task_coefficients(msg.task)
-                return proto.TaskCoeffs(epoch=tc.epoch, a=tc.a, keys=tc.keys)
+                    view = self.engine.task_coefficients(msg.task)
+                return proto.task_coeffs_to_message(view)
             if isinstance(msg, proto.GetConfig):
                 return proto.config_to_message(self.engine.get_config())
             raise ProtocolError("unexpected message %s" % type(msg).__name__)
@@ -210,8 +211,11 @@ def serve(daemon_config):
     """
     path = daemon_config.snapshot_path
     if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            engine = proto.load_snapshot(fh.read())
+        try:
+            with open(path, "rb") as fh:
+                engine = proto.load_snapshot(fh.read())
+        except ProtocolError as exc:
+            raise type(exc)("%s: %s" % (path, exc)) from None
         if proto.config_to_message(engine.cfg) != proto.config_to_message(
             daemon_config.cfg
         ):
@@ -305,4 +309,4 @@ class RemoteServer:
         reply = self._rpc(
             proto.GetTaskCoeffs(task=task, token=self.token), proto.TaskCoeffs
         )
-        return TaskCoeffsView(epoch=reply.epoch, a=reply.a, keys=reply.keys)
+        return proto.task_coeffs_from_message(reply)

@@ -13,6 +13,12 @@ the same fields.  encode and decode are one loop over a row; a payload
 that decode cannot turn into a message raises MalformedFrame.
 Snapshots reuse the Config and Disclosed rows' bodies.
 
+Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
+and a_cond are deterministic functions of the public Disclosed summary
+at the same epoch.  Its a is the task's own coefficient vector, read
+only with the task's token, and its slots name the task's inputs by
+position among the inputs of the same reply, which lists them anyway.
+
 Snapshot layout: magic ``MTLS``, u32 format version, config block,
 engine state, and a trailing CRC-32 over everything before it.
 """
@@ -42,13 +48,14 @@ from .server import (
     CASE_REPEAT_TASK,
     DisclosedDB,
     ServerEngine,
+    TaskCoeffsView,
     TaskState,
 )
 
 _F64 = np.float64
 
 MAGIC = b"MTLS"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 SNAPSHOT_VERSION = 1
 MAX_FRAME = 1 << 30
 
@@ -381,8 +388,9 @@ Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("keys features", _inputs)
                      ("y_cond", _sized_f64s(_n_inputs)),
                      ("h_packed", _sized_f64s(_n_packed)))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes))
-TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("a", _f64s),
-                      ("keys", _repeated(_bytes, lambda got: len(got["a"]))))
+TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("keys features", _inputs),
+                      ("b", _f64s), ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
+                      ("slots", _repeated(_u32, lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
                   ("individual", _kernel), ("bias_kind", _bias))
@@ -468,27 +476,28 @@ def read_message(stream, max_frame=MAX_FRAME):
 # ===== conversions to engine-level objects ===============================
 
 
-def disclosed_to_message(db):
-    """The Disclosed message of db; it shares db's arrays."""
-    return Disclosed(
-        epoch=db.epoch,
-        keys=tuple(x.key for x in db.inputs),
-        features=tuple(x.features for x in db.inputs),
-        y_cond=db.y_cond,
-        h_packed=db.H.packed,
-    )
+def _keys_features(inputs):
+    return tuple(x.key for x in inputs), tuple(x.features for x in inputs)
 
 
-def disclosed_from_message(msg):
-    """The DisclosedDB of msg; an input key listed twice is malformed."""
+def _inputs_of(msg):
+    """msg's inputs; a key listed twice is malformed."""
     seen = set()
     for k in msg.keys:
         if k in seen:
             raise errors.MalformedFrame("input key %r listed twice" % (k,))
         seen.add(k)
-    inputs = tuple(
-        InputPoint(k, f) for k, f in zip(msg.keys, msg.features)
-    )
+    return tuple(InputPoint(k, f) for k, f in zip(msg.keys, msg.features))
+
+
+def disclosed_to_message(db):
+    """The Disclosed message of db; it shares db's arrays."""
+    return Disclosed(db.epoch, *_keys_features(db.inputs), db.y_cond, db.H.packed)
+
+
+def disclosed_from_message(msg):
+    """The DisclosedDB of msg; an input key listed twice is malformed."""
+    inputs = _inputs_of(msg)
     y = msg.y_cond.copy()
     y.flags.writeable = False
     return DisclosedDB(
@@ -497,6 +506,22 @@ def disclosed_from_message(msg):
         H=SymMatrix.from_packed(msg.h_packed, len(inputs)),
         epoch=msg.epoch,
     )
+
+
+def task_coeffs_to_message(view):
+    """The TaskCoeffs message of a TaskCoeffsView; it shares view's arrays."""
+    return TaskCoeffs(view.epoch, *_keys_features(view.inputs),
+                      view.b, view.a_cond, view.a, view.slots)
+
+
+def task_coeffs_from_message(msg):
+    """The TaskCoeffsView of msg; an input key listed twice, or a slot
+    past the inputs, is malformed."""
+    inputs = _inputs_of(msg)
+    top = max(msg.slots, default=-1)
+    if top >= len(inputs):
+        raise errors.MalformedFrame("task slot %d out of range" % top)
+    return TaskCoeffsView(msg.epoch, inputs, msg.b, msg.a_cond, msg.a, msg.slots)
 
 
 def config_to_message(cfg):

@@ -43,9 +43,14 @@ class UpdateReceipt(NamedTuple):
 
 
 class TaskCoeffsView(NamedTuple):
+    """One task's model at one epoch (see ServerEngine.task_coefficients)."""
+
     epoch: int
+    inputs: tuple
+    b: np.ndarray
+    a_cond: np.ndarray
     a: np.ndarray
-    keys: tuple
+    slots: tuple
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class ServerEngine:
         """Local engine seeded from a disclosed snapshot (no task data).
 
         factors are the LDL^T factors of db's inputs; a snapshot stores
-        them, a client builds them from the inputs (factors=None).
+        them, a passive client builds them from the inputs (factors=None).
         """
         eng = cls(cfg)
         eng.feats = FeatureRows(db.inputs)
@@ -332,6 +337,13 @@ class ServerEngine:
         return st.R.matvec(st.y.values - alpha * proj)
 
     def task_coefficients(self, task):
-        a = self.get_task_coefficients(task)
-        keys = tuple(self.inputs[s].key for s in self.tasks[task].slots)
-        return TaskCoeffsView(epoch=self.epoch, a=a, keys=keys)
+        """The model of one task from one shared solve: the pool's inputs,
+        b, a_cond, and the task's coefficients a on its slots into the
+        inputs; a task with no data here gets empty a and slots."""
+        b, a_cond, q = shared_coefficients(
+            self.y_cond.values, self.H, self.factors, self.cfg.alpha
+        )
+        a, slots = np.zeros(0, dtype=_F64), ()
+        if task in self.tasks:
+            a, slots = self.get_task_coefficients(task, q), tuple(self.tasks[task].slots)
+        return TaskCoeffsView(self.epoch, tuple(self.inputs), b, a_cond, a, slots)

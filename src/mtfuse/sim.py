@@ -370,9 +370,9 @@ def _indices(v):
 def load_result(path):
     """The SweepResult saved at path; a document that is not one raises
     ValueError("<path> is not a saved sweep result: ...")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         cells = [
             _from_doc(CellResult, c, rmse=_number(c["rmse"]),
                       top20hits=_number(c["top20hits"]),

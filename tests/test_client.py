@@ -205,6 +205,31 @@ class TestActiveRefresh:
         assert m3.a_task.tobytes() == m1.a_task.tobytes()
         assert m3.b.tobytes() == m1.b.tobytes()
 
+    def test_one_model_read_per_refresh(self):
+        # the task's model read is all an active refresh needs: a server
+        # without get_disclosed serves it, one call per refresh
+        rng = np.random.default_rng(24)
+        ds, cfg, pool = random_instance(rng, alpha=0.5, d=1)
+        eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+        task = ds.tasks[0]
+
+        class ModelReadOnly:
+            calls = 0
+
+            def task_coefficients(self, task):
+                self.calls += 1
+                return eng.task_coefficients(task)
+
+        stub = ModelReadOnly()
+        cli = Client(task, cfg)
+        model = cli.active_refresh(stub)
+        assert stub.calls == 1
+        assert model.epoch == eng.epoch and len(model.inputs) == eng.n
+        assert model.a_task.tobytes() == eng.get_task_coefficients(task).tobytes()
+        assert cli.active_refresh(stub) is model and stub.calls == 2
+        eng.receive_example(task, pool[0], 1.0, 1.0)
+        assert cli.active_refresh(stub).epoch == eng.epoch and stub.calls == 3
+
     def test_recovery_identity_on_refreshed_models(self):
         rng = np.random.default_rng(10)
         for _ in range(15):

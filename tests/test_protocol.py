@@ -167,13 +167,14 @@ def _lookup_engine(rng, alpha):
 class TestGoldenBytes:
     """Message and snapshot bytes pinned by SHA-256.
 
-    The digests were computed before the codec became table-driven; a
-    codec change that moves one byte of either format fails here.  The
-    snapshot digests also pin the engine's floating-point arithmetic
-    (numpy 2.4, OpenBLAS 0.3, x86-64).
+    The snapshot digests were computed before the codec became
+    table-driven, and the message digest when wire version 2 gave
+    TaskCoeffs the task's whole model; a codec change that moves one
+    byte of either format fails here.  The snapshot digests also pin the
+    engine's floating-point arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
     """
 
-    MESSAGES = "ed6503da714fa7e0dcd3494a3bb9b9971c369c6c8bfe219b10b63c319d25d2ef"
+    MESSAGES = "016dc9515dfe3adaa576f4ce72caf17ab49d5767bbbd25de387b1791a669fbf1"
     SNAPSHOTS = {
         0.0: "1886b605265c4084120e559c29b8272f6162d12fd85966140e1705a849cba0d6",
         0.5: "792efaaf28ba340058bfb3191446cbcbeffa1b321c93e333d041f86a7b26fcf0",
@@ -285,6 +286,9 @@ class TestSchemaPrivacy:
         assert {f.name for f in fields(proto.Disclosed)} == {
             "epoch", "keys", "features", "y_cond", "h_packed",
         }
+        assert {f.name for f in fields(proto.TaskCoeffs)} == {
+            "epoch", "keys", "features", "b", "a_cond", "a", "slots",
+        }
         assert {f.name for f in fields(proto.Ack)} == {"epoch", "case"}
         assert {f.name for f in fields(proto.Config)} == {
             "alpha", "lam", "shared", "individual", "bias_kind",
@@ -334,6 +338,20 @@ class TestDisclosedConversion:
         back = proto.decode(proto.encode(msg))
         with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
             proto.disclosed_from_message(back)
+
+    def test_task_coeffs_slot_or_key_out_of_place_rejected(self):
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        xs = make_inputs(np.random.default_rng(24), 2, unit=True)
+        for x in xs:
+            eng.receive_example(0, x, 1.0, 1.0)
+        msg = proto.task_coeffs_to_message(eng.task_coefficients(0))
+        bad_slot = replace(msg, slots=(0, 2))
+        bad_key = replace(msg, keys=(xs[0].key, xs[0].key))
+        for bad, match in ((bad_slot, "slot 2 out of range"),
+                           (bad_key, "input key b'x-0000' listed twice")):
+            back = proto.decode(proto.encode(bad))
+            with pytest.raises(MalformedFrame, match=match):
+                proto.task_coeffs_from_message(back)
 
     def test_config_round_trip(self):
         for alpha, d in ((0.0, 0), (0.5, 1), (1.0, 1)):
@@ -507,6 +525,51 @@ class TestDaemon:
                 with pytest.raises(Unauthorized):
                     conn.submit(x, 1.0, 1.0, token=b"wrong")
             assert eng.epoch == 1  # the rejected writes never landed
+
+    def test_empty_token_authorizes_nobody(self):
+        # a client that sends no token must not match a task's empty token
+        cfg = make_config(0.5, 0.1)
+        with daemon(cfg, {3: b""}) as (eng, srv):
+            with RemoteServer(srv.address, task=3) as conn:
+                x = make_inputs(np.random.default_rng(25), 1, unit=True)[0]
+                with pytest.raises(Unauthorized):
+                    conn.submit(x, 1.0, 1.0)
+                with pytest.raises(Unauthorized):
+                    conn.task_coefficients()
+            assert eng.epoch == 0
+
+    def test_task_without_data_reads_shared_model(self):
+        rng = np.random.default_rng(26)
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"a", 1: b"b"}) as (eng, srv):
+            with RemoteServer(srv.address, task=0, token=b"a") as conn:
+                for x in make_inputs(rng, 3, unit=True):
+                    conn.submit(x, float(rng.normal()), 1.0)
+            with RemoteServer(srv.address, task=1, token=b"b") as conn:
+                view = conn.task_coefficients()
+        assert view.epoch == 3 and len(view.inputs) == 3
+        assert view.a.shape == (0,) and view.slots == ()
+        assert view.a_cond.shape == (3,)
+
+    def test_active_model_over_tcp_equals_in_process_bitwise(self):
+        rng = np.random.default_rng(27)
+        for alpha in (0.0, 0.5, 1.0):
+            for d in (0, 1):
+                ds, _, _ = random_instance(rng, m_max=3, ell_max=8)
+                cfg = make_config(alpha, 0.1, d=d)
+                tokens = {t: b"tok-%d" % t for t in ds.tasks}
+                with daemon(cfg, tokens) as (eng, srv):
+                    stream_into_engine(eng, ds.triples)
+                    for task in ds.tasks:
+                        with RemoteServer(srv.address, task=task,
+                                          token=tokens[task]) as conn:
+                            got = Client(task, cfg).active_refresh(conn)
+                        want = Client(task, cfg).active_refresh(eng)
+                        assert got.inputs == want.inputs
+                        for f in ("b", "a_cond", "a_task", "slots"):
+                            g, w = getattr(got, f), getattr(want, f)
+                            assert g.dtype == w.dtype
+                            assert g.tobytes() == w.tobytes(), (alpha, d, f)
 
     def test_engine_errors_travel_as_errors(self):
         rng = np.random.default_rng(10)
@@ -754,7 +817,7 @@ class TestDaemonConfigFile:
         monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
                             lambda self, *a, **k: None)
         assert cli.main(["serve", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: %s: " % snap)
         assert snap.read_bytes() == blob
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):

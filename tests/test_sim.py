@@ -424,7 +424,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_report_refuses_json_that_is_not_a_result(self, tmp_path, capsys):
-        for text in ('{"mode": "offline"}', "[1]"):
+        for text in ('{"mode": "offline"}', "[1]", "not json"):
             path = tmp_path / "not_a_result.json"
             path.write_text(text)
             rc = cli.main(["report", "--result", str(path),

@@ -317,11 +317,29 @@ def random_message(rng):
             task=int(rng.integers(-3, 50)), token=_rand_bytes(rng)
         )
     if kind == 5:
+        # the epoch, a and the task's own keys are drawn from rng, the
+        # rest from a spawned generator, which does not advance rng: the
+        # other messages of a stream keep their bytes whatever is drawn here
         ell = int(rng.integers(0, 6))
+        epoch = int(rng.integers(0, 1000))
+        a = rng.standard_normal(ell)
+        keys = tuple(b"c%d-" % i + _rand_bytes(rng, 4) for i in range(ell))
+        (more,) = rng.spawn(1)
+        keys += tuple(b"p%d-" % i + _rand_bytes(more, 4)
+                      for i in range(int(more.integers(0, 3))))
+        n = len(keys)
         return proto.TaskCoeffs(
-            epoch=int(rng.integers(0, 1000)),
-            a=rng.standard_normal(ell),
-            keys=tuple(b"c%d-" % i + _rand_bytes(rng, 4) for i in range(ell)),
+            epoch=epoch,
+            keys=keys,
+            features=tuple(
+                (None if more.random() < 0.3
+                 else more.standard_normal(int(more.integers(0, 5))))
+                for _ in range(n)
+            ),
+            b=more.standard_normal(int(more.integers(0, 3))),
+            a_cond=more.standard_normal(n),
+            a=a,
+            slots=tuple(int(s) for s in more.permutation(n)[:ell]),
         )
     if kind == 6:
         return proto.GetConfig()
