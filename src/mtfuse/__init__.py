@@ -3,8 +3,8 @@
 Per-task observation streams are fused into a shared disclosed database
 (unique inputs, condensed responses, a condensed inverse) kept current by
 rank-one updates; an active client reads its task's model from the
-server, and a passive client rebuilds it from the disclosed data and its
-own observations.
+server, and a passive client recovers it from the disclosed data, the
+factors of its inputs and its own observations.
 """
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ Subcommands:
   report      re-emit report files from a saved result.json
   serve       run the fusion daemon from a JSON config file
   serve-demo  one-shot demo: daemon on localhost, stream a world through
-              it, rebuild every user client-side, print the metrics
+              it, read every user's model from it, print the metrics
 """
 
 import argparse

@@ -2,9 +2,9 @@
 
 An *active* client reads its task's model from the server in one call.
 A *passive* client never sends its observations anywhere: it seeds a
-local engine with the public disclosed snapshot, replays its own triples
-through the exact same update rules the server runs, and reads its
-model from that engine with the same call.
+local engine with the public disclosed snapshot and the factors of its
+inputs, replays its own triples through the exact same update rules the
+server runs, and reads its model from that engine with the same call.
 """
 
 from dataclasses import dataclass

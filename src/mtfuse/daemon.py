@@ -1,7 +1,8 @@
 """TCP daemon around a ServerEngine, plus the matching client proxy.
 
 One mutex serializes every engine access: submissions apply in arrival
-order, reads copy a snapshot under the lock and serve it outside.  A
+order, reads copy a snapshot under the lock (or, for the append-only
+factors, take a view of their first n rows) and serve it outside.  A
 transport failure can only lose a response, never corrupt engine state,
 because the engine finishes (or rejects) an update before any reply
 bytes are written.
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import protocol as proto
-from .errors import EngineError, ProtocolError, Unauthorized
+from .errors import EngineError, MalformedFrame, ProtocolError, Unauthorized
 from .kernels import InputPoint, MixedEffectConfig
 from .server import ServerEngine, UpdateReceipt
 
@@ -145,6 +146,13 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 with self.lock:
                     db = self.engine.get_disclosed()
                 return proto.disclosed_to_message(db)
+            if isinstance(msg, proto.GetFactors):
+                with self.lock:
+                    if msg.n > self.engine.n:
+                        raise MalformedFrame("factors of %d inputs asked for, the pool"
+                                             " has %d" % (msg.n, self.engine.n))
+                    factors = self.engine.factors.view(msg.n)
+                return proto.factors_to_message(factors)
             if isinstance(msg, proto.GetTaskCoeffs):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
@@ -168,6 +176,16 @@ class DaemonServer(socketserver.ThreadingTCPServer):
     @property
     def address(self):
         return self.server_address[:2]
+
+    def shutdown(self):
+        # serve_forever sees the stop request only when its poll returns:
+        # a listening socket shut for reading polls readable at once, so
+        # the loop stops now and not at its next 0.5 s timeout
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # shut already
+            pass
+        super().shutdown()
 
 
 def start_server(engine, address, tokens):
@@ -298,8 +316,12 @@ class RemoteServer:
         return UpdateReceipt(epoch=ack.epoch, case=ack.case)
 
     def get_disclosed(self):
+        """The disclosed summary and the factors of its inputs: the pool
+        may grow between the two replies, so the factors are asked for
+        by the summary's input count."""
         reply = self._rpc(proto.GetDisclosed(), proto.Disclosed)
-        return proto.disclosed_from_message(reply)
+        factors = self._rpc(proto.GetFactors(n=len(reply.keys)), proto.Factors)
+        return proto.disclosed_from_message(reply, factors)
 
     def get_config(self):
         return proto.config_from_message(self._rpc(proto.GetConfig(), proto.Config))

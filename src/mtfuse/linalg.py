@@ -61,6 +61,15 @@ class GrowVec:
         self._buf[self.n] = value
         self.n += 1
 
+    @classmethod
+    def over(cls, values):
+        """A vector over a float64 array, sharing it: its capacity is the
+        array's length, so its first append copies the values out."""
+        out = cls.__new__(cls)
+        out._buf = values
+        out.n = len(values)
+        return out
+
     def copy(self):
         out = GrowVec()
         out._buf = self._buf[: self.n].copy()
@@ -78,22 +87,63 @@ class UnitLowerFactor:
     is always a power of two (8 or more), copies included: OpenBLAS's
     dtrsv can round differently when the leading dimension is not a
     multiple of 4, and the solve must not depend on the buffer.
+
+    Rows are append-only: a row below n never changes, and a full
+    buffer is replaced, not rewritten.  A view shares its buffer with
+    the factor it was taken from, and copies its rows out before its
+    first append; only the buffer's owner writes into it in place.
     """
 
-    __slots__ = ("_buf", "n")
+    __slots__ = ("_buf", "n", "_owner")
 
     def __init__(self):
         self._buf = np.zeros((8, 8), dtype=_F64)
         self.n = 0
+        self._owner = True
+
+    @classmethod
+    def from_strict_lower(cls, entries, n):
+        """The factor of n rows whose strictly-lower entries, row after
+        row, are entries, in the buffer n appends would have grown."""
+        out = cls()
+        cap = max(8, 1 << (n - 1).bit_length())
+        out._buf = np.zeros((cap, cap), dtype=_F64)
+        # a boolean mask takes the lower triangle row after row
+        out._buf[:n, :n][np.tri(n, n, -1, dtype=bool)] = entries
+        out.n = n
+        return out
+
+    def strict_lower(self):
+        # the stored entries of rows 0..n-1, row after row
+        n = self.n
+        return self._buf[:n, :n][np.tri(n, n, -1, dtype=bool)]
+
+    def view(self, n=None):
+        """The first n rows (all by default), sharing this buffer."""
+        out = UnitLowerFactor.__new__(UnitLowerFactor)
+        out._buf = self._buf
+        out.n = self.n if n is None else n
+        out._owner = False
+        return out
+
+    def take(self):
+        """These rows for a new holder, sharing the buffer: the right to
+        append in place passes to it when this factor has it."""
+        out = self.view()
+        out._owner, self._owner = self._owner, False
+        return out
 
     def append_row(self, r):
         r = _as_vec(r, self.n)
         n = self.n
-        if n + 1 > self._buf.shape[0]:
-            cap = max(2 * self._buf.shape[0], 8)
+        cap = self._buf.shape[0]
+        if n + 1 > cap or not self._owner:
+            # a full buffer doubles; a view copies its rows before writing
+            cap = 2 * cap if n + 1 > cap else cap
             out = np.zeros((cap, cap), dtype=_F64)
             out[:n, :n] = self._buf[:n, :n]
             self._buf = out
+            self._owner = True
         self._buf[n, :n] = r
         self.n = n + 1
 
@@ -229,8 +279,12 @@ class SymMatrix:
         return out + np.tril(out, -1).T
 
     def copy(self):
+        # with the capacity appends would have grown, so that the copy's
+        # own first append does not copy it again
         out = SymMatrix()
-        out._buf = self.packed.copy()
+        size = len(self.packed)
+        out._buf = _grown(out._buf, size)
+        out._buf[:size] = self.packed
         out.n = self.n
         return out
 
@@ -289,9 +343,9 @@ class FactorSet:
     """L, D and the bias map M grown one input at a time.
 
     Invariants: Gram = L D L^T for the shared kernel over the appended
-    inputs, and L D M equals the bias matrix of those inputs.  Server and
-    clients run the exact same append path here, so factors rebuilt from
-    the same input sequence match the server's bit for bit.
+    inputs, and L D M equals the bias matrix of those inputs.  Everyone
+    runs the exact same append path here, so factors rebuilt from the
+    same input sequence match the server's bit for bit.
     """
 
     __slots__ = ("L", "D", "_m", "bias_dim")
@@ -321,6 +375,23 @@ class FactorSet:
         mrow = self.bias_row(r, beta, psi_row)
         self.append_precomputed(r, beta, mrow)
         return r, beta
+
+    @classmethod
+    def of(cls, L, d, m):
+        """Factors over a UnitLowerFactor L, the diagonal values d and
+        the n x bias_dim bias map m.  They share d and m, and copy them
+        out before their first append."""
+        out = cls(m.shape[1])
+        out.L = L
+        out.D = GrowVec.over(d)
+        out._m = m
+        return out
+
+    def view(self, n=None):
+        """The factors of the first n inputs (all by default), sharing
+        this set's buffers, whose rows below n never change."""
+        n = self.n if n is None else n
+        return FactorSet.of(self.L.view(n), self.D.values[:n], self.M[:n])
 
     def append_precomputed(self, r, beta, mrow):
         n = self.n

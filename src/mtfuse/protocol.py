@@ -11,16 +11,22 @@ name, and its fields in wire order, each with the codec of its type.
 The call adds the message's row to a table and makes its dataclass from
 the same fields.  encode and decode are one loop over a row; a payload
 that decode cannot turn into a message raises MalformedFrame.
-Snapshots reuse the Config and Disclosed rows' bodies.
+Snapshots reuse the Config, Disclosed and Factors rows' bodies.
 
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
 at the same epoch.  Its a is the task's own coefficient vector, read
 only with the task's token, and its slots name the task's inputs by
 position among the inputs of the same reply, which lists them anyway.
+A Factors reply discloses nothing new either: L, D and M are
+deterministic functions of the public inputs and the Config, which
+anyone can rebuild bit for bit (linalg.FactorSet); and GetFactors's n
+is the caller's own count of a disclosed pool, so the request tells the
+server nothing about the caller.
 
-Snapshot layout: magic ``MTLS``, u32 format version, config block,
-engine state, and a trailing CRC-32 over everything before it.
+Snapshot layout (version 2): magic ``MTLS``, u32 format version, the
+Config, Disclosed and Factors message bodies, each task's block, and a
+trailing CRC-32 over everything before it.
 """
 
 import struct
@@ -41,7 +47,7 @@ from .kernels import (
     KernelSpec,
     MixedEffectConfig,
 )
-from .linalg import FactorSet, GrowVec, SymMatrix
+from .linalg import FactorSet, GrowVec, SymMatrix, UnitLowerFactor
 from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -56,7 +62,7 @@ _F64 = np.float64
 
 MAGIC = b"MTLS"
 WIRE_VERSION = 2
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 MAX_FRAME = 1 << 30
 
 # error codes on the wire
@@ -116,7 +122,8 @@ class _Codec(NamedTuple):
 
 class _Reader:
     def __init__(self, data):
-        # slices of a view copy nothing: an array is copied once, by array()
+        # slices of a view copy nothing: an array is copied at most once,
+        # by array()
         self.data = memoryview(data)
         self.pos = 0
         self.got = None
@@ -128,12 +135,13 @@ class _Reader:
         self.pos += n
         return out
 
-    def array(self, count):
-        """The next count f64 values, with no count of their own."""
+    def array(self, count, copy=True):
+        """The next count f64 values, with no count of their own; without
+        copy, a read-only view of the payload."""
         if count > MAX_FRAME // 8:
             raise errors.MalformedFrame("array too long")
-        buf = self.take(8 * count)
-        return np.frombuffer(buf, dtype="<f8").astype(_F64, copy=True)
+        out = np.frombuffer(self.take(8 * count), dtype="<f8")
+        return out.astype(_F64, copy=True) if copy else out
 
     def done(self):
         if self.pos != len(self.data):
@@ -143,7 +151,8 @@ class _Reader:
 
 
 def _write_array(w, arr):
-    w.append(np.ascontiguousarray(arr, dtype=_F64).tobytes())
+    # the array itself: the final join copies its bytes once
+    w.append(np.ascontiguousarray(arr, dtype=_F64))
 
 
 def _fixed(fmt):
@@ -188,11 +197,14 @@ def _write_f64s(w, arr):
 
 # an f64 array after its u32 element count
 _f64s = _Codec(_write_f64s, lambda r: r.array(_u32.read(r)))
+# the same, read as a view of the payload, for a caller that copies it
+_f64s_view = _Codec(_write_f64s, lambda r: r.array(_u32.read(r), copy=False))
 
 
-def _sized_f64s(count):
-    """An f64 array of count(got) elements, with no count of its own."""
-    return _Codec(_write_array, lambda r: r.array(count(r.got)))
+def _sized_f64s(count, copy=True):
+    """An f64 array of count(got) elements, with no count of its own
+    (without copy, a view of the payload, for a caller that copies it)."""
+    return _Codec(_write_array, lambda r: r.array(count(r.got), copy))
 
 
 def _repeated(item, count):
@@ -386,7 +398,7 @@ Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed")
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("keys features", _inputs),
                      ("y_cond", _sized_f64s(_n_inputs)),
-                     ("h_packed", _sized_f64s(_n_packed)))
+                     ("h_packed", _sized_f64s(_n_packed, copy=False)))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("keys features", _inputs),
                       ("b", _f64s), ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
@@ -395,6 +407,8 @@ GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
                   ("individual", _kernel), ("bias_kind", _bias))
 Error = _message(9, "Error", ("code", _u32), ("detail", _text))
+GetFactors = _message(10, "GetFactors", ("n", _u32))
+Factors = _message(11, "Factors", ("lower", _f64s_view), ("d", _f64s), ("m", _f64s))
 _ROW_OF_TAG = {row.tag: row for row in _ROWS}
 _ROW_OF_CLASS = {row.cls: row for row in _ROWS}
 
@@ -495,8 +509,9 @@ def disclosed_to_message(db):
     return Disclosed(db.epoch, *_keys_features(db.inputs), db.y_cond, db.H.packed)
 
 
-def disclosed_from_message(msg):
-    """The DisclosedDB of msg; an input key listed twice is malformed."""
+def disclosed_from_message(msg, factors=None):
+    """The DisclosedDB of msg, with the factors of a Factors message for
+    its inputs when one is given; an input key listed twice is malformed."""
     inputs = _inputs_of(msg)
     y = msg.y_cond.copy()
     y.flags.writeable = False
@@ -505,7 +520,30 @@ def disclosed_from_message(msg):
         y_cond=y,
         H=SymMatrix.from_packed(msg.h_packed, len(inputs)),
         epoch=msg.epoch,
+        factors=None if factors is None else factors_from_message(factors, len(inputs)),
     )
+
+
+def factors_to_message(factors):
+    """The Factors message of a FactorSet: L's strictly-lower entries
+    row after row, D, and M row after row."""
+    return Factors(factors.L.strict_lower(), factors.D.values, factors.M.ravel())
+
+
+def factors_from_message(msg, n):
+    """The FactorSet of n inputs in msg, with L in one buffer; counts
+    that do not fit n inputs are malformed."""
+    if len(msg.d) != n:
+        raise errors.MalformedFrame("factors of %d inputs, not %d" % (len(msg.d), n))
+    if len(msg.lower) != n * (n - 1) // 2:
+        raise errors.MalformedFrame("%d entries of L do not fit %d inputs"
+                                    % (len(msg.lower), n))
+    width = len(msg.m) // n if n else 0
+    if len(msg.m) != n * width:
+        raise errors.MalformedFrame("%d entries of M are not a multiple of %d inputs"
+                                    % (len(msg.m), n))
+    lower = UnitLowerFactor.from_strict_lower(msg.lower, n)
+    return FactorSet.of(lower, msg.d, msg.m.reshape(n, width))
 
 
 def task_coeffs_to_message(view):
@@ -551,11 +589,13 @@ def config_from_message(msg):
 # ===== snapshots =========================================================
 #
 # After the magic and version, a snapshot holds a Config message body, a
-# Disclosed message body (epoch, inputs, y_cond, H), the factors L, D
-# and M, and each task's block; a CRC-32 of all of it comes last.
+# Disclosed message body (epoch, inputs, y_cond, H), a Factors message
+# body (L, D and M) and each task's block; a CRC-32 of all of it comes
+# last.
 
 _CONFIG = _ROW_OF_CLASS[Config]
 _DISCLOSED = _ROW_OF_CLASS[Disclosed]
+_FACTORS = _ROW_OF_CLASS[Factors]
 
 
 def save_snapshot(engine):
@@ -565,11 +605,7 @@ def save_snapshot(engine):
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
     db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch)
     _write_body(w, _DISCLOSED, disclosed_to_message(db))
-
-    for i in range(engine.n):
-        _write_array(w, engine.factors.L.row_strict(i))
-    _write_array(w, engine.factors.D.values)
-    _write_array(w, engine.factors.M.ravel())
+    _write_body(w, _FACTORS, factors_to_message(engine.factors))
 
     _u32.write(w, len(engine.tasks))
     for task, st in engine.tasks.items():
@@ -587,7 +623,7 @@ def save_snapshot(engine):
 
 def load_snapshot(data):
     """Rebuild a ServerEngine from snapshot bytes."""
-    data = bytes(data)
+    data = memoryview(data)  # slices copy nothing
     if len(data) < 12 or data[:4] != MAGIC:
         raise errors.MalformedFrame("not a snapshot (bad magic)")
     (version,) = struct.unpack("<I", data[4:8])
@@ -601,17 +637,9 @@ def load_snapshot(data):
     r = _Reader(body)
     r.take(8)  # magic + version already checked
     cfg = config_from_message(_read_body(r, _CONFIG))
-    db = disclosed_from_message(_read_body(r, _DISCLOSED))
+    db = disclosed_from_message(_read_body(r, _DISCLOSED), _read_body(r, _FACTORS))
     n = len(db.inputs)
-
-    factors = FactorSet(cfg.bias_dim)
-    rows = [r.array(i) for i in range(n)]
-    dvals = r.array(n)
-    m_rows = r.array(n * cfg.bias_dim).reshape(n, cfg.bias_dim)
-    for i in range(n):
-        factors.append_precomputed(rows[i], dvals[i], m_rows[i])
-
-    engine = ServerEngine.from_disclosed(db, cfg, factors)
+    engine = ServerEngine.from_disclosed(db, cfg)
 
     for _ in range(_u32.read(r)):
         task = _i64.read(r)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveWeight, SingularSystem, UnknownTask
+from .errors import MalformedFrame, NonPositiveWeight, SingularSystem, UnknownTask
 from .kernels import FeatureRows, InputPoint, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
@@ -27,7 +27,6 @@ from .linalg import (
     smw_rank_one_plan,
     tri_solve_dlt,
 )
-from .offline import build_factors
 
 _F64 = np.float64
 
@@ -57,15 +56,20 @@ class TaskCoeffsView(NamedTuple):
 class DisclosedDB:
     """Immutable snapshot of everything the server discloses.
 
-    Contains only the unique inputs, the condensed response vector and
-    the condensed inverse; per-task responses, weights and inverses are
-    structurally absent.
+    Contains only the unique inputs, the condensed response vector, the
+    condensed inverse and the LDL^T factors of the inputs (L, D and the
+    bias map M, which are functions of the inputs and the config alone);
+    per-task responses, weights and inverses are structurally absent.
+    The factors share the server's buffers: rows below n never change,
+    and an engine seeded from them copies before it appends.  factors
+    is None when the summary was read without them.
     """
 
     inputs: tuple
     y_cond: np.ndarray
     H: SymMatrix
     epoch: int
+    factors: FactorSet = None
 
 
 class TaskState:
@@ -133,17 +137,23 @@ class ServerEngine:
         return len(self.inputs)
 
     @classmethod
-    def from_disclosed(cls, db, cfg, factors=None):
+    def from_disclosed(cls, db, cfg):
         """Local engine seeded from a disclosed snapshot (no task data).
 
-        factors are the LDL^T factors of db's inputs; a snapshot stores
-        them, a passive client builds them from the inputs (factors=None).
+        It takes over db's factors, appending in place only where db
+        owns their buffer (see UnitLowerFactor.take); a bias map that
+        does not have cfg's bias dimension is malformed.
         """
+        n = len(db.inputs)
+        f = db.factors
+        if f is None or f.n != n or f.M.size != n * cfg.bias_dim:
+            raise MalformedFrame(
+                "the disclosed factors do not fit %d inputs and %d bias columns"
+                % (n, cfg.bias_dim)
+            )
         eng = cls(cfg)
         eng.feats = FeatureRows(db.inputs)
-        if factors is None:
-            factors = build_factors(db.inputs, cfg, eng.feats)
-        eng.factors = factors
+        eng.factors = FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
         eng.inputs = list(db.inputs)
         eng.key_slot = {x.key: i for i, x in enumerate(db.inputs)}
         eng.y_cond = GrowVec(db.y_cond)
@@ -315,6 +325,7 @@ class ServerEngine:
             y_cond=y,
             H=self.H.copy(),
             epoch=self.epoch,
+            factors=self.factors.view(),
         )
 
     def get_config(self):

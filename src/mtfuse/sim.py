@@ -287,7 +287,7 @@ def sweep(world, alphas, lambdas, mode="offline", k=20, bias=None):
 
     mode "offline" fits with the condensed batch solver;
     "client-server" pushes every observation through a live daemon and
-    rebuilds each user's model from the disclosed data.  Failed cells
+    reads each user's model from it.  Failed cells
     are marked, not fatal.
     """
     if mode not in ("offline", "client-server"):

@@ -4,6 +4,7 @@ active and passive refresh, and prediction."""
 import numpy as np
 from scipy.special import expit
 
+from mtfuse import protocol as proto
 from mtfuse.client import (
     Client,
     PrivateData,
@@ -344,6 +345,28 @@ class TestPassiveRefresh:
         assert after.epoch == before.epoch
         assert len(after.inputs) == len(before.inputs)
         assert np.asarray(after.y_cond).tobytes() == np.asarray(before.y_cond).tobytes()
+
+    def test_replay_never_writes_into_the_server(self):
+        # an in-process summary shares the server's factor buffers: a
+        # replay that appends an input copies them first, and so never
+        # overwrites the row the server appended after the summary
+        rng = np.random.default_rng(32)
+        for d in (0, 1):
+            for _ in range(4):
+                ds, cfg, pool = random_instance(rng, alpha=0.5, d=d, n_max=12)
+                eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+                twin = stream_into_engine(ServerEngine(cfg), ds.triples)
+                new = make_inputs(rng, 3, dim=len(pool[0].features), prefix=b"n",
+                                  unit=True)
+                db = eng.get_disclosed()
+                for e in (eng, twin):
+                    e.receive_example(0, new[0], 0.5, 1.0)
+                before = proto.save_snapshot(eng)
+                Client(999, cfg).passive_refresh(db, PrivateData([(new[1], 1.0, 1.0)]))
+                assert proto.save_snapshot(eng) == before
+                for e in (eng, twin):
+                    e.receive_example(1, new[2], -0.5, 1.0)
+                assert proto.save_snapshot(eng) == proto.save_snapshot(twin)
 
     def test_recovery_identity_after_replay(self):
         rng = np.random.default_rng(16)

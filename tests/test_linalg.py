@@ -209,6 +209,72 @@ class TestLdlAppend:
             ldl_append(lf, d, gram[4, :4], gram[4, 4])
 
 
+class TestSharedFactors:
+    def test_decoded_factor_solves_alike(self):
+        # a factor written at once from its entries has the buffer its
+        # appends would have grown, so its solves give the same bits
+        rng = np.random.default_rng(33)
+        for n in (0, 1, 3, 8, 9, 66, 130, 257):
+            grown = UnitLowerFactor()
+            for i in range(n):
+                grown.append_row(rng.normal(size=i) / max(i, 1))
+            back = UnitLowerFactor.from_strict_lower(grown.strict_lower(), n)
+            assert back.n == n and back._buf.shape == grown._buf.shape
+            assert back.dense().tobytes() == grown.dense().tobytes()
+            b = rng.normal(size=n)
+            for solve in ("solve_unit_lower", "solve_unit_upper_t"):
+                got, want = getattr(back, solve)(b), getattr(grown, solve)(b)
+                assert got.tobytes() == want.tobytes()
+
+    def test_view_copies_before_appending(self):
+        rng = np.random.default_rng(34)
+        lf = UnitLowerFactor()
+        for i in range(5):
+            lf.append_row(rng.normal(size=i))
+        view = lf.view(3)
+        assert view.n == 3 and np.shares_memory(view._buf, lf._buf)
+        assert view.dense().tobytes() == lf.dense()[:3, :3].tobytes()
+        row3 = lf.row_strict(3).copy()
+        view.append_row(rng.normal(size=3))
+        assert lf.row_strict(3).tobytes() == row3.tobytes()
+        assert not np.shares_memory(view._buf, lf._buf)
+        assert view._buf.shape == lf._buf.shape  # the same capacity
+
+    def test_take_passes_the_right_to_append_in_place(self):
+        rng = np.random.default_rng(35)
+        lf = UnitLowerFactor.from_strict_lower(rng.normal(size=6), 4)
+        first = lf.take()
+        first.append_row(rng.normal(size=4))
+        assert np.shares_memory(first._buf, lf._buf)  # appended in place
+        row4 = first.row_strict(4).copy()
+        second = lf.take()
+        second.append_row(rng.normal(size=4))
+        assert not np.shares_memory(second._buf, lf._buf)
+        assert first.row_strict(4).tobytes() == row4.tobytes()
+        assert lf.n == 4
+
+    def test_factor_set_view_is_frozen(self):
+        rng = np.random.default_rng(36)
+        xs = make_inputs(rng, 6, dim=4)
+        gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
+        fs = FactorSet(bias_dim=1)
+        for i in range(4):
+            fs.append(gram[i, :i], gram[i, i], np.ones(1))
+        view = fs.view()
+        dense, d, m = view.L.dense(), view.D.values.copy(), view.M.copy()
+        for i in range(4, 6):
+            fs.append(gram[i, :i], gram[i, i], np.ones(1))
+        assert view.n == 4
+        assert view.L.dense().tobytes() == dense.tobytes()
+        assert view.D.values.tobytes() == d.tobytes()
+        assert view.M.tobytes() == m.tobytes()
+        # the view's own append leaves the set's fifth row alone
+        row4 = (fs.L.row_strict(4).copy(), fs.D.values[4], fs.M[4].copy())
+        view.append(gram[5, :4], gram[5, 5], np.ones(1))
+        assert fs.L.row_strict(4).tobytes() == row4[0].tobytes()
+        assert fs.D.values[4] == row4[1] and fs.M[4].tobytes() == row4[2].tobytes()
+
+
 class TestFactorSet:
     def test_bias_compatibility_after_every_append(self):
         rng = np.random.default_rng(8)

@@ -7,6 +7,7 @@ import re
 import socket
 import struct
 import threading
+import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -17,7 +18,7 @@ import pytest
 from mtfuse import cli
 from mtfuse import daemon as daemon_mod
 from mtfuse import protocol as proto
-from mtfuse.client import Client, predict_client
+from mtfuse.client import Client, PrivateData, predict_client
 from mtfuse.daemon import (
     DaemonConfig,
     RemoteServer,
@@ -167,18 +168,18 @@ def _lookup_engine(rng, alpha):
 class TestGoldenBytes:
     """Message and snapshot bytes pinned by SHA-256.
 
-    The snapshot digests were computed before the codec became
-    table-driven, and the message digest when wire version 2 gave
-    TaskCoeffs the task's whole model; a codec change that moves one
+    The snapshot digests were computed when snapshot version 2 wrote the
+    factors as a Factors body, and the message digest when the fuzzer
+    began drawing GetFactors and Factors; a codec change that moves one
     byte of either format fails here.  The snapshot digests also pin the
     engine's floating-point arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
     """
 
-    MESSAGES = "016dc9515dfe3adaa576f4ce72caf17ab49d5767bbbd25de387b1791a669fbf1"
+    MESSAGES = "a94b0664d5fdab97613cd9efe82bd5829f7af595c47161fbc9fb759163d6df22"
     SNAPSHOTS = {
-        0.0: "1886b605265c4084120e559c29b8272f6162d12fd85966140e1705a849cba0d6",
-        0.5: "792efaaf28ba340058bfb3191446cbcbeffa1b321c93e333d041f86a7b26fcf0",
-        1.0: "d8350aeb369e7865ca5a405c4654b30768ade5718eac6f08210aa2169e8c625c",
+        0.0: "580081b0ac840f3e66c6df6dafe8fbb320d5381ba96ac9bb198791b40413f362",
+        0.5: "f96ade2d78ed22d4a2fe5da4836adab8dae85fe5e5b764a2ad0d03216bee8087",
+        1.0: "8ea847f6ee92feef9fd42d1697bbd30e33980ea2c7c63c07e467e1d5588f862b",
     }
 
     def test_message_bytes(self):
@@ -313,6 +314,22 @@ class TestSchemaPrivacy:
         for v in ys + ws:
             assert struct.pack("<d", v) not in blob
 
+    def test_factors_schema_and_bytes_hold_no_raw_responses(self):
+        assert {f.name for f in fields(proto.GetFactors)} == {"n"}
+        assert {f.name for f in fields(proto.Factors)} == {"lower", "d", "m"}
+        rng = np.random.default_rng(3)
+        cfg = make_config(0.5, 0.1, d=1)
+        xs = make_inputs(rng, 5, unit=True)
+        ys = [0.9182736455463728, -1.2345678987654321, 0.5647382910293847]
+        ws = [1.3579246801357924, 0.8642097531864209]
+        eng = ServerEngine(cfg)
+        for i, x in enumerate(xs):
+            eng.receive_example(i % 2, x, ys[i % 3], ws[i % 2])
+        blob = proto.encode(proto.factors_to_message(eng.get_disclosed().factors))
+        blob += proto.encode(proto.GetFactors(n=eng.n))
+        for v in ys + ws:
+            assert struct.pack("<d", v) not in blob
+
 
 class TestDisclosedConversion:
     def test_round_trip_preserves_arrays(self):
@@ -352,6 +369,42 @@ class TestDisclosedConversion:
             back = proto.decode(proto.encode(bad))
             with pytest.raises(MalformedFrame, match=match):
                 proto.task_coeffs_from_message(back)
+
+    def test_factors_round_trip_bitwise(self):
+        rng = np.random.default_rng(29)
+        for d in (0, 1):
+            ds, cfg, _ = random_instance(rng, alpha=0.5, d=d)
+            eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+            msg = proto.decode(proto.encode(proto.factors_to_message(eng.factors)))
+            back = proto.factors_from_message(msg, eng.n)
+            assert back.n == eng.n and back.bias_dim == d
+            # one buffer of the capacity the server's appends grew
+            assert back.L._buf.shape == eng.factors.L._buf.shape
+            assert back.L.dense().tobytes() == eng.factors.L.dense().tobytes()
+            assert back.D.values.tobytes() == eng.factors.D.values.tobytes()
+            assert back.M.tobytes() == eng.factors.M.tobytes()
+
+    def test_factors_that_do_not_fit_rejected(self):
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(np.random.default_rng(30), 3, unit=True)):
+            eng.receive_example(t, x, 1.0, 1.0)
+        db = eng.get_disclosed()
+        msg = proto.factors_to_message(db.factors)
+        bad = (
+            (msg, 2, "factors of 3 inputs, not 2"),
+            (replace(msg, lower=msg.lower[:-1]), 3, "2 entries of L do not fit 3"),
+            (replace(msg, m=msg.m[:-1]), 3, "2 entries of M are not a multiple of 3"),
+        )
+        for factors, n, match in bad:
+            with pytest.raises(MalformedFrame, match=match):
+                proto.factors_from_message(proto.decode(proto.encode(factors)), n)
+        # two bias columns decode, but do not fit a config with one
+        wide = replace(msg, m=np.repeat(msg.m, 2))
+        back = proto.disclosed_from_message(
+            proto.disclosed_to_message(db), proto.decode(proto.encode(wide)))
+        assert back.factors.bias_dim == 2
+        with pytest.raises(MalformedFrame, match="1 bias columns"):
+            ServerEngine.from_disclosed(back, eng.cfg)
 
     def test_config_round_trip(self):
         for alpha, d in ((0.0, 0), (0.5, 1), (1.0, 1)):
@@ -570,6 +623,63 @@ class TestDaemon:
                             g, w = getattr(got, f), getattr(want, f)
                             assert g.dtype == w.dtype
                             assert g.tobytes() == w.tobytes(), (alpha, d, f)
+
+    def test_passive_model_over_tcp_equals_in_process_bitwise(self):
+        # the factors a passive client downloads give the same bits as
+        # the server's own, including a replay that appends new inputs
+        # (90 inputs: enough rows for dtrsv's blocking to see the buffer)
+        rng = np.random.default_rng(28)
+        pool = make_inputs(rng, 90, dim=16, unit=True)
+        fresh = make_inputs(rng, 2, dim=16, prefix=b"p", unit=True)
+        private = PrivateData([(pool[0], 0.3, 1.0), (fresh[0], -0.7, 2.0),
+                               (fresh[0], 0.1, 0.5), (fresh[1], 1.2, 1.0)])
+        for alpha in (0.0, 0.5, 1.0):
+            for d in (0, 1):
+                cfg = make_config(alpha, 0.1, d=d)
+                with daemon(cfg, {}) as (eng, srv):
+                    for i in range(150):
+                        eng.receive_example(int(rng.integers(0, 4)), pool[i % 90],
+                                            float(rng.normal()),
+                                            float(rng.uniform(0.5, 2.0)))
+                    with RemoteServer(srv.address) as conn:
+                        db = conn.get_disclosed()
+                    want = Client(99, cfg).passive_refresh(eng.get_disclosed(), private)
+                # the summary read once serves two refreshes alike
+                for _ in range(2):
+                    got = Client(99, cfg).passive_refresh(db, private)
+                    assert got.epoch == want.epoch and got.inputs == want.inputs
+                    for f in ("b", "a_cond", "a_task", "slots"):
+                        g, w = getattr(got, f), getattr(want, f)
+                        assert g.dtype == w.dtype
+                        assert g.tobytes() == w.tobytes(), (alpha, d, f)
+
+    def test_factors_past_the_pool_refused_connection_kept(self):
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                conn.submit(make_inputs(np.random.default_rng(31), 1, unit=True)[0],
+                            1.0, 1.0)
+            before = proto.save_snapshot(eng)
+            with socket.create_connection(srv.address, timeout=10) as raw:
+                rfile, wfile = raw.makefile("rb"), raw.makefile("wb")
+                proto.write_message(wfile, proto.GetFactors(n=2))
+                reply = proto.read_message(rfile)
+                assert isinstance(reply, proto.Error)
+                assert reply.code == proto.ERR_MALFORMED
+                assert "the pool has 1" in reply.detail
+                proto.write_message(wfile, proto.GetFactors(n=1))
+                assert len(proto.read_message(rfile).d) == 1
+            assert proto.save_snapshot(eng) == before
+
+    def test_idle_shutdown_does_not_wait_for_a_poll(self):
+        # serve_forever polls every 0.5 s; shutdown must not wait for it
+        for _ in range(3):
+            srv = start_server(ServerEngine(make_config(0.5, 0.1)), ("127.0.0.1", 0), {})
+            time.sleep(0.01)
+            t0 = time.perf_counter()
+            srv.shutdown()
+            assert time.perf_counter() - t0 < 0.25
+            srv.server_close()
 
     def test_engine_errors_travel_as_errors(self):
         rng = np.random.default_rng(10)
@@ -819,6 +929,19 @@ class TestDaemonConfigFile:
         assert cli.main(["serve", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: %s: " % snap)
         assert snap.read_bytes() == blob
+
+    def test_cli_serve_refuses_version_1_snapshot(self, tmp_path, capsys, monkeypatch):
+        # version 1 wrote the factors without their counts
+        good = proto.save_snapshot(ServerEngine(make_config(0.5, 0.1, d=1)))
+        body = good[:4] + struct.pack("<I", 1) + good[8:-4]
+        snap = tmp_path / "engine.snap"
+        snap.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        path = tmp_path / "daemon.json"
+        path.write_text(json.dumps({"alpha": 0.5, "lam": 0.1, "snapshot": str(snap)}))
+        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
+                            lambda self, *a, **k: None)
+        assert cli.main(["serve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s: snapshot version 1\n" % snap
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)

@@ -325,6 +325,18 @@ def random_message(rng):
         a = rng.standard_normal(ell)
         keys = tuple(b"c%d-" % i + _rand_bytes(rng, 4) for i in range(ell))
         (more,) = rng.spawn(1)
+        # a third of these draws are GetFactors and a third Factors, drawn
+        # from a generator spawned from more, which advances neither: the
+        # TaskCoeffs drawn here keep their bytes too
+        (late,) = more.spawn(1)
+        pick = int(late.integers(0, 3))
+        if pick == 1:
+            return proto.GetFactors(n=int(late.integers(0, 1 << 32)))
+        if pick == 2:
+            n, width = int(late.integers(0, 6)), int(late.integers(0, 3))
+            return proto.Factors(lower=late.standard_normal(n * (n - 1) // 2),
+                                 d=late.standard_normal(n),
+                                 m=late.standard_normal(n * width))
         keys += tuple(b"p%d-" % i + _rand_bytes(more, 4)
                       for i in range(int(more.integers(0, 3))))
         n = len(keys)
