@@ -79,12 +79,13 @@ class Client:
         return self._model(disclosed.epoch, local.task_coefficients(self.task))
 
     def _model(self, epoch, view):
-        """The model of this task from a TaskCoeffsView."""
+        """The model of this task from a TaskCoeffsView; its feature rows
+        share the view's block."""
         return ClientModel(
             task=self.task,
             epoch=epoch,
             inputs=view.inputs,
-            feats=FeatureRows(view.inputs),
+            feats=view.inputs.rows,
             b=view.b,
             a_cond=view.a_cond,
             a_task=view.a,

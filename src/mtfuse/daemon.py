@@ -2,7 +2,8 @@
 
 One mutex serializes every engine access: submissions apply in arrival
 order, reads copy a snapshot under the lock (or, for the append-only
-factors, take a view of their first n rows) and serve it outside.  A
+factors and feature rows, take a view of their first n rows) and serve
+it outside.  A
 transport failure can only lose a response, never corrupt engine state,
 because the engine finishes (or rejects) an update before any reply
 bytes are written.

@@ -16,6 +16,7 @@ the rows around it.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,6 +50,15 @@ class InputPoint:
                 raise ValueError("features must be a flat vector")
             features.flags.writeable = False
         self.features = features
+
+    @classmethod
+    def _prechecked(cls, key, features):
+        # key is bytes and features a read-only float64 vector or None,
+        # as InputColumns holds them: nothing to convert
+        out = cls.__new__(cls)
+        out.key = key
+        out.features = features
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, InputPoint):
@@ -175,6 +185,17 @@ class FeatureRows:
                 self.good += 1
         self.n += 1
 
+    @classmethod
+    def over(cls, rows, n):
+        """The rows of n inputs whose leading len(rows) rows are the
+        matrix rows, sharing it: its capacity is len(rows), so its first
+        append copies the rows out."""
+        out = cls.__new__(cls)
+        out._buf = rows
+        out.n = n
+        out.good = len(rows)
+        return out
+
     def prefix(self, m=None):
         """Rows 0..m-1 (all rows by default) as a view, or None."""
         m = self.n if m is None else m
@@ -183,6 +204,130 @@ class FeatureRows:
     def take(self, idx):
         """The rows at positions idx, gathered into a new matrix, or None."""
         return self._buf[idx] if 0 < self.good == self.n else None
+
+
+class FeatureColumn(Sequence):
+    """The feature vectors of a pool's inputs, held in two arrays.
+
+    lengths holds each input's feature count (-1 for an input without
+    features), and values every present vector in pool order, one after
+    another: when every input has D features, values is the n x D block,
+    row after row.  values is read-only; rows are FeatureRows over it,
+    and an input's features are a view of it.
+    """
+
+    __slots__ = ("lengths", "values", "_ends", "_block")
+
+    def __init__(self, lengths, values):
+        self.lengths = lengths
+        self.values = values
+        values.flags.writeable = False
+        self._ends = np.cumsum(np.maximum(lengths, 0))
+        # the rows of the leading inputs whose features share one length d
+        n = len(lengths)
+        good = d = 0
+        if n and lengths[0] >= 0:
+            d = int(lengths[0])
+            breaks = np.flatnonzero(lengths != d)
+            good = int(breaks[0]) if len(breaks) else n
+        self._block = values[: good * d].reshape(good, d)
+
+    @classmethod
+    def of(cls, features):
+        """The column of an n x D block, which it shares, or of a sequence
+        of per-input vectors (None for an input without features)."""
+        if isinstance(features, cls):
+            return features
+        if isinstance(features, np.ndarray):
+            n, d = features.shape
+            return cls(np.full(n, d, dtype=np.int64), features.reshape(-1))
+        lengths = np.array([-1 if f is None else len(f) for f in features],
+                           dtype=np.int64)
+        present = [np.asarray(f, dtype=_F64) for f in features if f is not None]
+        return cls(lengths, np.concatenate(present + [np.zeros(0)]))
+
+    @property
+    def rows(self):
+        """FeatureRows of their own over values (see FeatureRows.over)."""
+        return FeatureRows.over(self._block, len(self))
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        k, end = int(self.lengths[i]), int(self._ends[i])
+        return None if k < 0 else self.values[end - k : end]
+
+    def __iter__(self):
+        values = self.values
+        for k, end in zip(self.lengths.tolist(), self._ends.tolist()):
+            yield None if k < 0 else values[end - k : end]
+
+
+class InputColumns(Sequence):
+    """The inputs of a pool, held as columns: keys, the keys in pool
+    order, and features, their FeatureColumn.  An input is made on
+    demand, once (a model's prediction reads its task's inputs at every
+    call); two pools are equal when their keys are, as for inputs.
+    """
+
+    __slots__ = ("keys", "features", "_made")
+
+    def __init__(self, keys, features):
+        self.keys = tuple(keys)
+        self.features = features
+        self._made = None  # the inputs made so far, by position
+
+    @classmethod
+    def of(cls, inputs, rows=None):
+        """The columns of a sequence of inputs; rows, when given, are
+        their FeatureRows, whose block the columns then share."""
+        if isinstance(inputs, cls):
+            return inputs
+        n = len(inputs)
+        block = rows.prefix(n) if rows is not None and rows.good == n else None
+        features = [x.features for x in inputs] if block is None else block
+        return cls([x.key for x in inputs], FeatureColumn.of(features))
+
+    @property
+    def rows(self):
+        return self.features.rows
+
+    def __len__(self):
+        return len(self.keys)
+
+    def take(self, idx):
+        """The inputs at positions idx, as a list."""
+        if isinstance(idx, np.ndarray):
+            idx = idx.tolist()
+        made = self._made
+        if made is None:
+            made = self._made = [None] * len(self.keys)
+        out = [made[i] for i in idx]
+        if not all(out):
+            for k, i in enumerate(idx):
+                if out[k] is None:
+                    x = InputPoint._prechecked(self.keys[i], self.features[i])
+                    out[k] = made[i] = x
+        return out
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self.take(range(*i.indices(len(self)))))
+        return self.take((i,))[0]
+
+    def __iter__(self):
+        made = self._made or [None] * len(self.keys)
+        self._made = [x or InputPoint._prechecked(k, f)
+                      for x, k, f in zip(made, self.keys, self.features)]
+        return iter(self._made)
+
+    def __eq__(self, other):
+        if not isinstance(other, InputColumns):
+            return NotImplemented
+        return self.keys == other.keys
+
+    __hash__ = None
 
 
 def kernel_row(spec, x, pool, feats=None):

@@ -220,9 +220,10 @@ class SymMatrix:
 
     @classmethod
     def from_packed(cls, packed, n):
-        packed = _as_vec(packed, n * (n + 1) // 2)
+        """The matrix of order n whose packed lower triangle is packed,
+        sharing it: copy() gives a matrix of its own."""
         out = cls()
-        out._buf = packed.copy()
+        out._buf = _as_vec(packed, n * (n + 1) // 2)
         out.n = n
         return out
 

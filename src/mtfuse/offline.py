@@ -22,6 +22,7 @@ import numpy as np
 from .errors import NonPositiveWeight, SingularSystem, UnknownTask
 from .kernels import (
     FeatureRows,
+    InputColumns,
     InputPoint,
     basis_matrix,
     eval_kernel,
@@ -338,9 +339,9 @@ def solve_condensed(ds, cfg):
 def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
     """Mixed-effect predictions of several tasks over common inputs.
 
-    pool holds the unique inputs a_cond lives on and feats their
-    FeatureRows; tasks holds one (task, a_task, slots) triple per output
-    row, slots indexing pool.  Row r is
+    pool holds the unique inputs a_cond lives on, as InputColumns, and
+    feats their FeatureRows; tasks holds one (task, a_task, slots)
+    triple per output row, slots indexing pool.  Row r is
     alpha * (shared rows . a_cond + bias rows . b)
     + (1 - alpha) * (individual rows . a_task), with the shared part
     evaluated once for all rows.
@@ -357,7 +358,7 @@ def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
     for r, (task, a_task, slots) in enumerate(tasks):
         out[r] = shared
         if alpha < 1.0 and len(slots):
-            task_inputs = [pool[s] for s in slots]
+            task_inputs = pool.take(slots)
             kt = kernel_matrix(
                 task_inputs, xs, cfg.individual_for(task), feats.take(slots)
             )
@@ -379,6 +380,5 @@ def predictions_grid(coeffs, cfg, structures, tasks, xs):
         if j not in coeffs.a_task:
             raise UnknownTask("no coefficients for task %r" % (j,))
         rows.append((j, coeffs.a_task[j], coeffs.task_slots[j]))
-    return mixed_predictions(
-        cfg, inputs, FeatureRows(inputs), coeffs.a_cond, coeffs.b, rows, xs
-    )
+    pool = InputColumns.of(inputs)
+    return mixed_predictions(cfg, pool, pool.rows, coeffs.a_cond, coeffs.b, rows, xs)

@@ -13,6 +13,15 @@ the same fields.  encode and decode are one loop over a row; a payload
 that decode cannot turn into a message raises MalformedFrame.
 Snapshots reuse the Config, Disclosed and Factors rows' bodies.
 
+A pool's inputs (in Disclosed and TaskCoeffs) travel as columns: the
+count n, n u32 key lengths and the keys' bytes, n u32 feature lengths
+(0xFFFFFFFF for an input without features), and one counted f64 array
+of every present feature vector in pool order, which is the n x D block
+when every input has D features.  They decode with a fixed number of
+numpy calls plus one slice per key, into a kernels.FeatureColumn, whose
+feature rows a client's model and local engine share.  This is wire
+version 3.
+
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
 at the same epoch.  Its a is the task's own coefficient vector, read
@@ -24,13 +33,14 @@ anyone can rebuild bit for bit (linalg.FactorSet); and GetFactors's n
 is the caller's own count of a disclosed pool, so the request tells the
 server nothing about the caller.
 
-Snapshot layout (version 2): magic ``MTLS``, u32 format version, the
+Snapshot layout (version 3): magic ``MTLS``, u32 format version, the
 Config, Disclosed and Factors message bodies, each task's block, and a
 trailing CRC-32 over everything before it.
 """
 
 import struct
 import zlib
+from collections import Counter
 from dataclasses import fields, make_dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -43,7 +53,8 @@ from .kernels import (
     LOOKUP,
     RBF_TAGS,
     BiasBasis,
-    InputPoint,
+    FeatureColumn,
+    InputColumns,
     KernelSpec,
     MixedEffectConfig,
 )
@@ -61,8 +72,8 @@ from .server import (
 _F64 = np.float64
 
 MAGIC = b"MTLS"
-WIRE_VERSION = 2
-SNAPSHOT_VERSION = 2
+WIRE_VERSION = 3
+SNAPSHOT_VERSION = 3
 MAX_FRAME = 1 << 30
 
 # error codes on the wire
@@ -305,23 +316,45 @@ def _read_kernel(r):
 _kernel = _Codec(_write_kernel, _read_kernel)
 
 
+# a feature length that marks an input without features
+_NO_FEATURES = 0xFFFFFFFF
+
+
+def _u32s(r, count):
+    return np.frombuffer(r.take(4 * count), dtype="<u4")
+
+
 def _write_inputs(w, keys_features):
     keys, features = keys_features
+    features = FeatureColumn.of(features)
+    if len(features) != len(keys):
+        raise ValueError("%d keys but %d feature vectors" % (len(keys), len(features)))
+    lengths = features.lengths
     _u32.write(w, len(keys))
-    for key, feats in zip(keys, features):
-        _write_bytes(w, key)
-        _write_features(w, feats)
+    w.append(np.fromiter(map(len, keys), dtype="<u4", count=len(keys)))
+    w.append(b"".join(keys))
+    w.append(np.where(lengths < 0, _NO_FEATURES, lengths).astype("<u4"))
+    _f64s.write(w, features.values)
 
 
 def _read_inputs(r):
-    keys, features = [], []
-    for _ in range(_u32.read(r)):
-        keys.append(_read_bytes(r))
-        features.append(_features.read(r))
-    return tuple(keys), tuple(features)
+    n = _u32.read(r)
+    ends = np.cumsum(_u32s(r, n), dtype=np.int64).tolist()
+    blob = bytes(r.take(ends[-1] if n else 0))
+    keys = tuple(map(blob.__getitem__, map(slice, [0] + ends[:-1], ends)))
+    lengths = _u32s(r, n).astype(np.int64)
+    lengths[lengths == _NO_FEATURES] = -1
+    count = _u32.read(r)
+    if count != int(np.maximum(lengths, 0).sum()):
+        raise errors.MalformedFrame("%d feature values do not fit the feature lengths"
+                                    % count)
+    return keys, FeatureColumn(lengths, r.array(count))
 
 
-# a u32 count, then each input's key and features in turn
+# a pool's keys and features, as columns: a u32 count n, n u32 key lengths
+# and the keys' bytes, n u32 feature lengths (_NO_FEATURES for an input
+# without features), and every present feature vector in pool order as one
+# counted f64 array; the features read as a kernels.FeatureColumn
 _inputs = _Codec(_write_inputs, _read_inputs)
 
 
@@ -329,6 +362,8 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 
 
 def _values_equal(a, b):
+    # a FeatureColumn compares as the tuple of its inputs' features
+    a, b = (tuple(v) if isinstance(v, FeatureColumn) else v for v in (a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (
             isinstance(a, np.ndarray)
@@ -490,37 +525,34 @@ def read_message(stream, max_frame=MAX_FRAME):
 # ===== conversions to engine-level objects ===============================
 
 
-def _keys_features(inputs):
-    return tuple(x.key for x in inputs), tuple(x.features for x in inputs)
-
-
 def _inputs_of(msg):
-    """msg's inputs; a key listed twice is malformed."""
-    seen = set()
-    for k in msg.keys:
-        if k in seen:
-            raise errors.MalformedFrame("input key %r listed twice" % (k,))
-        seen.add(k)
-    return tuple(InputPoint(k, f) for k, f in zip(msg.keys, msg.features))
+    """msg's inputs, as InputColumns sharing its features; an input key
+    listed twice is malformed."""
+    if len(set(msg.keys)) < len(msg.keys):
+        dup = next(k for k, c in Counter(msg.keys).items() if c > 1)
+        raise errors.MalformedFrame("input key %r listed twice" % (dup,))
+    return InputColumns(msg.keys, FeatureColumn.of(msg.features))
 
 
 def disclosed_to_message(db):
     """The Disclosed message of db; it shares db's arrays."""
-    return Disclosed(db.epoch, *_keys_features(db.inputs), db.y_cond, db.H.packed)
+    return Disclosed(db.epoch, db.inputs.keys, db.inputs.features, db.y_cond, db.H.packed)
 
 
 def disclosed_from_message(msg, factors=None):
     """The DisclosedDB of msg, with the factors of a Factors message for
-    its inputs when one is given; an input key listed twice is malformed."""
+    its inputs when one is given; an input key listed twice is malformed.
+    It shares msg's arrays: its H is a view of msg's payload, which an
+    engine seeded from it copies."""
     inputs = _inputs_of(msg)
-    y = msg.y_cond.copy()
-    y.flags.writeable = False
+    n = len(inputs)
+    msg.y_cond.flags.writeable = False
     return DisclosedDB(
         inputs=inputs,
-        y_cond=y,
-        H=SymMatrix.from_packed(msg.h_packed, len(inputs)),
+        y_cond=msg.y_cond,
+        H=SymMatrix.from_packed(msg.h_packed, n),
         epoch=msg.epoch,
-        factors=None if factors is None else factors_from_message(factors, len(inputs)),
+        factors=None if factors is None else factors_from_message(factors, n),
     )
 
 
@@ -548,7 +580,7 @@ def factors_from_message(msg, n):
 
 def task_coeffs_to_message(view):
     """The TaskCoeffs message of a TaskCoeffsView; it shares view's arrays."""
-    return TaskCoeffs(view.epoch, *_keys_features(view.inputs),
+    return TaskCoeffs(view.epoch, view.inputs.keys, view.inputs.features,
                       view.b, view.a_cond, view.a, view.slots)
 
 
@@ -603,7 +635,8 @@ def save_snapshot(engine):
     w = [MAGIC]
     _u32.write(w, SNAPSHOT_VERSION)
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
-    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch)
+    inputs = InputColumns.of(engine.inputs, engine.feats)
+    db = DisclosedDB(inputs, engine.y_cond.values, engine.H, engine.epoch)
     _write_body(w, _DISCLOSED, disclosed_to_message(db))
     _write_body(w, _FACTORS, factors_to_message(engine.factors))
 
@@ -655,9 +688,10 @@ def load_snapshot(data):
                 raise errors.MalformedFrame("task slot %d listed twice" % s)
             st.pos[s] = len(st.slots)
             st.slots.append(s)
-        st.y = GrowVec(r.array(ell))
-        st.w = GrowVec(r.array(ell))
-        st.R = SymMatrix.from_packed(r.array(ell * (ell + 1) // 2), ell)
+        st.y = GrowVec(r.array(ell, copy=False))
+        st.w = GrowVec(r.array(ell, copy=False))
+        packed = r.array(ell * (ell + 1) // 2, copy=False)
+        st.R = SymMatrix.from_packed(packed, ell).copy()  # the one copy
         engine.tasks[task] = st
     r.done()
     return engine

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedFrame, NonPositiveWeight, SingularSystem, UnknownTask
-from .kernels import FeatureRows, InputPoint, eval_kernel, kernel_row
+from .kernels import FeatureRows, InputColumns, InputPoint, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
     GrowVec,
@@ -42,10 +42,11 @@ class UpdateReceipt(NamedTuple):
 
 
 class TaskCoeffsView(NamedTuple):
-    """One task's model at one epoch (see ServerEngine.task_coefficients)."""
+    """One task's model at one epoch (see ServerEngine.task_coefficients);
+    inputs are the pool's InputColumns, whose rows a model reads."""
 
     epoch: int
-    inputs: tuple
+    inputs: InputColumns
     b: np.ndarray
     a_cond: np.ndarray
     a: np.ndarray
@@ -56,16 +57,18 @@ class TaskCoeffsView(NamedTuple):
 class DisclosedDB:
     """Immutable snapshot of everything the server discloses.
 
-    Contains only the unique inputs, the condensed response vector, the
-    condensed inverse and the LDL^T factors of the inputs (L, D and the
-    bias map M, which are functions of the inputs and the config alone);
-    per-task responses, weights and inverses are structurally absent.
-    The factors share the server's buffers: rows below n never change,
-    and an engine seeded from them copies before it appends.  factors
-    is None when the summary was read without them.
+    Contains only the unique inputs (as InputColumns), the condensed
+    response vector, the condensed inverse and the LDL^T factors of the
+    inputs (L, D and the bias map M, which are functions of the inputs
+    and the config alone); per-task responses, weights and inverses are
+    structurally absent.  The feature rows and the factors share the
+    server's buffers: rows below n never change, and an engine seeded
+    from them copies before it appends.  factors is None when the
+    summary was read without them.  H may be a read-only view (of a
+    wire payload, say): an engine seeded from it copies it.
     """
 
-    inputs: tuple
+    inputs: InputColumns
     y_cond: np.ndarray
     H: SymMatrix
     epoch: int
@@ -140,9 +143,11 @@ class ServerEngine:
     def from_disclosed(cls, db, cfg):
         """Local engine seeded from a disclosed snapshot (no task data).
 
-        It takes over db's factors, appending in place only where db
-        owns their buffer (see UnitLowerFactor.take); a bias map that
-        does not have cfg's bias dimension is malformed.
+        It takes over db's feature rows and factors, appending in place
+        only where db owns their buffer (see FeatureRows.over and
+        UnitLowerFactor.take), and copies H, the one array it patches in
+        place; a bias map that does not have cfg's bias dimension is
+        malformed.
         """
         n = len(db.inputs)
         f = db.factors
@@ -152,10 +157,10 @@ class ServerEngine:
                 % (n, cfg.bias_dim)
             )
         eng = cls(cfg)
-        eng.feats = FeatureRows(db.inputs)
+        eng.feats = db.inputs.rows
         eng.factors = FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
         eng.inputs = list(db.inputs)
-        eng.key_slot = {x.key: i for i, x in enumerate(db.inputs)}
+        eng.key_slot = dict(zip(db.inputs.keys, range(n)))
         eng.y_cond = GrowVec(db.y_cond)
         eng.H = db.H.copy()
         eng.epoch = db.epoch
@@ -321,7 +326,7 @@ class ServerEngine:
         y = self.y_cond.values.copy()
         y.flags.writeable = False
         return DisclosedDB(
-            inputs=tuple(self.inputs),
+            inputs=InputColumns.of(self.inputs, self.feats),
             y_cond=y,
             H=self.H.copy(),
             epoch=self.epoch,
@@ -357,4 +362,5 @@ class ServerEngine:
         a, slots = np.zeros(0, dtype=_F64), ()
         if task in self.tasks:
             a, slots = self.get_task_coefficients(task, q), tuple(self.tasks[task].slots)
-        return TaskCoeffsView(self.epoch, tuple(self.inputs), b, a_cond, a, slots)
+        inputs = InputColumns.of(self.inputs, self.feats)
+        return TaskCoeffsView(self.epoch, inputs, b, a_cond, a, slots)

@@ -386,6 +386,75 @@ class TestPassiveRefresh:
                 < 1e-8 * residual_scale(replayed))
 
 
+def _root(a):
+    # the object that owns the memory of an array
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
+class _View:
+    # a server whose task_coefficients is one decoded view
+    def __init__(self, view):
+        self.view = view
+
+    def task_coefficients(self, task):
+        return self.view
+
+
+class TestSharedFeatureRows:
+    def test_decoded_rows_shared_never_written(self):
+        # a reply's feature block is decoded once: the view's rows and the
+        # model's FeatureRows share it, and an append to the model's rows or
+        # to a local engine seeded from a decoded summary copies it first
+        rng = np.random.default_rng(34)
+        for d in (0, 1):
+            ds, cfg, pool = random_instance(rng, alpha=0.5, d=d, n_max=12)
+            eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+            task = ds.triples[0].task
+            new = make_inputs(rng, 2, dim=len(pool[0].features), prefix=b"n", unit=True)
+
+            msg = proto.decode(proto.encode(proto.task_coeffs_to_message(
+                eng.task_coefficients(task))))
+            block = msg.features.values
+            view = proto.task_coeffs_from_message(msg)
+            model = Client(task, cfg).active_refresh(_View(view))
+            assert np.shares_memory(view.inputs.rows.prefix(), block)
+            assert np.shares_memory(model.feats.prefix(), block)
+            before = block.tobytes()
+            model.feats.append(new[0])
+            assert block.tobytes() == before
+            assert not np.shares_memory(model.feats.prefix(), block)
+            assert np.shares_memory(view.inputs.rows.prefix(), block)
+
+            reply = proto.decode(proto.encode(proto.disclosed_to_message(eng.get_disclosed())))
+            factors = proto.decode(proto.encode(proto.factors_to_message(eng.factors)))
+            db = proto.disclosed_from_message(reply, factors)
+            block = reply.features.values
+            before = block.tobytes()
+            local = ServerEngine.from_disclosed(db, cfg)
+            other = ServerEngine.from_disclosed(db, cfg)
+            assert np.shares_memory(local.feats.prefix(), block)
+            local.receive_example(task, new[1], 0.5, 1.0)
+            assert block.tobytes() == before
+            assert not np.shares_memory(local.feats.prefix(), block)
+            assert other.feats.n == len(db.inputs) and other.H == db.H
+
+            # a passive model shares the block until a private input is
+            # appended; it holds no array of the payload (H is a view of it)
+            cli = Client(999, cfg)
+            kept = cli.passive_refresh(db, PrivateData([]))
+            assert np.shares_memory(kept.feats.prefix(), block)
+            grown = cli.passive_refresh(db, PrivateData([(new[0], 1.0, 1.0)]))
+            assert not np.shares_memory(grown.feats.prefix(), block)
+            assert block.tobytes() == before
+            assert not isinstance(_root(db.H.packed), np.ndarray)
+            for m in (kept, grown):
+                arrays = (m.b, m.a_cond, m.a_task, m.inputs.features.values,
+                          m.feats.prefix())
+                assert all(isinstance(_root(a), np.ndarray) for a in arrays)
+
+
 class TestPredict:
     def test_alpha_one_predictions_task_independent(self):
         rng = np.random.default_rng(17)

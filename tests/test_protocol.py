@@ -168,18 +168,19 @@ def _lookup_engine(rng, alpha):
 class TestGoldenBytes:
     """Message and snapshot bytes pinned by SHA-256.
 
-    The snapshot digests were computed when snapshot version 2 wrote the
-    factors as a Factors body, and the message digest when the fuzzer
-    began drawing GetFactors and Factors; a codec change that moves one
-    byte of either format fails here.  The snapshot digests also pin the
-    engine's floating-point arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
+    Both were computed when a pool's inputs began to travel as columns
+    (wire and snapshot version 3), the message digest also when the
+    fuzzer began drawing TaskCoeffs pools whose inputs all have D
+    features; a codec change that moves one byte of either format fails
+    here.  The snapshot digests also pin the engine's floating-point
+    arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
     """
 
-    MESSAGES = "a94b0664d5fdab97613cd9efe82bd5829f7af595c47161fbc9fb759163d6df22"
+    MESSAGES = "1e001127c566214a2b05f13f02fde8ab64abf825c1ad04ba909daf9538e5230d"
     SNAPSHOTS = {
-        0.0: "580081b0ac840f3e66c6df6dafe8fbb320d5381ba96ac9bb198791b40413f362",
-        0.5: "f96ade2d78ed22d4a2fe5da4836adab8dae85fe5e5b764a2ad0d03216bee8087",
-        1.0: "8ea847f6ee92feef9fd42d1697bbd30e33980ea2c7c63c07e467e1d5588f862b",
+        0.0: "97cec9639fddf0fa69adfeb9b32873611fdd7218ecd7299da9d95ef1e240f040",
+        0.5: "94794ccdf4397bae9d7f42d0176fe9e5284fc8a3a3ba57b999d09592aa22b581",
+        1.0: "dc9921aad93b9c1aa699afed662f12ee0c7c6f0d866ea6ecf4afd354cea31787",
     }
 
     def test_message_bytes(self):
@@ -273,6 +274,105 @@ class TestMalformedInput:
         short = struct.pack("<I", 10) + b"abc"
         with pytest.raises(MalformedFrame):
             proto.read_message(io.BytesIO(short))
+
+
+def _disclosed(keys, feats):
+    n = len(keys)
+    return proto.Disclosed(epoch=4, keys=tuple(keys), features=tuple(feats),
+                           y_cond=np.arange(n, dtype=float),
+                           h_packed=np.ones(n * (n + 1) // 2))
+
+
+class TestInputColumns:
+    """The one layout of a pool's inputs: keys and features as columns."""
+
+    POOLS = {
+        "empty": [],
+        "uniform": [np.arange(3.0) + i for i in range(5)],
+        "uniform D=0": [np.zeros(0)] * 4,
+        "absent": [None] * 3,
+        "mixed": [np.ones(2), None, np.arange(3.0), np.zeros(0), np.ones(2)],
+    }
+
+    def test_round_trips_bitwise(self):
+        rng = np.random.default_rng(40)
+        for name, feats in self.POOLS.items():
+            # a -0.0 must survive bit for bit
+            feats = [None if f is None else f * rng.choice([-0.0, 1.0], len(f))
+                     for f in feats]
+            keys = [b"k%d" % i + b"\x00" * i for i in range(len(feats))]
+            for msg in (_disclosed(keys, feats),
+                        proto.TaskCoeffs(epoch=1, keys=tuple(keys), features=tuple(feats),
+                                         b=np.zeros(1), a_cond=np.zeros(len(keys)),
+                                         a=np.zeros(0), slots=())):
+                data = proto.encode(msg)
+                back = proto.decode(data)
+                assert back.keys == tuple(keys), name
+                assert len(back.features) == len(feats), name
+                for got, want in zip(back.features, feats):
+                    if want is None:
+                        assert got is None, name
+                    else:
+                        assert got.dtype == np.float64 and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), name
+                assert proto.encode(back) == data, name
+
+    def test_uniform_pool_decodes_to_one_block(self):
+        feats = self.POOLS["uniform"]
+        back = proto.decode(proto.encode(_disclosed([b"a%d" % i for i in range(5)], feats)))
+        col = back.features
+        assert col.values.flags.owndata and col.values.ctypes.data % 8 == 0
+        block = col.rows.prefix()
+        assert block.shape == (5, 3) and np.shares_memory(block, col.values)
+        assert block.tobytes() == np.stack(feats).tobytes()
+        rows = {}
+        for name in ("mixed", "absent", "empty"):
+            pool = self.POOLS[name]
+            rows[name] = proto.decode(proto.encode(_disclosed(
+                [b"a%d" % i for i in range(len(pool))], pool))).features.rows
+            assert rows[name].prefix() is None, name
+        # as in FeatureRows, the leading inputs with one length are rows
+        assert rows["mixed"].good == 1
+        assert rows["mixed"].prefix(1).tobytes() == np.ones(2).tobytes()
+        assert rows["absent"].good == 0 and rows["empty"].n == 0
+
+    def test_lengths_that_do_not_fit_rejected(self):
+        keys = [b"key-%d" % i for i in range(3)]
+        data = proto.encode(_disclosed(keys, self.POOLS["uniform"][:3]))
+        # version, tag, epoch; then n, the key lengths, the keys, the
+        # feature lengths and the value count
+        at_n = 2 + 8
+        at_klen = at_n + 4
+        at_flen = at_klen + 3 * 4 + sum(map(len, keys))
+        at_count = at_flen + 3 * 4
+        assert struct.unpack_from("<I", data, at_count) == (9,)
+
+        def patched(at, value):
+            out = bytearray(data)
+            struct.pack_into("<I", out, at, value)
+            return bytes(out)
+
+        bad = (
+            (patched(at_n, 0xFFFFFFFF), "truncated"),  # n key lengths past the end
+            (patched(at_klen, 0xFFFFFF00), "truncated"),  # a key past the end
+            (patched(at_flen, 0xFFFFFF00), "do not fit"),  # a feature vector
+            (patched(at_count, 8), "8 feature values do not fit"),
+            (patched(at_count, 10), "10 feature values do not fit"),
+        )
+        for payload, match in bad:
+            with pytest.raises(MalformedFrame, match=match):
+                proto.decode(payload)
+        # lengths and count that agree, but run past the payload
+        grown = bytearray(patched(at_flen, 3 + (1 << 20)))
+        struct.pack_into("<I", grown, at_count, 9 + (1 << 20))
+        with pytest.raises(MalformedFrame, match="truncated"):
+            proto.decode(bytes(grown))
+
+    def test_key_listed_twice_rejected(self):
+        feats = self.POOLS["uniform"][:2]
+        back = proto.decode(proto.encode(_disclosed([b"same", b"same"], feats)))
+        with pytest.raises(MalformedFrame, match="input key b'same' listed twice"):
+            proto.disclosed_from_message(back)
 
 
 class TestSchemaPrivacy:
@@ -942,6 +1042,19 @@ class TestDaemonConfigFile:
                             lambda self, *a, **k: None)
         assert cli.main(["serve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: %s: snapshot version 1\n" % snap
+
+    def test_cli_serve_refuses_version_2_snapshot(self, tmp_path, capsys, monkeypatch):
+        # version 2 wrote each input's key and features in turn
+        good = proto.save_snapshot(ServerEngine(make_config(0.5, 0.1, d=1)))
+        body = good[:4] + struct.pack("<I", 2) + good[8:-4]
+        snap = tmp_path / "engine.snap"
+        snap.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        path = tmp_path / "daemon.json"
+        path.write_text(json.dumps({"alpha": 0.5, "lam": 0.1, "snapshot": str(snap)}))
+        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
+                            lambda self, *a, **k: None)
+        assert cli.main(["serve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s: snapshot version 2\n" % snap
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)

@@ -340,14 +340,20 @@ def random_message(rng):
         keys += tuple(b"p%d-" % i + _rand_bytes(more, 4)
                       for i in range(int(more.integers(0, 3))))
         n = len(keys)
+        feats = tuple(
+            (None if more.random() < 0.3
+             else more.standard_normal(int(more.integers(0, 5))))
+            for _ in range(n)
+        )
+        # a third of these pools have D features on every input (the
+        # feature block), drawn from a second generator spawned from more
+        (block,) = more.spawn(1)
+        if block.random() < 1 / 3:
+            feats = tuple(block.standard_normal((n, int(block.integers(0, 5)))))
         return proto.TaskCoeffs(
             epoch=epoch,
             keys=keys,
-            features=tuple(
-                (None if more.random() < 0.3
-                 else more.standard_normal(int(more.integers(0, 5))))
-                for _ in range(n)
-            ),
+            features=feats,
             b=more.standard_normal(int(more.integers(0, 3))),
             a_cond=more.standard_normal(n),
             a=a,
