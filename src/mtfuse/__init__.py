@@ -15,6 +15,7 @@ from .errors import (
     ChecksumMismatch,
     DegenerateGram,
     EngineError,
+    InvalidInput,
     MalformedFrame,
     MissingFeatures,
     NonPositiveWeight,
@@ -32,10 +33,9 @@ from .kernels import (
     KernelSpec,
     LookupTable,
     MixedEffectConfig,
+    Pool,
     eval_kernel,
     eval_mixed,
-    eval_shared,
-    find,
 )
 from .linalg import (
     SymMatrix,
@@ -67,14 +67,13 @@ __all__ = [
     "errors",
     # configuration and inputs
     "InputPoint",
+    "Pool",
     "LookupTable",
     "KernelSpec",
     "BiasBasis",
     "MixedEffectConfig",
     "eval_kernel",
-    "eval_shared",
     "eval_mixed",
-    "find",
     # offline solvers
     "Dataset",
     "Triple",
@@ -117,6 +116,7 @@ __all__ = [
     "UnknownTask",
     "UnknownKey",
     "MissingFeatures",
+    "InvalidInput",
     "ProtocolError",
     "MalformedFrame",
     "UnsupportedVersion",

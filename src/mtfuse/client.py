@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .kernels import FeatureRows
+from .kernels import Pool
 from .offline import mixed_predictions
 from .server import ServerEngine
 
@@ -31,8 +31,7 @@ class ClientModel:
 
     task: int
     epoch: int
-    inputs: tuple
-    feats: FeatureRows
+    inputs: Pool
     b: np.ndarray
     a_cond: np.ndarray
     a_task: np.ndarray
@@ -79,13 +78,11 @@ class Client:
         return self._model(disclosed.epoch, local.task_coefficients(self.task))
 
     def _model(self, epoch, view):
-        """The model of this task from a TaskCoeffsView; its feature rows
-        share the view's block."""
+        """The model of this task from a TaskCoeffsView, sharing its pool."""
         return ClientModel(
             task=self.task,
             epoch=epoch,
             inputs=view.inputs,
-            feats=view.inputs.rows,
             b=view.b,
             a_cond=view.a_cond,
             a_task=view.a,
@@ -97,9 +94,7 @@ def client_predictions(model, cfg, xs):
     """Mixed-effect predictions of a client model over the points xs;
     zeros on an empty model."""
     own = (model.task, model.a_task, model.slots)
-    return mixed_predictions(
-        cfg, model.inputs, model.feats, model.a_cond, model.b, [own], xs
-    )[0]
+    return mixed_predictions(cfg, model.inputs, model.a_cond, model.b, [own], xs)[0]
 
 
 def predict_client(model, cfg, x):

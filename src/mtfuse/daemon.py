@@ -2,11 +2,10 @@
 
 One mutex serializes every engine access: submissions apply in arrival
 order, reads copy a snapshot under the lock (or, for the append-only
-factors and feature rows, take a view of their first n rows) and serve
-it outside.  A
-transport failure can only lose a response, never corrupt engine state,
-because the engine finishes (or rejects) an update before any reply
-bytes are written.
+input pool and factors, take a view of their first n entries, in O(1))
+and serve it outside.  A transport failure can only lose a response,
+never corrupt engine state, because the engine finishes (or rejects) an
+update before any reply bytes are written.
 """
 
 import hmac

@@ -42,6 +42,11 @@ class MissingFeatures(EngineError):
     """Feature-based kernel got an input without a feature vector."""
 
 
+class InvalidInput(EngineError):
+    """A new input's features are not finite, or not as long as the
+    pool's."""
+
+
 # --- wire / persistence --------------------------------------------------
 
 class ProtocolError(EngineError):

@@ -1,7 +1,10 @@
-"""Input identity, kernel evaluation and the mixed-effect combination.
+"""Input identity, the input pool, kernel evaluation and the
+mixed-effect combination.
 
 An input is identified by an opaque byte key; two inputs are the same
-point iff their keys are byte-equal.
+point iff their keys are byte-equal.  A pool of unique inputs is held in
+one place, a Pool: keys, a key -> position index and the features as
+one buffer.
 
 Every kernel value in the system comes from one function, kernel_row:
 the values of one input against a pool of inputs, computed as one
@@ -20,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import MissingFeatures, UnknownKey
+from .errors import InvalidInput, MissingFeatures, UnknownKey
 from .linalg import _grown
 
 _F64 = np.float64
@@ -50,15 +53,6 @@ class InputPoint:
                 raise ValueError("features must be a flat vector")
             features.flags.writeable = False
         self.features = features
-
-    @classmethod
-    def _prechecked(cls, key, features):
-        # key is bytes and features a read-only float64 vector or None,
-        # as InputColumns holds them: nothing to convert
-        out = cls.__new__(cls)
-        out.key = key
-        out.features = features
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, InputPoint):
@@ -152,210 +146,187 @@ class KernelSpec:
         return "KernelSpec(%r)" % (self.variant,)
 
 
-class FeatureRows:
-    """Feature vectors of a growing pool as one n x D float64 matrix.
+class Pool(Sequence):
+    """The unique inputs of a pool, held once: their keys in pool order,
+    a key -> position index, and their features as lengths (-1 for an
+    input without features) plus one float64 buffer of every present
+    vector in pool order, which is the n x D block while every input
+    has D features.
 
-    Row i holds the features of the pool's i-th input.  A pool given
-    at construction is allocated once; later appends double the buffer
-    like linalg's, so an append is amortized O(D) and a prefix is a
-    view.  Rows are kept while every input has features of one length;
-    past the first input that breaks this, prefix and take return None,
-    and kernel_row then stacks the inputs themselves and raises what a
-    pair would (MissingFeatures, or ValueError on a length mismatch).
+    A pool is append-only and refuses a key it holds; appends double
+    its buffers like linalg's.  view() shares the buffers, sliced to the
+    pool's size: entries below n never change, and an append to a full
+    buffer, as a view's first append is, copies them out first.  A pool
+    is also a Sequence of InputPoints, made on demand.
     """
 
-    __slots__ = ("_buf", "n", "good")
+    __slots__ = ("n", "_keys", "_index", "_lengths", "_values", "_used", "_good")
 
     def __init__(self, inputs=()):
-        self._buf = np.zeros((8, 0), dtype=_F64)
-        self.n = 0
-        self.good = 0  # leading rows that are stored
+        self.n = self._used = self._good = 0  # _good: leading block rows
+        self._keys, self._index = [], {}
+        self._lengths = np.zeros(0, dtype=np.int64)
+        self._values = np.zeros(0, dtype=_F64)
         for x in inputs:
-            self.append(x, reserve=len(inputs))
-
-    def append(self, x, reserve=8):
-        # reserve: rows to allocate when the first row fixes the length
-        f = x.features
-        if self.good == self.n and f is not None:
-            if self.n == 0:
-                self._buf = np.zeros((max(reserve, 8), len(f)), dtype=_F64)
-            if len(f) == self._buf.shape[1]:
-                self._buf = _grown(self._buf, self.n + 1)
-                self._buf[self.n] = f
-                self.good += 1
-        self.n += 1
+            self.append(x)
 
     @classmethod
-    def over(cls, rows, n):
-        """The rows of n inputs whose leading len(rows) rows are the
-        matrix rows, sharing it: its capacity is len(rows), so its first
-        append copies the rows out."""
+    def from_columns(cls, keys, lengths, values):
+        """The pool of the inputs with these keys, feature lengths and
+        feature values (laid out as above), sharing the arrays; a key
+        listed twice raises ValueError."""
         out = cls.__new__(cls)
-        out._buf = rows
-        out.n = n
-        out.good = len(rows)
+        out.n = n = len(keys)
+        out._keys, out._index = keys, dict(zip(keys, range(n)))
+        if len(out._index) < n:
+            dup = next(k for i, k in enumerate(keys) if out._index[k] != i)
+            raise ValueError("input key %r listed twice" % (dup,))
+        out._lengths, out._values, out._used = lengths, values, len(values)
+        values.flags.writeable = False
+        out._good = 0
+        if n and lengths[0] >= 0:
+            breaks = np.flatnonzero(lengths != lengths[0])
+            out._good = int(breaks[0]) if len(breaks) else n
         return out
+
+    def view(self):
+        """This pool as it is now, sharing its buffers (see above)."""
+        out = Pool.__new__(Pool)
+        out.n, out._used, out._good = self.n, self._used, self._good
+        out._keys, out._index = self._keys, self._index
+        out._lengths = self._lengths[: self.n]
+        out._values = self._values[: self._used]
+        return out
+
+    @property
+    def keys(self):
+        return tuple(self._keys[: self.n])
+
+    @property
+    def lengths(self):
+        return self._lengths[: self.n]
+
+    @property
+    def values(self):
+        return self._values[: self._used]
+
+    def slot(self, key):
+        """The position of the input with this key, or None."""
+        s = self._index.get(key)
+        return s if s is not None and s < self.n else None
+
+    def check(self, x, same_width):
+        """Raise InvalidInput unless x's features are finite and, with
+        same_width, as long as those of the pool's inputs."""
+        f = x.features
+        if f is None:
+            return
+        if not np.isfinite(f).all():
+            raise InvalidInput("features must be finite")
+        if same_width and self.n and len(f) != self._lengths[0]:
+            raise InvalidInput("%d features, the pool's inputs have %d"
+                               % (len(f), self._lengths[0]))
+
+    def append(self, x):
+        """Add input x last; a key the pool holds raises ValueError."""
+        n, key, f = self.n, x.key, x.features
+        if self.slot(key) is not None:
+            raise ValueError("input key %r listed twice" % (key,))
+        if n == len(self._lengths):
+            # a full buffer (a view's always is) moves to buffers of its own
+            lengths = np.zeros(max(2 * n, 8), dtype=np.int64)
+            lengths[:n] = self._lengths
+            self._lengths = lengths
+            self._keys = list(self._keys[:n])
+            self._index = dict(zip(self._keys, range(n)))
+        k = -1 if f is None else len(f)
+        if k > 0:
+            self._values = _grown(self._values, self._used + k)
+            self._values[self._used : self._used + k] = f
+            self._used += k
+        if self._good == n and k >= 0 and (n == 0 or k == self._lengths[0]):
+            self._good += 1
+        self._lengths[n] = k
+        self._keys.append(key)
+        self._index[key] = n
+        self.n = n + 1
 
     def prefix(self, m=None):
-        """Rows 0..m-1 (all rows by default) as a view, or None."""
+        """The features of the first m inputs (all by default) as matrix
+        rows, a view of the block; None unless all m are block rows."""
         m = self.n if m is None else m
-        return self._buf[:m] if 0 < m <= self.good else None
+        if not 0 < m <= self._good:
+            return None
+        d = int(self._lengths[0])
+        return self._values[: m * d].reshape(m, d)
 
     def take(self, idx):
-        """The rows at positions idx, gathered into a new matrix, or None."""
-        return self._buf[idx] if 0 < self.good == self.n else None
-
-
-class FeatureColumn(Sequence):
-    """The feature vectors of a pool's inputs, held in two arrays.
-
-    lengths holds each input's feature count (-1 for an input without
-    features), and values every present vector in pool order, one after
-    another: when every input has D features, values is the n x D block,
-    row after row.  values is read-only; rows are FeatureRows over it,
-    and an input's features are a view of it.
-    """
-
-    __slots__ = ("lengths", "values", "_ends", "_block")
-
-    def __init__(self, lengths, values):
-        self.lengths = lengths
-        self.values = values
-        values.flags.writeable = False
-        self._ends = np.cumsum(np.maximum(lengths, 0))
-        # the rows of the leading inputs whose features share one length d
-        n = len(lengths)
-        good = d = 0
-        if n and lengths[0] >= 0:
-            d = int(lengths[0])
-            breaks = np.flatnonzero(lengths != d)
-            good = int(breaks[0]) if len(breaks) else n
-        self._block = values[: good * d].reshape(good, d)
-
-    @classmethod
-    def of(cls, features):
-        """The column of an n x D block, which it shares, or of a sequence
-        of per-input vectors (None for an input without features)."""
-        if isinstance(features, cls):
-            return features
-        if isinstance(features, np.ndarray):
-            n, d = features.shape
-            return cls(np.full(n, d, dtype=np.int64), features.reshape(-1))
-        lengths = np.array([-1 if f is None else len(f) for f in features],
-                           dtype=np.int64)
-        present = [np.asarray(f, dtype=_F64) for f in features if f is not None]
-        return cls(lengths, np.concatenate(present + [np.zeros(0)]))
-
-    @property
-    def rows(self):
-        """FeatureRows of their own over values (see FeatureRows.over)."""
-        return FeatureRows.over(self._block, len(self))
+        """The features of the inputs at positions idx, gathered into a
+        new matrix; None unless the whole pool is the block."""
+        block = self.prefix()
+        return None if block is None else block[idx]
 
     def __len__(self):
-        return len(self.lengths)
-
-    def __getitem__(self, i):
-        k, end = int(self.lengths[i]), int(self._ends[i])
-        return None if k < 0 else self.values[end - k : end]
-
-    def __iter__(self):
-        values = self.values
-        for k, end in zip(self.lengths.tolist(), self._ends.tolist()):
-            yield None if k < 0 else values[end - k : end]
-
-
-class InputColumns(Sequence):
-    """The inputs of a pool, held as columns: keys, the keys in pool
-    order, and features, their FeatureColumn.  An input is made on
-    demand, once (a model's prediction reads its task's inputs at every
-    call); two pools are equal when their keys are, as for inputs.
-    """
-
-    __slots__ = ("keys", "features", "_made")
-
-    def __init__(self, keys, features):
-        self.keys = tuple(keys)
-        self.features = features
-        self._made = None  # the inputs made so far, by position
-
-    @classmethod
-    def of(cls, inputs, rows=None):
-        """The columns of a sequence of inputs; rows, when given, are
-        their FeatureRows, whose block the columns then share."""
-        if isinstance(inputs, cls):
-            return inputs
-        n = len(inputs)
-        block = rows.prefix(n) if rows is not None and rows.good == n else None
-        features = [x.features for x in inputs] if block is None else block
-        return cls([x.key for x in inputs], FeatureColumn.of(features))
-
-    @property
-    def rows(self):
-        return self.features.rows
-
-    def __len__(self):
-        return len(self.keys)
-
-    def take(self, idx):
-        """The inputs at positions idx, as a list."""
-        if isinstance(idx, np.ndarray):
-            idx = idx.tolist()
-        made = self._made
-        if made is None:
-            made = self._made = [None] * len(self.keys)
-        out = [made[i] for i in idx]
-        if not all(out):
-            for k, i in enumerate(idx):
-                if out[k] is None:
-                    x = InputPoint._prechecked(self.keys[i], self.features[i])
-                    out[k] = made[i] = x
-        return out
+        return self.n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self.take(range(*i.indices(len(self)))))
-        return self.take((i,))[0]
-
-    def __iter__(self):
-        made = self._made or [None] * len(self.keys)
-        self._made = [x or InputPoint._prechecked(k, f)
-                      for x, k, f in zip(made, self.keys, self.features)]
-        return iter(self._made)
+            return [self[j] for j in range(*i.indices(self.n))]
+        i = range(self.n)[i]
+        k = int(self._lengths[i])
+        if k < 0:
+            return InputPoint(self._keys[i])
+        start = i * k if i < self._good else int(np.maximum(self._lengths[:i], 0).sum())
+        return InputPoint(self._keys[i], self._values[start : start + k])
 
     def __eq__(self, other):
-        if not isinstance(other, InputColumns):
+        if not isinstance(other, Pool):
             return NotImplemented
-        return self.keys == other.keys
+        return (self.keys == other.keys
+                and np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.values, other.values))
 
     __hash__ = None
 
 
-def kernel_row(spec, x, pool, feats=None):
-    """Kernel values of input x against each input of pool, as a vector.
+def _missing(spec):
+    return MissingFeatures("kernel %r needs feature vectors on both inputs"
+                           % spec.variant)
 
-    feats, when given, holds the feature vectors of pool as the rows of
-    a float64 matrix (a FeatureRows prefix or gather); otherwise they
-    are stacked from pool.  Entry i is the same for any pool holding
-    pool[i], at any position.  Raises OverflowError when a value is not
-    finite, MissingFeatures when a feature kernel meets an input without
-    features.
-    """
+
+def _operand(spec, x, pool, idx=None):
+    # what a row of x against pool[idx] reads: the keys of those inputs
+    # for a lookup kernel, else their feature vectors as matrix rows (a
+    # Pool's block, or the inputs' vectors stacked, which raises what a
+    # pair would: MissingFeatures, or ValueError on a length mismatch)
+    if spec.variant == LOOKUP:
+        keys = pool._keys if isinstance(pool, Pool) else [p.key for p in pool]
+        return keys[: len(pool)] if idx is None else [keys[i] for i in idx]
+    if x.features is None:
+        raise _missing(spec)
+    if isinstance(pool, Pool):
+        rows = pool.prefix() if idx is None else pool.take(idx)
+        if rows is not None:
+            return rows
+    items = pool if idx is None else [pool[i] for i in idx]
+    if any(p.features is None for p in items):
+        raise _missing(spec)
+    rows = np.array([p.features for p in items], dtype=_F64)
+    return rows.reshape(len(items), len(x.features))
+
+
+def _row(spec, x, operand):
+    # the one kernel body: x against what _operand returned
     variant = spec.variant
     if variant == LOOKUP:
         tbl = spec.table
-        out = tbl.matrix[tbl.position(x.key), [tbl.position(p.key) for p in pool]]
+        out = tbl.matrix[tbl.position(x.key), [tbl.position(k) for k in operand]]
     else:
-        f = x.features
-        if f is None or feats is None and any(p.features is None for p in pool):
-            raise MissingFeatures(
-                "kernel %r needs feature vectors on both inputs" % variant
-            )
-        if feats is None:
-            feats = np.array([p.features for p in pool], dtype=_F64)
-            feats = feats.reshape(len(pool), len(f))
+        if x.features is None:
+            raise _missing(spec)
         # an overflow is reported below, as an exception, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.vecdot(feats, f)
+            out = np.vecdot(operand, x.features)
             if variant == RBF_TAGS:
                 np.exp(out, out=out)
     if not np.isfinite(out).all():
@@ -363,10 +334,22 @@ def kernel_row(spec, x, pool, feats=None):
     return out
 
 
+def kernel_row(spec, x, pool, idx=None):
+    """Kernel values of input x against the inputs of pool at positions
+    idx (all by default), as a vector.
+
+    pool is a Pool, whose block the row reads in place (or gathers, for
+    idx), or a sequence of inputs, whose feature vectors are stacked.
+    Entry i is the same for any pool holding pool[i], at any position.
+    Raises OverflowError when a value is not finite, MissingFeatures
+    when a feature kernel meets an input without features.
+    """
+    return _row(spec, x, _operand(spec, x, pool, idx))
+
+
 def eval_kernel(spec, x1, x2):
     """Kernel value for a pair of inputs: the one-row case of kernel_row."""
-    f2 = x2.features
-    return float(kernel_row(spec, x1, (x2,), None if f2 is None else f2[None])[0])
+    return float(kernel_row(spec, x1, (x2,))[0])
 
 
 class BiasBasis:
@@ -455,11 +438,6 @@ class MixedEffectConfig:
         return self.bias.dim
 
 
-def eval_shared(cfg, x1, x2):
-    """Shared-kernel value (unscaled by alpha)."""
-    return eval_kernel(cfg.shared, x1, x2)
-
-
 def eval_mixed(cfg, x1, t1, x2, t2):
     """Full mixed-effect kernel between (input, task) pairs.
 
@@ -472,16 +450,14 @@ def eval_mixed(cfg, x1, t1, x2, t2):
     return val
 
 
-def kernel_matrix(xs, ys, spec, feats=None):
-    """Kernel matrix, shape (len(xs), len(ys)), one kernel_row per column.
-
-    feats optionally holds the feature vectors of xs as matrix rows.
-    """
-    if feats is None:
-        feats = FeatureRows(xs).prefix()
-    out = np.empty((len(xs), len(ys)), dtype=_F64)
-    for j, y in enumerate(ys):
-        out[:, j] = kernel_row(spec, y, xs, feats)
+def kernel_matrix(xs, ys, spec, idx=None):
+    """Kernel matrix of the inputs xs[idx] (all by default) against ys,
+    one kernel_row per column; xs as for kernel_row."""
+    out = np.empty((len(xs) if idx is None else len(idx), len(ys)), dtype=_F64)
+    if len(ys):
+        operand = _operand(spec, ys[0], xs, idx)
+        for j, y in enumerate(ys):
+            out[:, j] = _row(spec, y, operand)
     return out
 
 
@@ -492,10 +468,3 @@ def basis_matrix(xs, basis):
         out[i] = basis.row(x)
     return out
 
-
-def find(x, xs):
-    """1-based position of the first key match of x in xs; len+1 if absent."""
-    for i, other in enumerate(xs):
-        if other.key == x.key:
-            return i + 1
-    return len(xs) + 1

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import NonPositiveWeight, SingularSystem, UnknownTask
 from .kernels import (
-    FeatureRows,
-    InputColumns,
     InputPoint,
+    Pool,
     basis_matrix,
     eval_kernel,
     kernel_matrix,
@@ -75,31 +74,29 @@ class Dataset:
 class IndexStructures:
     """Unique-input bookkeeping for a dataset.
 
-    unique_inputs is ordered by first appearance.  task_rows[j] indexes
-    the flat triple list, task_slots[j] maps each of task j's triples to
-    its unique input (repeats possible until the dataset is merged).
+    unique_inputs is a Pool, ordered by first appearance.  task_rows[j]
+    indexes the flat triple list, task_slots[j] maps each of task j's
+    triples to its unique input (repeats possible until the dataset is
+    merged).
     """
 
-    unique_inputs: list
-    key_slot: dict
+    unique_inputs: Pool
     task_rows: dict
     task_slots: dict
 
 
 def build_index_structures(ds):
-    unique, key_slot = [], {}
+    unique = Pool()
     rows, slots = {}, {}
     for i, tr in enumerate(ds.triples):
-        s = key_slot.get(tr.x.key)
+        s = unique.slot(tr.x.key)
         if s is None:
             s = len(unique)
-            key_slot[tr.x.key] = s
             unique.append(tr.x)
         rows.setdefault(tr.task, []).append(i)
         slots.setdefault(tr.task, []).append(s)
     return IndexStructures(
         unique_inputs=unique,
-        key_slot=key_slot,
         task_rows={j: np.asarray(v, dtype=np.intp) for j, v in rows.items()},
         task_slots={j: np.asarray(v, dtype=np.intp) for j, v in slots.items()},
     )
@@ -197,7 +194,7 @@ def _condense(ds, cfg, a_raw, b):
         a_task[j] = np.zeros(len(rows), dtype=_F64)
         pos[j] = {merged.triples[i].x.key: p for p, i in enumerate(rows)}
     for i, tr in enumerate(ds.triples):
-        a_cond[ms.key_slot[tr.x.key]] += a_raw[i]
+        a_cond[ms.unique_inputs.slot(tr.x.key)] += a_raw[i]
         a_task[tr.task][pos[tr.task][tr.x.key]] += a_raw[i]
     return ModelCoefficients(
         a_cond=a_cond,
@@ -266,17 +263,14 @@ def _task_blocks(merged, ms, cfg):
     return blocks
 
 
-def build_factors(inputs, cfg, feats=None):
-    """LDL^T + bias factors over a sequence of inputs, in order.
-
-    feats holds the FeatureRows of inputs when the caller has them.
-    """
-    if feats is None:
-        feats = FeatureRows(inputs)
+def build_factors(inputs, cfg):
+    """LDL^T + bias factors over a sequence of unique inputs, in order."""
     factors = FactorSet(cfg.bias_dim)
-    for i, x in enumerate(inputs):
-        k_head = kernel_row(cfg.shared, x, inputs[:i], feats.prefix(i))
+    done = Pool()
+    for x in inputs:
+        k_head = kernel_row(cfg.shared, x, done)
         factors.append(k_head, eval_kernel(cfg.shared, x, x), cfg.bias.row(x))
+        done.append(x)
     return factors
 
 
@@ -336,13 +330,12 @@ def solve_condensed(ds, cfg):
 # ===== prediction ========================================================
 
 
-def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
+def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
     """Mixed-effect predictions of several tasks over common inputs.
 
-    pool holds the unique inputs a_cond lives on, as InputColumns, and
-    feats their FeatureRows; tasks holds one (task, a_task, slots)
-    triple per output row, slots indexing pool.  Row r is
-    alpha * (shared rows . a_cond + bias rows . b)
+    pool is the Pool of unique inputs a_cond lives on; tasks holds one
+    (task, a_task, slots) triple per output row, slots indexing pool.
+    Row r is alpha * (shared rows . a_cond + bias rows . b)
     + (1 - alpha) * (individual rows . a_task), with the shared part
     evaluated once for all rows.
     """
@@ -350,7 +343,7 @@ def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
     shared = np.zeros(len(xs), dtype=_F64)
     if alpha > 0.0:
         if len(pool):
-            shared = a_cond @ kernel_matrix(pool, xs, cfg.shared, feats.prefix())
+            shared = a_cond @ kernel_matrix(pool, xs, cfg.shared)
         if cfg.bias_dim:
             shared = shared + basis_matrix(xs, cfg.bias) @ b
         shared = alpha * shared
@@ -358,10 +351,7 @@ def mixed_predictions(cfg, pool, feats, a_cond, b, tasks, xs):
     for r, (task, a_task, slots) in enumerate(tasks):
         out[r] = shared
         if alpha < 1.0 and len(slots):
-            task_inputs = pool.take(slots)
-            kt = kernel_matrix(
-                task_inputs, xs, cfg.individual_for(task), feats.take(slots)
-            )
+            kt = kernel_matrix(pool, xs, cfg.individual_for(task), slots)
             out[r] += (1.0 - alpha) * (a_task @ kt)
     return out
 
@@ -374,11 +364,10 @@ def predict(coeffs, cfg, structures, task, x):
 def predictions_grid(coeffs, cfg, structures, tasks, xs):
     """Predictions for many tasks over a common input list, shape
     (len(tasks), len(xs))."""
-    inputs = structures.unique_inputs
     rows = []
     for j in tasks:
         if j not in coeffs.a_task:
             raise UnknownTask("no coefficients for task %r" % (j,))
         rows.append((j, coeffs.a_task[j], coeffs.task_slots[j]))
-    pool = InputColumns.of(inputs)
-    return mixed_predictions(cfg, pool, pool.rows, coeffs.a_cond, coeffs.b, rows, xs)
+    return mixed_predictions(cfg, structures.unique_inputs, coeffs.a_cond, coeffs.b,
+                             rows, xs)

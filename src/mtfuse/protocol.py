@@ -17,10 +17,12 @@ A pool's inputs (in Disclosed and TaskCoeffs) travel as columns: the
 count n, n u32 key lengths and the keys' bytes, n u32 feature lengths
 (0xFFFFFFFF for an input without features), and one counted f64 array
 of every present feature vector in pool order, which is the n x D block
-when every input has D features.  They decode with a fixed number of
-numpy calls plus one slice per key, into a kernels.FeatureColumn, whose
-feature rows a client's model and local engine share.  This is wire
-version 3.
+when every input has D features.  In those messages the field features
+holds the kernels.Pool and keys its keys.  The pool's arrays are
+written as they are, and decode into a pool with a fixed number of
+numpy calls plus one slice per key and the pool's key index; a client's
+model and local engine share its block.  A pool that lists a key twice
+is malformed.  This is wire version 3.
 
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
@@ -40,7 +42,6 @@ trailing CRC-32 over everything before it.
 
 import struct
 import zlib
-from collections import Counter
 from dataclasses import fields, make_dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -53,10 +54,9 @@ from .kernels import (
     LOOKUP,
     RBF_TAGS,
     BiasBasis,
-    FeatureColumn,
-    InputColumns,
     KernelSpec,
     MixedEffectConfig,
+    Pool,
 )
 from .linalg import FactorSet, GrowVec, SymMatrix, UnitLowerFactor
 from .server import (
@@ -88,6 +88,7 @@ ERR_SINGULAR_SYSTEM = 8
 ERR_MISSING_FEATURES = 9
 ERR_UNKNOWN_KEY = 10
 ERR_INTERNAL = 11
+ERR_INVALID_INPUT = 12
 
 _ERR_CLASS = {
     ERR_MALFORMED: errors.MalformedFrame,
@@ -100,6 +101,7 @@ _ERR_CLASS = {
     ERR_SINGULAR_SYSTEM: errors.SingularSystem,
     ERR_MISSING_FEATURES: errors.MissingFeatures,
     ERR_UNKNOWN_KEY: errors.UnknownKey,
+    ERR_INVALID_INPUT: errors.InvalidInput,
 }
 _CLASS_ERR = {v: k for k, v in _ERR_CLASS.items()}
 
@@ -324,17 +326,16 @@ def _u32s(r, count):
     return np.frombuffer(r.take(4 * count), dtype="<u4")
 
 
-def _write_inputs(w, keys_features):
-    keys, features = keys_features
-    features = FeatureColumn.of(features)
-    if len(features) != len(keys):
-        raise ValueError("%d keys but %d feature vectors" % (len(keys), len(features)))
-    lengths = features.lengths
+def _write_inputs(w, keys_pool):
+    keys, pool = keys_pool
+    if len(pool) != len(keys):
+        raise ValueError("%d keys but %d inputs" % (len(keys), len(pool)))
+    lengths = pool.lengths
     _u32.write(w, len(keys))
     w.append(np.fromiter(map(len, keys), dtype="<u4", count=len(keys)))
     w.append(b"".join(keys))
     w.append(np.where(lengths < 0, _NO_FEATURES, lengths).astype("<u4"))
-    _f64s.write(w, features.values)
+    _f64s.write(w, pool.values)
 
 
 def _read_inputs(r):
@@ -348,13 +349,17 @@ def _read_inputs(r):
     if count != int(np.maximum(lengths, 0).sum()):
         raise errors.MalformedFrame("%d feature values do not fit the feature lengths"
                                     % count)
-    return keys, FeatureColumn(lengths, r.array(count))
+    values = r.array(count)
+    try:
+        return keys, Pool.from_columns(keys, lengths, values)
+    except ValueError as exc:  # a key listed twice
+        raise errors.MalformedFrame(str(exc)) from None
 
 
-# a pool's keys and features, as columns: a u32 count n, n u32 key lengths
+# a pool's keys and the pool, as columns: a u32 count n, n u32 key lengths
 # and the keys' bytes, n u32 feature lengths (_NO_FEATURES for an input
 # without features), and every present feature vector in pool order as one
-# counted f64 array; the features read as a kernels.FeatureColumn
+# counted f64 array, the pool's own
 _inputs = _Codec(_write_inputs, _read_inputs)
 
 
@@ -362,8 +367,6 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 
 
 def _values_equal(a, b):
-    # a FeatureColumn compares as the tuple of its inputs' features
-    a, b = (tuple(v) if isinstance(v, FeatureColumn) else v for v in (a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (
             isinstance(a, np.ndarray)
@@ -525,26 +528,16 @@ def read_message(stream, max_frame=MAX_FRAME):
 # ===== conversions to engine-level objects ===============================
 
 
-def _inputs_of(msg):
-    """msg's inputs, as InputColumns sharing its features; an input key
-    listed twice is malformed."""
-    if len(set(msg.keys)) < len(msg.keys):
-        dup = next(k for k, c in Counter(msg.keys).items() if c > 1)
-        raise errors.MalformedFrame("input key %r listed twice" % (dup,))
-    return InputColumns(msg.keys, FeatureColumn.of(msg.features))
-
-
 def disclosed_to_message(db):
     """The Disclosed message of db; it shares db's arrays."""
-    return Disclosed(db.epoch, db.inputs.keys, db.inputs.features, db.y_cond, db.H.packed)
+    return Disclosed(db.epoch, db.inputs.keys, db.inputs, db.y_cond, db.H.packed)
 
 
 def disclosed_from_message(msg, factors=None):
     """The DisclosedDB of msg, with the factors of a Factors message for
-    its inputs when one is given; an input key listed twice is malformed.
-    It shares msg's arrays: its H is a view of msg's payload, which an
-    engine seeded from it copies."""
-    inputs = _inputs_of(msg)
+    its inputs when one is given.  It shares msg's arrays: its H is a
+    view of msg's payload, which an engine seeded from it copies."""
+    inputs = msg.features
     n = len(inputs)
     msg.y_cond.flags.writeable = False
     return DisclosedDB(
@@ -580,18 +573,16 @@ def factors_from_message(msg, n):
 
 def task_coeffs_to_message(view):
     """The TaskCoeffs message of a TaskCoeffsView; it shares view's arrays."""
-    return TaskCoeffs(view.epoch, view.inputs.keys, view.inputs.features,
+    return TaskCoeffs(view.epoch, view.inputs.keys, view.inputs,
                       view.b, view.a_cond, view.a, view.slots)
 
 
 def task_coeffs_from_message(msg):
-    """The TaskCoeffsView of msg; an input key listed twice, or a slot
-    past the inputs, is malformed."""
-    inputs = _inputs_of(msg)
+    """The TaskCoeffsView of msg; a slot past the inputs is malformed."""
     top = max(msg.slots, default=-1)
-    if top >= len(inputs):
+    if top >= len(msg.features):
         raise errors.MalformedFrame("task slot %d out of range" % top)
-    return TaskCoeffsView(msg.epoch, inputs, msg.b, msg.a_cond, msg.a, msg.slots)
+    return TaskCoeffsView(msg.epoch, msg.features, msg.b, msg.a_cond, msg.a, msg.slots)
 
 
 def config_to_message(cfg):
@@ -635,8 +626,7 @@ def save_snapshot(engine):
     w = [MAGIC]
     _u32.write(w, SNAPSHOT_VERSION)
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
-    inputs = InputColumns.of(engine.inputs, engine.feats)
-    db = DisclosedDB(inputs, engine.y_cond.values, engine.H, engine.epoch)
+    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch)
     _write_body(w, _DISCLOSED, disclosed_to_message(db))
     _write_body(w, _FACTORS, factors_to_message(engine.factors))
 

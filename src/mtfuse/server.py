@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedFrame, NonPositiveWeight, SingularSystem, UnknownTask
-from .kernels import FeatureRows, InputColumns, InputPoint, eval_kernel, kernel_row
+from .kernels import LOOKUP, InputPoint, Pool, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
     GrowVec,
@@ -43,10 +43,10 @@ class UpdateReceipt(NamedTuple):
 
 class TaskCoeffsView(NamedTuple):
     """One task's model at one epoch (see ServerEngine.task_coefficients);
-    inputs are the pool's InputColumns, whose rows a model reads."""
+    inputs is a view of the pool, whose block a model reads."""
 
     epoch: int
-    inputs: InputColumns
+    inputs: Pool
     b: np.ndarray
     a_cond: np.ndarray
     a: np.ndarray
@@ -57,18 +57,18 @@ class TaskCoeffsView(NamedTuple):
 class DisclosedDB:
     """Immutable snapshot of everything the server discloses.
 
-    Contains only the unique inputs (as InputColumns), the condensed
-    response vector, the condensed inverse and the LDL^T factors of the
-    inputs (L, D and the bias map M, which are functions of the inputs
-    and the config alone); per-task responses, weights and inverses are
-    structurally absent.  The feature rows and the factors share the
-    server's buffers: rows below n never change, and an engine seeded
+    Contains only the unique inputs (a Pool), the condensed response
+    vector, the condensed inverse and the LDL^T factors of the inputs
+    (L, D and the bias map M, which are functions of the inputs and the
+    config alone); per-task responses, weights and inverses are
+    structurally absent.  The pool and the factors are views of the
+    server's buffers: entries below n never change, and an engine seeded
     from them copies before it appends.  factors is None when the
     summary was read without them.  H may be a read-only view (of a
     wire payload, say): an engine seeded from it copies it.
     """
 
-    inputs: InputColumns
+    inputs: Pool
     y_cond: np.ndarray
     H: SymMatrix
     epoch: int
@@ -127,9 +127,7 @@ class ServerEngine:
     def __init__(self, cfg):
         self.cfg = cfg
         self.factors = FactorSet(cfg.bias_dim)
-        self.inputs = []
-        self.feats = FeatureRows()
-        self.key_slot = {}
+        self.inputs = Pool()
         self.y_cond = GrowVec()
         self.H = SymMatrix()
         self.tasks = {}
@@ -143,11 +141,11 @@ class ServerEngine:
     def from_disclosed(cls, db, cfg):
         """Local engine seeded from a disclosed snapshot (no task data).
 
-        It takes over db's feature rows and factors, appending in place
-        only where db owns their buffer (see FeatureRows.over and
-        UnitLowerFactor.take), and copies H, the one array it patches in
-        place; a bias map that does not have cfg's bias dimension is
-        malformed.
+        It takes a view of db's pool, which copies out on its first
+        append, and takes over db's factors, appending in place only
+        where db owns their buffer (see UnitLowerFactor.take); it copies
+        H, the one array it patches in place.  A bias map that does not
+        have cfg's bias dimension is malformed.
         """
         n = len(db.inputs)
         f = db.factors
@@ -157,10 +155,8 @@ class ServerEngine:
                 % (n, cfg.bias_dim)
             )
         eng = cls(cfg)
-        eng.feats = db.inputs.rows
+        eng.inputs = db.inputs.view()
         eng.factors = FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
-        eng.inputs = list(db.inputs)
-        eng.key_slot = dict(zip(db.inputs.keys, range(n)))
         eng.y_cond = GrowVec(db.y_cond)
         eng.H = db.H.copy()
         eng.epoch = db.epoch
@@ -181,21 +177,20 @@ class ServerEngine:
             raise ValueError("response must be finite")
         task = int(task)
 
-        s = self.key_slot.get(x.key)
+        s = self.inputs.slot(x.key)
         if s is None:
-            if x.features is not None and not np.all(np.isfinite(x.features)):
-                raise ValueError("features must be finite")
+            # the shared kernel compares a new input with every pooled one
+            self.inputs.check(x, self.cfg.shared.variant != LOOKUP)
             grow = self._plan_new_input(x)
             ext = self._plan_task_extension(task, x, self.n, y, w, grow)
             self._commit_new_input(x, grow)
             self._commit_task_extension(task, self.n - 1, y, w, ext)
             case = CASE_NEW_INPUT
         else:
-            xc = self.inputs[s]
             st = self.tasks.get(task)
             p = st.pos.get(s) if st is not None else None
             if p is None:
-                ext = self._plan_task_extension(task, xc, s, y, w, None)
+                ext = self._plan_task_extension(task, self.inputs[s], s, y, w, None)
                 self._commit_task_extension(task, s, y, w, ext)
                 case = CASE_REPEAT_GLOBAL
             else:
@@ -209,7 +204,7 @@ class ServerEngine:
 
     def _plan_new_input(self, x):
         cfg = self.cfg
-        k_head = kernel_row(cfg.shared, x, self.inputs, self.feats.prefix())
+        k_head = kernel_row(cfg.shared, x, self.inputs)
         k_self = eval_kernel(cfg.shared, x, x)
         r, beta = ldl_append(self.factors.L, self.factors.D, k_head, k_self)
         mrow = self.factors.bias_row(r, beta, cfg.bias.row(x))
@@ -223,10 +218,13 @@ class ServerEngine:
         scale = 1.0 - cfg.alpha
 
         # one row over the task's inputs and xc itself; a new input is not
-        # in the pool's matrix yet, so its task's rows are stacked instead
-        task_inputs = [self.inputs[sl] for sl in old_slots] + [xc]
-        feats = self.feats.take(old_slots + [slot]) if grow is None else None
-        ktilde = scale * kernel_row(spec, xc, task_inputs, feats)
+        # in the pool yet, so its own value is evaluated as a pair
+        if grow is None:
+            k = kernel_row(spec, xc, self.inputs, old_slots + [slot])
+        else:
+            k = np.append(kernel_row(spec, xc, self.inputs, old_slots),
+                          eval_kernel(spec, xc, xc))
+        ktilde = scale * k
         r_mat = st.R if st is not None else SymMatrix()
         u, gamma = schur_enlarge_plan(r_mat, ktilde, cfg.lam * w)
         y_ext = np.append(st.y.values, y) if st is not None else np.array([y])
@@ -287,8 +285,6 @@ class ServerEngine:
         r, beta, mrow = grow
         self.factors.append_precomputed(r, beta, mrow)
         self.inputs.append(x)
-        self.feats.append(x)
-        self.key_slot[x.key] = self.n - 1
         self.y_cond.append(0.0)
         border = np.zeros(self.n, dtype=_F64)
         border[-1] = beta
@@ -326,7 +322,7 @@ class ServerEngine:
         y = self.y_cond.values.copy()
         y.flags.writeable = False
         return DisclosedDB(
-            inputs=InputColumns.of(self.inputs, self.feats),
+            inputs=self.inputs.view(),
             y_cond=y,
             H=self.H.copy(),
             epoch=self.epoch,
@@ -362,5 +358,4 @@ class ServerEngine:
         a, slots = np.zeros(0, dtype=_F64), ()
         if task in self.tasks:
             a, slots = self.get_task_coefficients(task, q), tuple(self.tasks[task].slots)
-        inputs = InputColumns.of(self.inputs, self.feats)
-        return TaskCoeffsView(self.epoch, inputs, b, a_cond, a, slots)
+        return TaskCoeffsView(self.epoch, self.inputs.view(), b, a_cond, a, slots)

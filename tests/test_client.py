@@ -12,7 +12,7 @@ from mtfuse.client import (
     predict_client,
     preference_score,
 )
-from mtfuse.kernels import eval_kernel, eval_shared
+from mtfuse.kernels import eval_kernel
 from mtfuse.offline import (
     Dataset,
     build_factors,
@@ -73,7 +73,7 @@ class TestReconstructFactors:
         cfg = make_config(0.5, 0.1, d=1)
         (x,) = make_inputs(rng, 1, unit=True)
         fac = build_factors([x], cfg)
-        k_self = eval_shared(cfg, x, x)
+        k_self = eval_kernel(cfg.shared, x, x)
         assert fac.L.dense() == np.array([[1.0]])
         assert tuple(fac.D.values) == (k_self,)
         assert np.allclose(fac.M, [[1.0 / k_self]])
@@ -126,7 +126,7 @@ class TestBiasAndAcheck:
             st = build_index_structures(merge_repeats(ds))
             want = np.zeros(len(st.unique_inputs))
             for i, tr in enumerate(ds.triples):
-                want[st.key_slot[tr.x.key]] += full.a_raw[i]
+                want[st.unique_inputs.slot(tr.x.key)] += full.a_raw[i]
             eng = stream_into_engine(ServerEngine(cfg), ds.triples)
             _, a_cond, _ = shared_coefficients(
                 np.asarray(eng.y_cond.values), eng.H, eng.factors, cfg.alpha
@@ -172,7 +172,7 @@ class TestActiveRefresh:
         spec = cfg.individual_for(0)
         for x in probe_points(rng, eng.inputs):
             shared = sum(
-                a * eval_shared(cfg, xi, x)
+                a * eval_kernel(cfg.shared, xi, x)
                 for a, xi in zip(model.a_cond, model.inputs)
             )
             shared += float(np.dot(model.b, cfg.bias.row(x)))
@@ -404,9 +404,9 @@ class _View:
 
 class TestSharedFeatureRows:
     def test_decoded_rows_shared_never_written(self):
-        # a reply's feature block is decoded once: the view's rows and the
-        # model's FeatureRows share it, and an append to the model's rows or
-        # to a local engine seeded from a decoded summary copies it first
+        # a reply's feature block is decoded once, into the view's pool,
+        # which the model shares; an append to that pool, to a view of it,
+        # or to a local engine seeded from a decoded summary copies it first
         rng = np.random.default_rng(34)
         for d in (0, 1):
             ds, cfg, pool = random_instance(rng, alpha=0.5, d=d, n_max=12)
@@ -419,13 +419,18 @@ class TestSharedFeatureRows:
             block = msg.features.values
             view = proto.task_coeffs_from_message(msg)
             model = Client(task, cfg).active_refresh(_View(view))
-            assert np.shares_memory(view.inputs.rows.prefix(), block)
-            assert np.shares_memory(model.feats.prefix(), block)
+            assert model.inputs is view.inputs
+            assert np.shares_memory(model.inputs.prefix(), block)
             before = block.tobytes()
-            model.feats.append(new[0])
+            grown = model.inputs.view()
+            grown.append(new[0])
             assert block.tobytes() == before
-            assert not np.shares_memory(model.feats.prefix(), block)
-            assert np.shares_memory(view.inputs.rows.prefix(), block)
+            assert not np.shares_memory(grown.prefix(), block)
+            assert np.shares_memory(model.inputs.prefix(), block)
+            assert len(model.inputs) == len(grown) - 1
+            model.inputs.append(new[1])
+            assert block.tobytes() == before
+            assert not np.shares_memory(model.inputs.prefix(), block)
 
             reply = proto.decode(proto.encode(proto.disclosed_to_message(eng.get_disclosed())))
             factors = proto.decode(proto.encode(proto.factors_to_message(eng.factors)))
@@ -434,24 +439,26 @@ class TestSharedFeatureRows:
             before = block.tobytes()
             local = ServerEngine.from_disclosed(db, cfg)
             other = ServerEngine.from_disclosed(db, cfg)
-            assert np.shares_memory(local.feats.prefix(), block)
+            assert np.shares_memory(local.inputs.prefix(), block)
             local.receive_example(task, new[1], 0.5, 1.0)
             assert block.tobytes() == before
-            assert not np.shares_memory(local.feats.prefix(), block)
-            assert other.feats.n == len(db.inputs) and other.H == db.H
+            assert not np.shares_memory(local.inputs.prefix(), block)
+            assert len(other.inputs) == len(db.inputs) == len(local.inputs) - 1
+            assert other.inputs.slot(new[1].key) is None and other.H == db.H
+            assert np.shares_memory(other.inputs.prefix(), block)
 
             # a passive model shares the block until a private input is
             # appended; it holds no array of the payload (H is a view of it)
             cli = Client(999, cfg)
             kept = cli.passive_refresh(db, PrivateData([]))
-            assert np.shares_memory(kept.feats.prefix(), block)
+            assert np.shares_memory(kept.inputs.prefix(), block)
             grown = cli.passive_refresh(db, PrivateData([(new[0], 1.0, 1.0)]))
-            assert not np.shares_memory(grown.feats.prefix(), block)
+            assert not np.shares_memory(grown.inputs.prefix(), block)
             assert block.tobytes() == before
             assert not isinstance(_root(db.H.packed), np.ndarray)
             for m in (kept, grown):
-                arrays = (m.b, m.a_cond, m.a_task, m.inputs.features.values,
-                          m.feats.prefix())
+                arrays = (m.b, m.a_cond, m.a_task, m.inputs.values, m.inputs.lengths,
+                          m.inputs.prefix())
                 assert all(isinstance(_root(a), np.ndarray) for a in arrays)
 
 

@@ -1,4 +1,4 @@
-"""Input identity, kernel evaluation, bias bases, and find."""
+"""Input identity, the input pool, kernel evaluation and bias bases."""
 
 import math
 
@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mtfuse.errors import MissingFeatures, UnknownKey
+from mtfuse.errors import InvalidInput, MissingFeatures, UnknownKey
 from mtfuse.kernels import (
     BiasBasis,
-    FeatureRows,
     InputPoint,
     KernelSpec,
     LookupTable,
     MixedEffectConfig,
+    Pool,
     basis_matrix,
     eval_kernel,
     eval_mixed,
-    eval_shared,
-    find,
     kernel_matrix,
     kernel_row,
 )
@@ -103,8 +101,8 @@ class TestEvalMixed:
         xs = make_inputs(rng, 4)
         for t1 in range(3):
             for t2 in range(3):
-                assert eval_mixed(cfg, xs[0], t1, xs[1], t2) == eval_shared(
-                    cfg, xs[0], xs[1]
+                assert eval_mixed(cfg, xs[0], t1, xs[1], t2) == eval_kernel(
+                    cfg.shared, xs[0], xs[1]
                 )
 
     def test_alpha_zero_cross_task_is_zero(self):
@@ -204,18 +202,20 @@ class TestKernelRow:
         rng = np.random.default_rng(20)
         for dim in (4, 19, 64):
             pool = make_inputs(rng, 70, dim=dim, unit=True)
-            rows = FeatureRows(pool)
+            rows = Pool(pool)
             slots = [int(s) for s in rng.integers(0, len(pool), size=12)]
             for x in make_inputs(rng, 3, dim=dim, prefix=b"q", unit=True) + pool[:2]:
                 for spec in self.SPECS:
-                    full = kernel_row(spec, x, pool, rows.prefix())
+                    full = kernel_row(spec, x, rows)
                     pairs = np.array([eval_kernel(spec, x, p) for p in pool])
                     assert full.tobytes() == pairs.tobytes()
-                    for m in range(1, len(pool) + 1):
-                        part = kernel_row(spec, x, pool[:m], rows.prefix(m))
+                    # the block of a growing pool, read in place at each size
+                    grown = Pool()
+                    for m, p in enumerate(pool, 1):
+                        grown.append(p)
+                        part = kernel_row(spec, x, grown)
                         assert part.tobytes() == full[:m].tobytes()
-                    task = kernel_row(spec, x, [pool[s] for s in slots],
-                                      rows.take(slots))
+                    task = kernel_row(spec, x, rows, slots)
                     assert task.tobytes() == full[slots].tobytes()
                     stacked = kernel_row(spec, x, pool)
                     assert stacked.tobytes() == full.tobytes()
@@ -223,29 +223,35 @@ class TestKernelRow:
     def test_feature_rows_grow_and_match_inputs(self):
         rng = np.random.default_rng(21)
         pool = make_inputs(rng, 37, dim=5)
-        rows = FeatureRows()
+        rows = Pool()
         for i, x in enumerate(pool):
             rows.append(x)
             assert np.array_equal(rows.prefix(), [p.features for p in pool[: i + 1]])
+            assert rows.slot(x.key) == i and rows[i] == x
+            assert rows[i].features.tobytes() == x.features.tobytes()
         assert np.array_equal(rows.take([3, 0, 3]),
                               [pool[3].features, pool[0].features, pool[3].features])
+        assert [p.key for p in rows] == [p.key for p in pool]
+        assert rows.slot(b"absent") is None
 
     def test_rows_stop_at_an_input_without_usable_features(self):
         rng = np.random.default_rng(22)
         pool = make_inputs(rng, 3)
-        rows = FeatureRows(pool + [InputPoint(b"bare")] + make_inputs(rng, 2, prefix=b"z"))
-        assert rows.n == 6 and rows.good == 3
+        tail = make_inputs(rng, 2, prefix=b"z")
+        rows = Pool(pool + [InputPoint(b"bare")] + tail)
+        assert len(rows) == 6
         assert rows.prefix(3) is not None
         assert rows.prefix(4) is None and rows.take([0]) is None
-        short = FeatureRows(pool + make_inputs(rng, 1, dim=3, prefix=b"s"))
-        assert short.good == 3 and short.prefix() is None
+        # every input is still there, features past the bare one included
+        assert rows[3].features is None
+        assert rows[5].features.tobytes() == tail[1].features.tobytes()
+        short = Pool(pool + make_inputs(rng, 1, dim=3, prefix=b"s"))
+        assert short.prefix(3) is not None and short.prefix() is None
         x = make_inputs(rng, 1, prefix=b"q")[0]
         with pytest.raises(MissingFeatures):
-            kernel_row(KernelSpec.rbf_tags(), x, pool + [InputPoint(b"bare")],
-                       rows.prefix(4))
+            kernel_row(KernelSpec.rbf_tags(), x, Pool(pool + [InputPoint(b"bare")]))
         with pytest.raises(ValueError):
-            kernel_row(KernelSpec.linear_tags(), x,
-                       pool + make_inputs(rng, 1, dim=3, prefix=b"s"), short.prefix())
+            kernel_row(KernelSpec.linear_tags(), x, short)
 
     def test_lookup_row_gathers_the_table(self):
         tbl = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 1.0]])
@@ -274,6 +280,60 @@ class TestKernelRow:
         assert math.isfinite(eval_kernel(KernelSpec.rbf_tags(), edge, one))
 
 
+class TestPool:
+    def test_key_listed_twice_refused(self):
+        rng = np.random.default_rng(23)
+        xs = make_inputs(rng, 3)
+        pool = Pool(xs)
+        with pytest.raises(ValueError, match="input key b'x-0001' listed twice"):
+            pool.append(InputPoint(b"x-0001", np.ones(4)))
+        assert len(pool) == 3 and pool.keys == tuple(x.key for x in xs)
+        with pytest.raises(ValueError, match="listed twice"):
+            Pool(xs + xs[1:2])
+        with pytest.raises(ValueError, match="input key b'b' listed twice"):
+            Pool.from_columns((b"a", b"b", b"b"), np.full(3, -1), np.zeros(0))
+
+    def test_view_copies_before_its_first_append(self):
+        rng = np.random.default_rng(24)
+        xs = make_inputs(rng, 6, unit=True)
+        pool = Pool(xs[:3])
+        view = pool.view()
+        block = pool.prefix()
+        assert np.shares_memory(view.prefix(), block)
+        # the pool grows in place; the view still holds three inputs
+        pool.append(xs[3])
+        assert len(view) == 3 and view.slot(xs[3].key) is None
+        assert np.shares_memory(pool.prefix(), block)
+        # the view's append copies out: the pool's entries do not move
+        before = pool.prefix().tobytes()
+        view.append(xs[4])
+        assert not np.shares_memory(view.prefix(), block)
+        assert pool.prefix().tobytes() == before and len(pool) == 4
+        assert pool.slot(xs[4].key) is None and view.slot(xs[4].key) == 3
+        assert view.slot(xs[3].key) is None
+        assert [x.key for x in view] == [x.key for x in xs[:3] + xs[4:5]]
+        # so does the pool's, once its buffer is full
+        for x in make_inputs(rng, 4, unit=True, prefix=b"y"):
+            pool.append(x)
+        assert len(pool) == 8 and len(view) == 4
+        assert not np.shares_memory(pool.prefix(), block)
+
+    def test_check_refuses_features_that_do_not_fit(self):
+        pool = Pool([InputPoint(b"a", np.ones(4))])
+        for bad in ([np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, 0, -np.inf]):
+            with pytest.raises(InvalidInput, match="finite"):
+                pool.check(InputPoint(b"b", bad), True)
+            with pytest.raises(InvalidInput, match="finite"):
+                pool.check(InputPoint(b"b", bad), False)
+        for width in (0, 3, 5):
+            with pytest.raises(InvalidInput, match="%d features" % width):
+                pool.check(InputPoint(b"b", np.ones(width)), True)
+            pool.check(InputPoint(b"b", np.ones(width)), False)
+        pool.check(InputPoint(b"b", np.ones(4)), True)
+        pool.check(InputPoint(b"b"), True)
+        Pool().check(InputPoint(b"b", np.ones(7)), True)
+
+
 class TestBias:
     def test_constant_column(self):
         xs = make_inputs(np.random.default_rng(7), 3)
@@ -290,24 +350,6 @@ class TestBias:
         m = basis_matrix(xs, basis)
         want = np.array([[x.features[0]] for x in xs])
         assert_allclose(m, want, rtol=0, atol=0)
-
-
-class TestFind:
-    def test_empty_sequence(self):
-        x = InputPoint(b"a")
-        assert find(x, []) == 1
-
-    def test_single_match(self):
-        x = InputPoint(b"a")
-        assert find(x, [x]) == 1
-
-    def test_minimum_matching_index(self):
-        x, y = InputPoint(b"a"), InputPoint(b"b")
-        assert find(x, [y, x, x]) == 2
-
-    def test_absent_returns_sentinel(self):
-        x, y = InputPoint(b"a"), InputPoint(b"b")
-        assert find(x, [y, y]) == 3
 
 
 class TestConfigValidation:

@@ -271,7 +271,7 @@ class TestCondensed:
             merged = merge_repeats(ds)
             acc = np.zeros(len(ms.unique_inputs))
             for tr, a in zip(merged.triples, full.a_raw):
-                acc[ms.key_slot[tr.x.key]] += a
+                acc[ms.unique_inputs.slot(tr.x.key)] += a
             assert rel_err(cond.a_cond, acc) < 1e-8
 
 

@@ -28,13 +28,14 @@ from mtfuse.daemon import (
 )
 from mtfuse.errors import (
     ChecksumMismatch,
+    InvalidInput,
     MalformedFrame,
     NonPositiveWeight,
     ProtocolError,
     Unauthorized,
     UnsupportedVersion,
 )
-from mtfuse.kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig
+from mtfuse.kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, Pool
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -47,6 +48,7 @@ from mtfuse.server import CASE_NEW_INPUT, CASE_REPEAT_TASK, ServerEngine
 from util import (
     make_config,
     make_inputs,
+    pool_of,
     probe_points,
     random_instance,
     random_message,
@@ -75,7 +77,7 @@ class TestMessageRoundTrip:
         msg = proto.Disclosed(
             epoch=0,
             keys=(),
-            features=(),
+            features=Pool(),
             y_cond=np.zeros(0),
             h_packed=np.zeros(0),
         )
@@ -278,13 +280,14 @@ class TestMalformedInput:
 
 def _disclosed(keys, feats):
     n = len(keys)
-    return proto.Disclosed(epoch=4, keys=tuple(keys), features=tuple(feats),
+    return proto.Disclosed(epoch=4, keys=tuple(keys), features=pool_of(keys, feats),
                            y_cond=np.arange(n, dtype=float),
                            h_packed=np.ones(n * (n + 1) // 2))
 
 
 class TestInputColumns:
-    """The one layout of a pool's inputs: keys and features as columns."""
+    """The one layout of a pool's inputs on the wire: a kernels.Pool's
+    keys and features as columns."""
 
     POOLS = {
         "empty": [],
@@ -302,39 +305,44 @@ class TestInputColumns:
                      for f in feats]
             keys = [b"k%d" % i + b"\x00" * i for i in range(len(feats))]
             for msg in (_disclosed(keys, feats),
-                        proto.TaskCoeffs(epoch=1, keys=tuple(keys), features=tuple(feats),
+                        proto.TaskCoeffs(epoch=1, keys=tuple(keys),
+                                         features=pool_of(keys, feats),
                                          b=np.zeros(1), a_cond=np.zeros(len(keys)),
                                          a=np.zeros(0), slots=())):
                 data = proto.encode(msg)
                 back = proto.decode(data)
                 assert back.keys == tuple(keys), name
-                assert len(back.features) == len(feats), name
+                assert isinstance(back.features, Pool), name
+                assert [x.key for x in back.features] == keys, name
                 for got, want in zip(back.features, feats):
                     if want is None:
-                        assert got is None, name
+                        assert got.features is None, name
                     else:
-                        assert got.dtype == np.float64 and got.shape == want.shape
-                        assert got.tobytes() == want.tobytes(), name
+                        f = got.features
+                        assert f.dtype == np.float64 and f.shape == want.shape
+                        assert f.tobytes() == want.tobytes(), name
                 assert proto.encode(back) == data, name
+                assert back == msg, name
 
     def test_uniform_pool_decodes_to_one_block(self):
         feats = self.POOLS["uniform"]
         back = proto.decode(proto.encode(_disclosed([b"a%d" % i for i in range(5)], feats)))
-        col = back.features
-        assert col.values.flags.owndata and col.values.ctypes.data % 8 == 0
-        block = col.rows.prefix()
-        assert block.shape == (5, 3) and np.shares_memory(block, col.values)
+        values = back.features.values
+        owner = values if values.base is None else values.base
+        assert owner.flags.owndata and values.ctypes.data % 8 == 0
+        block = back.features.prefix()
+        assert block.shape == (5, 3) and np.shares_memory(block, values)
         assert block.tobytes() == np.stack(feats).tobytes()
-        rows = {}
+        pools = {}
         for name in ("mixed", "absent", "empty"):
             pool = self.POOLS[name]
-            rows[name] = proto.decode(proto.encode(_disclosed(
-                [b"a%d" % i for i in range(len(pool))], pool))).features.rows
-            assert rows[name].prefix() is None, name
-        # as in FeatureRows, the leading inputs with one length are rows
-        assert rows["mixed"].good == 1
-        assert rows["mixed"].prefix(1).tobytes() == np.ones(2).tobytes()
-        assert rows["absent"].good == 0 and rows["empty"].n == 0
+            pools[name] = proto.decode(proto.encode(_disclosed(
+                [b"a%d" % i for i in range(len(pool))], pool))).features
+            assert pools[name].prefix() is None, name
+        # as in a pool that grew, the leading inputs with one length are rows
+        assert pools["mixed"].prefix(1).tobytes() == np.ones(2).tobytes()
+        assert pools["mixed"].prefix(2) is None
+        assert pools["absent"].prefix(1) is None and len(pools["empty"]) == 0
 
     def test_lengths_that_do_not_fit_rejected(self):
         keys = [b"key-%d" % i for i in range(3)]
@@ -370,9 +378,9 @@ class TestInputColumns:
 
     def test_key_listed_twice_rejected(self):
         feats = self.POOLS["uniform"][:2]
-        back = proto.decode(proto.encode(_disclosed([b"same", b"same"], feats)))
+        msg = replace(_disclosed([b"same", b"other"], feats), keys=(b"same", b"same"))
         with pytest.raises(MalformedFrame, match="input key b'same' listed twice"):
-            proto.disclosed_from_message(back)
+            proto.decode(proto.encode(msg))
 
 
 class TestSchemaPrivacy:
@@ -452,9 +460,8 @@ class TestDisclosedConversion:
             eng.receive_example(t, x, 1.0, 1.0)
         msg = proto.disclosed_to_message(eng.get_disclosed())
         msg = replace(msg, keys=(xs[0].key, xs[0].key))
-        back = proto.decode(proto.encode(msg))
         with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
-            proto.disclosed_from_message(back)
+            proto.disclosed_from_message(proto.decode(proto.encode(msg)))
 
     def test_task_coeffs_slot_or_key_out_of_place_rejected(self):
         eng = ServerEngine(make_config(0.5, 0.1, d=1))
@@ -466,9 +473,8 @@ class TestDisclosedConversion:
         bad_key = replace(msg, keys=(xs[0].key, xs[0].key))
         for bad, match in ((bad_slot, "slot 2 out of range"),
                            (bad_key, "input key b'x-0000' listed twice")):
-            back = proto.decode(proto.encode(bad))
             with pytest.raises(MalformedFrame, match=match):
-                proto.task_coeffs_from_message(back)
+                proto.task_coeffs_from_message(proto.decode(proto.encode(bad)))
 
     def test_factors_round_trip_bitwise(self):
         rng = np.random.default_rng(29)
@@ -815,6 +821,27 @@ class TestDaemon:
                 with pytest.raises(ProtocolError, match="OverflowError"):
                     conn.submit(huge, 0.1, 1.0)
                 assert proto.save_snapshot(eng) == before
+                assert conn.get_disclosed().epoch == 1
+                ok = InputPoint(b"ok", np.array([0.5, 0.5, 0.5, 0.5]))
+                assert conn.submit(ok, 0.1, 1.0).case == CASE_NEW_INPUT
+
+    def test_invalid_input_keeps_snapshot_and_connection(self):
+        # non-finite features and a length other than the pool's are
+        # refused with their own code before any planning
+        code = proto.exception_to_code(InvalidInput("x"))
+        assert code == proto.ERR_INVALID_INPUT == 12
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {1: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=1, token=b"t") as conn:
+                conn.submit(InputPoint(b"p", np.array([0.0, 1.0, 0.0, 0.0])), 1.0, 1.0)
+                before = proto.save_snapshot(eng)
+                bad = ([np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0],
+                       [0.0, 0.0, -np.inf, 0.0], [0.5] * 3, [0.5] * 5, [])
+                for feats in bad:
+                    x = InputPoint(b"bad", np.array(feats, dtype=float))
+                    with pytest.raises(InvalidInput):
+                        conn.submit(x, 0.1, 1.0)
+                    assert proto.save_snapshot(eng) == before
                 assert conn.get_disclosed().epoch == 1
                 ok = InputPoint(b"ok", np.array([0.5, 0.5, 0.5, 0.5]))
                 assert conn.submit(ok, 0.1, 1.0).case == CASE_NEW_INPUT

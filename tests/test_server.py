@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mtfuse.errors import DegenerateGram, NonPositiveWeight, UnknownTask
-from mtfuse.kernels import InputPoint, eval_kernel, eval_shared, kernel_matrix
+from mtfuse import kernels
+from mtfuse import protocol as proto
+from mtfuse.errors import DegenerateGram, InvalidInput, NonPositiveWeight, UnknownTask
+from mtfuse.kernels import InputPoint, KernelSpec, MixedEffectConfig, eval_kernel, kernel_matrix
 from mtfuse.offline import (
     Dataset,
     Triple,
@@ -84,7 +86,7 @@ class TestCaseDispatch:
         assert receipt.case == CASE_NEW_INPUT
         assert receipt.epoch == 1 and eng.epoch == 1
         assert eng.n == 1
-        kbar = eval_shared(cfg, x, x)
+        kbar = eval_kernel(cfg.shared, x, x)
         ktil = eval_kernel(cfg.individual_for(4), x, x)
         r11 = 1.0 / ((1.0 - cfg.alpha) * ktil + cfg.lam * 1.5)
         st = eng.tasks[4]
@@ -252,11 +254,39 @@ class TestTransactionality:
         for bad in (np.nan, np.inf, -np.inf):
             feats = np.zeros(dim)
             feats[0] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidInput, match="finite"):
                 eng.receive_example(0, InputPoint(b"bad", feats), 1.0, 1.0)
             assert self._state_fingerprint(eng) == before
         fresh = make_inputs(rng, 1, dim=dim, prefix=b"fresh", unit=True)[0]
         assert eng.receive_example(0, fresh, 1.0, 1.0).case == CASE_NEW_INPUT
+
+    def test_wrong_feature_length_rejected_and_state_kept(self):
+        rng = np.random.default_rng(18)
+        ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=5)
+        eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+        dim = pool[0].features.shape[0]
+        before = save_snapshot(eng)
+        for width in (0, dim - 1, dim + 1):
+            bad = InputPoint(b"bad", np.full(width, 0.1))
+            with pytest.raises(InvalidInput, match="%d features" % width):
+                eng.receive_example(0, bad, 1.0, 1.0)
+            assert save_snapshot(eng) == before
+        # a known key is not a new input: its submitted features are not read
+        known = InputPoint(pool[0].key, np.zeros(dim + 3))
+        assert eng.receive_example(0, known, 1.0, 1.0).case != CASE_NEW_INPUT
+
+    def test_lookup_pool_takes_inputs_of_any_length(self):
+        keys = [b"a", b"b", b"c", b"d"]
+        a = np.random.default_rng(19).standard_normal((4, 4))
+        spec = KernelSpec.lookup(keys, a @ a.T + 4.0 * np.eye(4))
+        eng = ServerEngine(MixedEffectConfig(0.5, 0.1, spec, spec))
+        for key, feats in zip(keys, (np.ones(2), None, np.ones(5), np.zeros(0))):
+            assert eng.receive_example(0, InputPoint(key, feats), 1.0, 1.0).case \
+                == CASE_NEW_INPUT
+        assert [x.key for x in eng.inputs] == keys
+        assert eng.inputs[2].features.tobytes() == np.ones(5).tobytes()
+        with pytest.raises(InvalidInput, match="finite"):
+            eng.receive_example(0, InputPoint(b"a2", [np.nan]), 1.0, 1.0)
 
     def test_kernel_overflow_rejected_and_snapshot_kept(self):
         # exp(1e400) is inf and inf - inf is NaN: both must raise before
@@ -336,6 +366,30 @@ class TestReads:
             for task in ds.tasks:
                 got = eng.get_task_coefficients(task)
                 assert rel_err(got, coeffs.a_task[task]) < 1e-8
+
+    def test_reads_and_seeding_make_no_input_objects(self, monkeypatch):
+        # a read under the daemon's lock, its encoding and a passive
+        # seeding hand the pool over whole: no input is made per entry
+        rng = np.random.default_rng(17)
+        ds, cfg, _ = random_instance(rng, m_max=3, ell_max=8, n_max=8)
+        eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+        made = []
+
+        class Counted(InputPoint):
+            __slots__ = ()
+
+            def __init__(self, key, features=None):
+                made.append(key)
+                super().__init__(key, features)
+
+        monkeypatch.setattr(kernels, "InputPoint", Counted)
+        db = eng.get_disclosed()
+        view = eng.task_coefficients(ds.tasks[0])
+        proto.encode(proto.disclosed_to_message(db))
+        proto.encode(proto.task_coeffs_to_message(view))
+        local = ServerEngine.from_disclosed(db, cfg)
+        assert len(local.inputs) == eng.n > 0 and made == []
+        assert isinstance(local.inputs[0], Counted) and len(made) == 1
 
     def test_unknown_task(self):
         eng = ServerEngine(make_config(0.5, 1.0, d=0))

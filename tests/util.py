@@ -16,6 +16,7 @@ from mtfuse.kernels import (
     InputPoint,
     KernelSpec,
     MixedEffectConfig,
+    Pool,
     eval_kernel,
     eval_mixed,
     kernel_row,
@@ -276,6 +277,12 @@ def _rand_text(rng, max_len=20):
     return "".join(chr(int(c)) for c in rng.integers(32, 0x2FFF, size=n))
 
 
+def pool_of(keys, feats):
+    """The Pool of inputs with these keys and feature vectors (None for
+    an input without features)."""
+    return Pool([InputPoint(k, f) for k, f in zip(keys, feats)])
+
+
 def random_message(rng):
     """One arbitrary well-formed wire message, for round-trip fuzzing."""
     kind = int(rng.integers(0, 9))
@@ -308,7 +315,7 @@ def random_message(rng):
         return proto.Disclosed(
             epoch=int(rng.integers(0, 1000)),
             keys=keys,
-            features=feats,
+            features=pool_of(keys, feats),
             y_cond=rng.standard_normal(n),
             h_packed=rng.standard_normal(n * (n + 1) // 2),
         )
@@ -353,7 +360,7 @@ def random_message(rng):
         return proto.TaskCoeffs(
             epoch=epoch,
             keys=keys,
-            features=feats,
+            features=pool_of(keys, feats),
             b=more.standard_normal(int(more.integers(0, 3))),
             a_cond=more.standard_normal(n),
             a=a,
