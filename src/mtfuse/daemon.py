@@ -3,9 +3,11 @@
 One mutex serializes every engine access: submissions apply in arrival
 order, reads copy a snapshot under the lock (or, for the append-only
 input pool and factors, take a view of their first n entries, in O(1))
-and serve it outside.  A transport failure can only lose a response,
-never corrupt engine state, because the engine finishes (or rejects) an
-update before any reply bytes are written.
+and serve it outside.  A read sends only the part of the pool and the
+factors that the reader lacks (see protocol.Seen).  A transport failure
+can only lose a response, never corrupt engine state, because the
+engine finishes (or rejects) an update before any reply bytes are
+written.
 """
 
 import hmac
@@ -22,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import protocol as proto
-from .errors import EngineError, MalformedFrame, ProtocolError, Unauthorized
+from .errors import EngineError, ProtocolError, Unauthorized
 from .kernels import InputPoint, MixedEffectConfig
 from .server import ServerEngine, UpdateReceipt
 
@@ -92,6 +94,13 @@ def load_daemon_config(path):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        super().setup()
+        # a large reply's header goes out apart from its payload (see
+        # protocol.write_message): send each write at once, without
+        # waiting for the client to acknowledge the previous one
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
     def handle(self):
         while True:
             try:
@@ -145,20 +154,13 @@ class DaemonServer(socketserver.ThreadingTCPServer):
             if isinstance(msg, proto.GetDisclosed):
                 with self.lock:
                     db = self.engine.get_disclosed()
-                return proto.disclosed_to_message(db)
-            if isinstance(msg, proto.GetFactors):
-                with self.lock:
-                    if msg.n > self.engine.n:
-                        raise MalformedFrame("factors of %d inputs asked for, the pool"
-                                             " has %d" % (msg.n, self.engine.n))
-                    factors = self.engine.factors.view(msg.n)
-                return proto.factors_to_message(factors)
+                return proto.disclosed_to_message(db, msg.since)
             if isinstance(msg, proto.GetTaskCoeffs):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
                 with self.lock:
                     view = self.engine.task_coefficients(msg.task)
-                return proto.task_coeffs_to_message(view)
+                return proto.task_coeffs_to_message(view, msg.since)
             if isinstance(msg, proto.GetConfig):
                 return proto.config_to_message(self.engine.get_config())
             raise ProtocolError("unexpected message %s" % type(msg).__name__)
@@ -267,11 +269,17 @@ def serve(daemon_config):
 
 
 class RemoteServer:
-    """Socket proxy offering the same read surface as ServerEngine."""
+    """Socket proxy offering the same read surface as ServerEngine.
+
+    The connection keeps the pool's inputs and the factor rows it has
+    read (a protocol.Seen): each read asks for the part past them, and
+    returns views of them at the reply's n.
+    """
 
     def __init__(self, address, task=None, token=b""):
         self.task = task
         self.token = token
+        self._seen = proto.Seen()
         self._sock = socket.create_connection(address)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
@@ -316,19 +324,18 @@ class RemoteServer:
         return UpdateReceipt(epoch=ack.epoch, case=ack.case)
 
     def get_disclosed(self):
-        """The disclosed summary and the factors of its inputs: the pool
-        may grow between the two replies, so the factors are asked for
-        by the summary's input count."""
-        reply = self._rpc(proto.GetDisclosed(), proto.Disclosed)
-        factors = self._rpc(proto.GetFactors(n=len(reply.keys)), proto.Factors)
-        return proto.disclosed_from_message(reply, factors)
+        """The disclosed summary and the factors of its inputs."""
+        since = self._seen.factors.n
+        reply = self._rpc(proto.GetDisclosed(since=since), proto.Disclosed)
+        return self._seen.disclosed(reply)
 
     def get_config(self):
         return proto.config_from_message(self._rpc(proto.GetConfig(), proto.Config))
 
     def task_coefficients(self, task=None):
         task = int(self.task if task is None else task)
+        since = self._seen.inputs.n
         reply = self._rpc(
-            proto.GetTaskCoeffs(task=task, token=self.token), proto.TaskCoeffs
+            proto.GetTaskCoeffs(task=task, token=self.token, since=since), proto.TaskCoeffs
         )
-        return proto.task_coeffs_from_message(reply)
+        return self._seen.task_coeffs(reply)

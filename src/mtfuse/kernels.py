@@ -189,14 +189,22 @@ class Pool(Sequence):
             out._good = int(breaks[0]) if len(breaks) else n
         return out
 
-    def view(self):
-        """This pool as it is now, sharing its buffers (see above)."""
+    def view(self, n=None):
+        """The first n inputs (all by default), sharing this pool's
+        buffers (see above)."""
+        n = self.n if n is None else n
         out = Pool.__new__(Pool)
-        out.n, out._used, out._good = self.n, self._used, self._good
+        out.n, out._used, out._good = n, self._start(n), min(self._good, n)
         out._keys, out._index = self._keys, self._index
-        out._lengths = self._lengths[: self.n]
-        out._values = self._values[: self._used]
+        out._lengths = self._lengths[:n]
+        out._values = self._values[: out._used]
         return out
+
+    def tail(self, start):
+        """The inputs from position start on, as a pool sharing this
+        one's feature arrays."""
+        return Pool.from_columns(tuple(self._keys[start : self.n]),
+                                 self.lengths[start:], self.values[self._start(start) :])
 
     @property
     def keys(self):
@@ -229,27 +237,61 @@ class Pool(Sequence):
 
     def append(self, x):
         """Add input x last; a key the pool holds raises ValueError."""
-        n, key, f = self.n, x.key, x.features
-        if self.slot(key) is not None:
-            raise ValueError("input key %r listed twice" % (key,))
-        if n == len(self._lengths):
+        f = x.features
+        if f is None:
+            self._append((x.key,), np.array([-1]), ())
+        else:
+            self._append((x.key,), np.array([len(f)]), f)
+
+    def extend(self, start, tail):
+        """Continue this pool with tail, a pool of its inputs from
+        position start on: the ones this pool holds must equal tail's
+        first ones, and the rest are appended.  A gap, an input other
+        than the one held, or a key held elsewhere raises ValueError
+        with nothing appended."""
+        if start > self.n:
+            raise ValueError("inputs from %d do not continue the %d held"
+                             % (start, self.n))
+        k = min(self.n - start, len(tail))
+        end = tail._start(k)
+        if (tuple(self._keys[start : start + k]) != tail.keys[:k]
+                or not np.array_equal(self._lengths[start : start + k], tail.lengths[:k])
+                or not np.array_equal(self._values[self._start(start) : self._start(start + k)],
+                                      tail.values[:end])):
+            raise ValueError("inputs %d..%d are not the ones held" % (start, start + k))
+        self._append(tail.keys[k:], tail.lengths[k:], tail.values[end:])
+
+    def _append(self, keys, lengths, values):
+        # add inputs with these keys, feature lengths and values last
+        n, m = self.n, len(keys)
+        held = [key for key in keys if self.slot(key) is not None]
+        if held:
+            raise ValueError("input key %r listed twice" % (held[0],))
+        if n + m > len(self._lengths):
             # a full buffer (a view's always is) moves to buffers of its own
-            lengths = np.zeros(max(2 * n, 8), dtype=np.int64)
-            lengths[:n] = self._lengths
-            self._lengths = lengths
+            grown = np.zeros(max(8, 1 << (n + m - 1).bit_length()), dtype=np.int64)
+            grown[:n] = self._lengths[:n]
+            self._lengths = grown
             self._keys = list(self._keys[:n])
             self._index = dict(zip(self._keys, range(n)))
-        k = -1 if f is None else len(f)
-        if k > 0:
-            self._values = _grown(self._values, self._used + k)
-            self._values[self._used : self._used + k] = f
-            self._used += k
-        if self._good == n and k >= 0 and (n == 0 or k == self._lengths[0]):
-            self._good += 1
-        self._lengths[n] = k
-        self._keys.append(key)
-        self._index[key] = n
-        self.n = n + 1
+        used = self._used + len(values)
+        self._values = _grown(self._values, used)
+        self._values[self._used : used] = values
+        self._used = used
+        if self._good == n and m:
+            d = int(self._lengths[0] if n else lengths[0])
+            breaks = np.flatnonzero(lengths != d) if d >= 0 else [0]
+            self._good += int(breaks[0]) if len(breaks) else m
+        self._lengths[n : n + m] = lengths
+        self._keys.extend(keys)
+        self._index.update(zip(keys, range(n, n + m)))
+        self.n = n + m
+
+    def _start(self, i):
+        # where input i's features start in the values buffer
+        if i <= self._good:
+            return i * int(self._lengths[0]) if i else 0
+        return int(np.maximum(self._lengths[:i], 0).sum())
 
     def prefix(self, m=None):
         """The features of the first m inputs (all by default) as matrix
@@ -276,7 +318,7 @@ class Pool(Sequence):
         k = int(self._lengths[i])
         if k < 0:
             return InputPoint(self._keys[i])
-        start = i * k if i < self._good else int(np.maximum(self._lengths[:i], 0).sum())
+        start = self._start(i)
         return InputPoint(self._keys[i], self._values[start : start + k])
 
     def __eq__(self, other):

@@ -61,6 +61,12 @@ class GrowVec:
         self._buf[self.n] = value
         self.n += 1
 
+    def extend(self, values):
+        k = len(values)
+        self._buf = _grown(self._buf, self.n + k)
+        self._buf[self.n : self.n + k] = values
+        self.n += k
+
     @classmethod
     def over(cls, values):
         """A vector over a float64 array, sharing it: its capacity is the
@@ -101,22 +107,10 @@ class UnitLowerFactor:
         self.n = 0
         self._owner = True
 
-    @classmethod
-    def from_strict_lower(cls, entries, n):
-        """The factor of n rows whose strictly-lower entries, row after
-        row, are entries, in the buffer n appends would have grown."""
-        out = cls()
-        cap = max(8, 1 << (n - 1).bit_length())
-        out._buf = np.zeros((cap, cap), dtype=_F64)
-        # a boolean mask takes the lower triangle row after row
-        out._buf[:n, :n][np.tri(n, n, -1, dtype=bool)] = entries
-        out.n = n
-        return out
-
-    def strict_lower(self):
-        # the stored entries of rows 0..n-1, row after row
-        n = self.n
-        return self._buf[:n, :n][np.tri(n, n, -1, dtype=bool)]
+    def strict_lower(self, since=0):
+        """The stored entries of rows since..n-1, row after row."""
+        rows = [self._buf[i, :i] for i in range(since, self.n)]
+        return np.concatenate(rows) if rows else np.zeros(0, dtype=_F64)
 
     def view(self, n=None):
         """The first n rows (all by default), sharing this buffer."""
@@ -133,19 +127,36 @@ class UnitLowerFactor:
         out._owner, self._owner = self._owner, False
         return out
 
-    def append_row(self, r):
-        r = _as_vec(r, self.n)
-        n = self.n
-        cap = self._buf.shape[0]
-        if n + 1 > cap or not self._owner:
-            # a full buffer doubles; a view copies its rows before writing
-            cap = 2 * cap if n + 1 > cap else cap
+    def _reserve(self, end):
+        # room for rows up to end in a buffer of this factor's own: a full
+        # buffer doubles, and a view copies its rows out before writing
+        n, cap = self.n, self._buf.shape[0]
+        if end > cap or not self._owner:
+            while cap < end:
+                cap *= 2
             out = np.zeros((cap, cap), dtype=_F64)
             out[:n, :n] = self._buf[:n, :n]
             self._buf = out
             self._owner = True
-        self._buf[n, :n] = r
-        self.n = n + 1
+
+    def append_row(self, r):
+        r = _as_vec(r, self.n)
+        self._reserve(self.n + 1)
+        self._buf[self.n, : self.n] = r
+        self.n += 1
+
+    def append_rows(self, entries, count):
+        """Append count rows whose stored entries, row after row, are
+        entries (what strict_lower reads), in the buffer that as many
+        append_row calls would have grown."""
+        n, end = self.n, self.n + count
+        entries = _as_vec(entries, (end * (end - 1) - n * (n - 1)) // 2)
+        self._reserve(end)
+        at = 0
+        for i in range(n, end):
+            self._buf[i, :i] = entries[at : at + i]
+            at += i
+        self.n = end
 
     def row_strict(self, i):
         # stored (strictly lower) part of row i, length i
@@ -394,12 +405,29 @@ class FactorSet:
         n = self.n if n is None else n
         return FactorSet.of(self.L.view(n), self.D.values[:n], self.M[:n])
 
+    def take(self):
+        """These factors for a new holder, sharing the buffers: the right
+        to append to L in place passes to it (see UnitLowerFactor.take)."""
+        return FactorSet.of(self.L.take(), self.D.values, self.M)
+
     def append_precomputed(self, r, beta, mrow):
         n = self.n
         self._m = _grown(self._m, n + 1)
         self._m[n] = mrow
         self.L.append_row(r)
         self.D.append(beta)
+
+    def append_rows(self, lower, d, m):
+        """Append the factor rows of len(d) more inputs: L's stored
+        entries row after row (see UnitLowerFactor.append_rows), D's
+        values and M's rows; counts that do not fit raise ValueError
+        with nothing appended."""
+        n, count = self.n, len(d)
+        m = np.asarray(m, dtype=_F64).reshape(count, self.bias_dim)
+        self.L.append_rows(lower, count)
+        self._m = _grown(self._m, n + count)
+        self._m[n : n + count] = m
+        self.D.extend(d)
 
     def copy(self):
         out = FactorSet(self.bias_dim)

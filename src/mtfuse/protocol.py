@@ -11,33 +11,50 @@ name, and its fields in wire order, each with the codec of its type.
 The call adds the message's row to a table and makes its dataclass from
 the same fields.  encode and decode are one loop over a row; a payload
 that decode cannot turn into a message raises MalformedFrame.
-Snapshots reuse the Config, Disclosed and Factors rows' bodies.
+Snapshots reuse the Config and Disclosed rows' bodies.
 
-A pool's inputs (in Disclosed and TaskCoeffs) travel as columns: the
-count n, n u32 key lengths and the keys' bytes, n u32 feature lengths
-(0xFFFFFFFF for an input without features), and one counted f64 array
-of every present feature vector in pool order, which is the n x D block
-when every input has D features.  In those messages the field features
-holds the kernels.Pool and keys its keys.  The pool's arrays are
-written as they are, and decode into a pool with a fixed number of
-numpy calls plus one slice per key and the pool's key index; a client's
-model and local engine share its block.  A pool that lists a key twice
-is malformed.  This is wire version 3.
+The server's pool of inputs and its LDL^T factor rows are append-only
+in server order, so a read sends only what the reader lacks: GetDisclosed
+and GetTaskCoeffs carry since, the number of inputs (factor rows, for
+GetDisclosed) the reader holds, and the reply carries since and the
+inputs from since on.  Disclosed is
+    epoch u64, since u32, inputs[since:], y_cond (n f64), H (packed,
+    n(n+1)/2 f64), lower (u32 count, the stored entries of L's rows
+    since..n-1 in turn), d (u32 count n - since, D's values since..n-1),
+    m (u32 count, M's rows since..n-1 in turn)
+and TaskCoeffs is
+    epoch u64, since u32, inputs[since:], b (u32 count, f64s),
+    a_cond (n f64), a (u32 count l, f64s), slots (l u32)
+where n = since + the number of inputs sent.  y_cond, H, b, a_cond and
+a are sent whole: a commit can change every entry.  A since past the
+pool is refused (ERR_MALFORMED).  A reader keeps what it has read in a
+Seen, which appends each reply's tail and hands out views of itself at
+the reply's n; see Seen.
+
+A pool's inputs travel as columns: the count, the u32 key lengths and
+the keys' bytes, the u32 feature lengths (0xFFFFFFFF for an input
+without features), and one counted f64 array of every present feature
+vector in pool order, which is the count x D block when every input has
+D features.  In those messages the field features holds the
+kernels.Pool of the inputs sent and keys its keys.  The pool's arrays
+are written as they are, and decode into a pool with a fixed number of
+numpy calls plus one slice per key and the pool's key index.  A pool
+that lists a key twice is malformed.  This is wire version 4.
 
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
 at the same epoch.  Its a is the task's own coefficient vector, read
 only with the task's token, and its slots name the task's inputs by
-position among the inputs of the same reply, which lists them anyway.
-A Factors reply discloses nothing new either: L, D and M are
+position among the inputs of the pool, which a Disclosed lists anyway.
+The factors in a Disclosed disclose nothing new either: L, D and M are
 deterministic functions of the public inputs and the Config, which
-anyone can rebuild bit for bit (linalg.FactorSet); and GetFactors's n
-is the caller's own count of a disclosed pool, so the request tells the
-server nothing about the caller.
+anyone can rebuild bit for bit (linalg.FactorSet).  A request's since
+is the caller's own count of public inputs that it has read, so it
+tells the server nothing about the caller.
 
-Snapshot layout (version 3): magic ``MTLS``, u32 format version, the
-Config, Disclosed and Factors message bodies, each task's block, and a
-trailing CRC-32 over everything before it.
+Snapshot layout (version 4): magic ``MTLS``, u32 format version, the
+Config and Disclosed message bodies (the latter with since = 0), each
+task's block, and a trailing CRC-32 over everything before it.
 """
 
 import struct
@@ -58,7 +75,7 @@ from .kernels import (
     MixedEffectConfig,
     Pool,
 )
-from .linalg import FactorSet, GrowVec, SymMatrix, UnitLowerFactor
+from .linalg import FactorSet, GrowVec, SymMatrix
 from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -72,9 +89,12 @@ from .server import (
 _F64 = np.float64
 
 MAGIC = b"MTLS"
-WIRE_VERSION = 3
-SNAPSHOT_VERSION = 3
+WIRE_VERSION = 4
+SNAPSHOT_VERSION = 4
 MAX_FRAME = 1 << 30
+# largest payload written joined to its frame header, in one write: every
+# request a daemon takes (see daemon.MAX_REQUEST_FRAME) and small replies
+_JOIN_MAX = 1 << 20
 
 # error codes on the wire
 ERR_MALFORMED = 1
@@ -422,7 +442,8 @@ def _message(tag, name, *fields):
 
 
 def _n_inputs(got):
-    return len(got["keys"])
+    # the inputs held before the reply and the ones it sends
+    return got["since"] + len(got["keys"])
 
 
 def _n_packed(got):
@@ -433,20 +454,21 @@ SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
                          ("key", _bytes), ("features", _features), ("y", _f64),
                          ("w", _f64))
 Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
-GetDisclosed = _message(3, "GetDisclosed")
-Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("keys features", _inputs),
-                     ("y_cond", _sized_f64s(_n_inputs)),
-                     ("h_packed", _sized_f64s(_n_packed, copy=False)))
-GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes))
-TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("keys features", _inputs),
-                      ("b", _f64s), ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
+GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
+Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
+                     ("keys features", _inputs), ("y_cond", _sized_f64s(_n_inputs)),
+                     ("h_packed", _sized_f64s(_n_packed, copy=False)),
+                     ("lower", _f64s_view), ("d", _f64s_view), ("m", _f64s_view))
+GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
+                         ("since", _u32))
+TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
+                      ("keys features", _inputs), ("b", _f64s),
+                      ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
                       ("slots", _repeated(_u32, lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
                   ("individual", _kernel), ("bias_kind", _bias))
 Error = _message(9, "Error", ("code", _u32), ("detail", _text))
-GetFactors = _message(10, "GetFactors", ("n", _u32))
-Factors = _message(11, "Factors", ("lower", _f64s_view), ("d", _f64s), ("m", _f64s))
 _ROW_OF_TAG = {row.tag: row for row in _ROWS}
 _ROW_OF_CLASS = {row.cls: row for row in _ROWS}
 
@@ -501,7 +523,12 @@ def decode(data):
 
 def write_message(stream, msg):
     payload = encode(msg)
-    stream.write(struct.pack("<I", len(payload)) + payload)
+    header = struct.pack("<I", len(payload))
+    if len(payload) <= _JOIN_MAX:
+        stream.write(header + payload)
+    else:  # a copy joined to its header would double a large reply
+        stream.write(header)
+        stream.write(payload)
     stream.flush()
 
 
@@ -528,61 +555,102 @@ def read_message(stream, max_frame=MAX_FRAME):
 # ===== conversions to engine-level objects ===============================
 
 
-def disclosed_to_message(db):
-    """The Disclosed message of db; it shares db's arrays."""
-    return Disclosed(db.epoch, db.inputs.keys, db.inputs, db.y_cond, db.H.packed)
+def _tail(inputs, since):
+    if since > len(inputs):
+        raise errors.MalformedFrame("inputs from %d asked for, the pool has %d"
+                                    % (since, len(inputs)))
+    return inputs.tail(since)
 
 
-def disclosed_from_message(msg, factors=None):
-    """The DisclosedDB of msg, with the factors of a Factors message for
-    its inputs when one is given.  It shares msg's arrays: its H is a
-    view of msg's payload, which an engine seeded from it copies."""
-    inputs = msg.features
-    n = len(inputs)
-    msg.y_cond.flags.writeable = False
-    return DisclosedDB(
-        inputs=inputs,
-        y_cond=msg.y_cond,
-        H=SymMatrix.from_packed(msg.h_packed, n),
-        epoch=msg.epoch,
-        factors=None if factors is None else factors_from_message(factors, n),
-    )
+def disclosed_to_message(db, since=0):
+    """The Disclosed message of db for a reader holding its first since
+    inputs and factor rows; it shares db's arrays.  A since past db's
+    inputs is malformed."""
+    tail, f = _tail(db.inputs, since), db.factors
+    return Disclosed(db.epoch, since, tail.keys, tail, db.y_cond, db.H.packed,
+                     f.L.strict_lower(since), f.D.values[since:], f.M[since:].ravel())
 
 
-def factors_to_message(factors):
-    """The Factors message of a FactorSet: L's strictly-lower entries
-    row after row, D, and M row after row."""
-    return Factors(factors.L.strict_lower(), factors.D.values, factors.M.ravel())
-
-
-def factors_from_message(msg, n):
-    """The FactorSet of n inputs in msg, with L in one buffer; counts
-    that do not fit n inputs are malformed."""
-    if len(msg.d) != n:
-        raise errors.MalformedFrame("factors of %d inputs, not %d" % (len(msg.d), n))
-    if len(msg.lower) != n * (n - 1) // 2:
-        raise errors.MalformedFrame("%d entries of L do not fit %d inputs"
-                                    % (len(msg.lower), n))
-    width = len(msg.m) // n if n else 0
-    if len(msg.m) != n * width:
-        raise errors.MalformedFrame("%d entries of M are not a multiple of %d inputs"
-                                    % (len(msg.m), n))
-    lower = UnitLowerFactor.from_strict_lower(msg.lower, n)
-    return FactorSet.of(lower, msg.d, msg.m.reshape(n, width))
-
-
-def task_coeffs_to_message(view):
-    """The TaskCoeffs message of a TaskCoeffsView; it shares view's arrays."""
-    return TaskCoeffs(view.epoch, view.inputs.keys, view.inputs,
+def task_coeffs_to_message(view, since=0):
+    """The TaskCoeffs message of a TaskCoeffsView for a reader holding
+    its first since inputs; it shares view's arrays.  A since past the
+    view's inputs is malformed."""
+    tail = _tail(view.inputs, since)
+    return TaskCoeffs(view.epoch, since, tail.keys, tail,
                       view.b, view.a_cond, view.a, view.slots)
 
 
-def task_coeffs_from_message(msg):
-    """The TaskCoeffsView of msg; a slot past the inputs is malformed."""
-    top = max(msg.slots, default=-1)
-    if top >= len(msg.features):
-        raise errors.MalformedFrame("task slot %d out of range" % top)
-    return TaskCoeffsView(msg.epoch, msg.features, msg.b, msg.a_cond, msg.a, msg.slots)
+class Seen:
+    """What one reader has read of the server's append-only arrays: the
+    pool's inputs (a kernels.Pool) and the factor rows (a FactorSet), in
+    server order.  Each reply's tail is appended to them, and a reply's
+    DisclosedDB or TaskCoeffsView holds views of them at its own n, which
+    take O(1) and never change: the reader's next append goes past them.
+
+    A reply must continue what is held: a Disclosed's factor rows start
+    at the rows held, and the inputs a reply repeats must be the ones
+    held.  A reply that does not fit is malformed, and leaves what is
+    held as it was.  The factor set takes its bias dimension from the
+    first reply that has rows.  A DisclosedDB is handed the right to
+    append to L in place (FactorSet.take), so that an engine seeded from
+    it appends without copying L; this set then copies its rows out when
+    it next grows, and never writes where such an engine has.
+    """
+
+    def __init__(self):
+        self.inputs = Pool()
+        self.factors = FactorSet(0)
+
+    def disclosed(self, msg):
+        """The DisclosedDB of msg, after appending its tail."""
+        since, count, f = msg.since, len(msg.keys), self.factors
+        n = since + count
+        if since != f.n:
+            raise errors.MalformedFrame("factor rows from %d, but %d are held"
+                                        % (since, f.n))
+        if len(msg.d) != count:
+            raise errors.MalformedFrame("factors of %d inputs, not %d"
+                                        % (len(msg.d), count))
+        if len(msg.lower) != (n * (n - 1) - since * (since - 1)) // 2:
+            raise errors.MalformedFrame("%d entries of L do not fit rows %d..%d"
+                                        % (len(msg.lower), since, n))
+        width = len(msg.m) // count if count else f.bias_dim
+        if len(msg.m) != count * width:
+            raise errors.MalformedFrame("%d entries of M are not a multiple of %d"
+                                        " inputs" % (len(msg.m), count))
+        if width != f.bias_dim:
+            if f.n:
+                raise errors.MalformedFrame("rows of M with %d entries, not %d"
+                                            % (width, f.bias_dim))
+            f = FactorSet(width)
+        inputs = self._inputs(msg)
+        f.append_rows(msg.lower, msg.d, msg.m)
+        self.factors = f
+        msg.y_cond.flags.writeable = False
+        return DisclosedDB(
+            inputs=inputs,
+            y_cond=msg.y_cond,
+            H=SymMatrix.from_packed(msg.h_packed, n),
+            epoch=msg.epoch,
+            factors=f.take(),
+        )
+
+    def task_coeffs(self, msg):
+        """The TaskCoeffsView of msg, after appending its tail; a slot
+        past its inputs is malformed."""
+        top = max(msg.slots, default=-1)
+        if top >= msg.since + len(msg.keys):
+            raise errors.MalformedFrame("task slot %d out of range" % top)
+        return TaskCoeffsView(msg.epoch, self._inputs(msg), msg.b, msg.a_cond,
+                              msg.a, msg.slots)
+
+    def _inputs(self, msg):
+        # the pool at msg's n, after appending msg's tail
+        try:
+            self.inputs.extend(msg.since, msg.features)
+        except ValueError as exc:
+            raise errors.MalformedFrame(str(exc)) from None
+        return self.inputs.view(msg.since + len(msg.keys))
 
 
 def config_to_message(cfg):
@@ -612,13 +680,11 @@ def config_from_message(msg):
 # ===== snapshots =========================================================
 #
 # After the magic and version, a snapshot holds a Config message body, a
-# Disclosed message body (epoch, inputs, y_cond, H), a Factors message
-# body (L, D and M) and each task's block; a CRC-32 of all of it comes
-# last.
+# Disclosed message body with since = 0 (epoch, inputs, y_cond, H, and
+# L, D and M) and each task's block; a CRC-32 of all of it comes last.
 
 _CONFIG = _ROW_OF_CLASS[Config]
 _DISCLOSED = _ROW_OF_CLASS[Disclosed]
-_FACTORS = _ROW_OF_CLASS[Factors]
 
 
 def save_snapshot(engine):
@@ -626,9 +692,9 @@ def save_snapshot(engine):
     w = [MAGIC]
     _u32.write(w, SNAPSHOT_VERSION)
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
-    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch)
+    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch,
+                     engine.factors)
     _write_body(w, _DISCLOSED, disclosed_to_message(db))
-    _write_body(w, _FACTORS, factors_to_message(engine.factors))
 
     _u32.write(w, len(engine.tasks))
     for task, st in engine.tasks.items():
@@ -660,7 +726,7 @@ def load_snapshot(data):
     r = _Reader(body)
     r.take(8)  # magic + version already checked
     cfg = config_from_message(_read_body(r, _CONFIG))
-    db = disclosed_from_message(_read_body(r, _DISCLOSED), _read_body(r, _FACTORS))
+    db = Seen().disclosed(_read_body(r, _DISCLOSED))
     n = len(db.inputs)
     engine = ServerEngine.from_disclosed(db, cfg)
 

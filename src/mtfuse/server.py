@@ -14,7 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedFrame, NonPositiveWeight, SingularSystem, UnknownTask
+from .errors import (
+    InvalidInput,
+    MalformedFrame,
+    NonPositiveWeight,
+    SingularSystem,
+    UnknownTask,
+)
 from .kernels import LOOKUP, InputPoint, Pool, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
@@ -62,17 +68,18 @@ class DisclosedDB:
     (L, D and the bias map M, which are functions of the inputs and the
     config alone); per-task responses, weights and inverses are
     structurally absent.  The pool and the factors are views of the
-    server's buffers: entries below n never change, and an engine seeded
-    from them copies before it appends.  factors is None when the
-    summary was read without them.  H may be a read-only view (of a
-    wire payload, say): an engine seeded from it copies it.
+    server's buffers (or of a reader's copy of them, see
+    protocol.Seen): entries below n never change, and an engine seeded
+    from them copies before it appends, except where the right to
+    append to L in place was handed to it.  H may be a read-only view
+    (of a wire payload, say): an engine seeded from it copies it.
     """
 
     inputs: Pool
     y_cond: np.ndarray
     H: SymMatrix
     epoch: int
-    factors: FactorSet = None
+    factors: FactorSet
 
 
 class TaskState:
@@ -132,6 +139,7 @@ class ServerEngine:
         self.H = SymMatrix()
         self.tasks = {}
         self.epoch = 0
+        self._shared = None  # the shared solve of this epoch, once read
 
     @property
     def n(self):
@@ -149,7 +157,7 @@ class ServerEngine:
         """
         n = len(db.inputs)
         f = db.factors
-        if f is None or f.n != n or f.M.size != n * cfg.bias_dim:
+        if f.n != n or f.M.size != n * cfg.bias_dim:
             raise MalformedFrame(
                 "the disclosed factors do not fit %d inputs and %d bias columns"
                 % (n, cfg.bias_dim)
@@ -174,7 +182,7 @@ class ServerEngine:
         if not w > 0.0 or not np.isfinite(w):
             raise NonPositiveWeight("weight must be finite and > 0, got %g" % w)
         if not np.isfinite(y):
-            raise ValueError("response must be finite")
+            raise InvalidInput("response must be finite, got %g" % y)
         task = int(task)
 
         s = self.inputs.slot(x.key)
@@ -198,6 +206,7 @@ class ServerEngine:
                 self._commit_merge(task, p, merge)
                 case = CASE_REPEAT_TASK
         self.epoch += 1
+        self._shared = None
         return UpdateReceipt(self.epoch, case)
 
     # ----- planning (pure, may raise) -----------------------------------
@@ -332,9 +341,22 @@ class ServerEngine:
     def get_config(self):
         return self.cfg
 
+    def _shared_solve(self):
+        """(b, a_cond, q) of this epoch from shared_coefficients, solved
+        on the epoch's first read and kept, read-only, until the next
+        commit."""
+        if self._shared is None:
+            solved = shared_coefficients(
+                self.y_cond.values, self.H, self.factors, self.cfg.alpha
+            )
+            for arr in solved:
+                arr.flags.writeable = False
+            self._shared = solved
+        return self._shared
+
     def get_task_coefficients(self, task, q=None):
         """Private coefficients a_j = R_j (y_j - alpha L[slots] q) of one
-        task; q is the shared solve's (computed here when not given)."""
+        task; q is the shared solve's (this epoch's when not given)."""
         st = self.tasks.get(task)
         if st is None:
             raise UnknownTask("task %r has no data on this server" % (task,))
@@ -342,19 +364,15 @@ class ServerEngine:
         if alpha == 0.0:
             return st.R.matvec(st.y.values)
         if q is None:
-            _, _, q = shared_coefficients(
-                self.y_cond.values, self.H, self.factors, alpha
-            )
+            q = self._shared_solve()[2]
         proj = self.factors.L.rows_matvec(st.slots, q)
         return st.R.matvec(st.y.values - alpha * proj)
 
     def task_coefficients(self, task):
-        """The model of one task from one shared solve: the pool's inputs,
-        b, a_cond, and the task's coefficients a on its slots into the
-        inputs; a task with no data here gets empty a and slots."""
-        b, a_cond, q = shared_coefficients(
-            self.y_cond.values, self.H, self.factors, self.cfg.alpha
-        )
+        """The model of one task from the epoch's shared solve: the pool's
+        inputs, b, a_cond, and the task's coefficients a on its slots into
+        the inputs; a task with no data here gets empty a and slots."""
+        b, a_cond, q = self._shared_solve()
         a, slots = np.zeros(0, dtype=_F64), ()
         if task in self.tasks:
             a, slots = self.get_task_coefficients(task, q), tuple(self.tasks[task].slots)

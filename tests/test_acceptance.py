@@ -467,10 +467,14 @@ def test_criterion_9_snapshots_and_wire_format():
             assert not names & {"y", "w", "responses", "weights"}, cls
         assert {f.name for f in fields(proto.Disclosed)} == {
             "epoch",
+            "since",
             "keys",
             "features",
             "y_cond",
             "h_packed",
+            "lower",
+            "d",
+            "m",
         }
         return (
             "mid-stream resume bit-exact at mixing weights {0, 0.5, 1}; "

@@ -404,9 +404,10 @@ class _View:
 
 class TestSharedFeatureRows:
     def test_decoded_rows_shared_never_written(self):
-        # a reply's feature block is decoded once, into the view's pool,
-        # which the model shares; an append to that pool, to a view of it,
-        # or to a local engine seeded from a decoded summary copies it first
+        # a reply's inputs are appended once, to the reader's Seen, whose
+        # block the view and the model share; an append to the model's
+        # pool, to a view of it, or to a local engine seeded from a
+        # decoded summary copies it first
         rng = np.random.default_rng(34)
         for d in (0, 1):
             ds, cfg, pool = random_instance(rng, alpha=0.5, d=d, n_max=12)
@@ -414,10 +415,12 @@ class TestSharedFeatureRows:
             task = ds.triples[0].task
             new = make_inputs(rng, 2, dim=len(pool[0].features), prefix=b"n", unit=True)
 
+            seen = proto.Seen()
             msg = proto.decode(proto.encode(proto.task_coeffs_to_message(
                 eng.task_coefficients(task))))
-            block = msg.features.values
-            view = proto.task_coeffs_from_message(msg)
+            view = seen.task_coeffs(msg)
+            block = seen.inputs.prefix()
+            assert block.tobytes() == msg.features.values.tobytes()
             model = Client(task, cfg).active_refresh(_View(view))
             assert model.inputs is view.inputs
             assert np.shares_memory(model.inputs.prefix(), block)
@@ -432,11 +435,11 @@ class TestSharedFeatureRows:
             assert block.tobytes() == before
             assert not np.shares_memory(model.inputs.prefix(), block)
 
+            # the summary repeats the inputs held, and appends none
             reply = proto.decode(proto.encode(proto.disclosed_to_message(eng.get_disclosed())))
-            factors = proto.decode(proto.encode(proto.factors_to_message(eng.factors)))
-            db = proto.disclosed_from_message(reply, factors)
-            block = reply.features.values
-            before = block.tobytes()
+            db = seen.disclosed(reply)
+            assert seen.inputs.prefix() is not None
+            assert np.shares_memory(seen.inputs.prefix(), block)
             local = ServerEngine.from_disclosed(db, cfg)
             other = ServerEngine.from_disclosed(db, cfg)
             assert np.shares_memory(local.inputs.prefix(), block)
@@ -454,7 +457,7 @@ class TestSharedFeatureRows:
             assert np.shares_memory(kept.inputs.prefix(), block)
             grown = cli.passive_refresh(db, PrivateData([(new[0], 1.0, 1.0)]))
             assert not np.shares_memory(grown.inputs.prefix(), block)
-            assert block.tobytes() == before
+            assert block.tobytes() == before and len(seen.inputs) == len(db.inputs)
             assert not isinstance(_root(db.H.packed), np.ndarray)
             for m in (kept, grown):
                 arrays = (m.b, m.a_cond, m.a_task, m.inputs.values, m.inputs.lengths,

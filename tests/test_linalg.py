@@ -211,20 +211,33 @@ class TestLdlAppend:
 
 class TestSharedFactors:
     def test_decoded_factor_solves_alike(self):
-        # a factor written at once from its entries has the buffer its
-        # appends would have grown, so its solves give the same bits
+        # a factor written from its entries, at once or as a head and
+        # then the rows since it, has the buffer its appends would have
+        # grown, so its solves give the same bits
         rng = np.random.default_rng(33)
         for n in (0, 1, 3, 8, 9, 66, 130, 257):
             grown = UnitLowerFactor()
             for i in range(n):
                 grown.append_row(rng.normal(size=i) / max(i, 1))
-            back = UnitLowerFactor.from_strict_lower(grown.strict_lower(), n)
-            assert back.n == n and back._buf.shape == grown._buf.shape
-            assert back.dense().tobytes() == grown.dense().tobytes()
-            b = rng.normal(size=n)
-            for solve in ("solve_unit_lower", "solve_unit_upper_t"):
-                got, want = getattr(back, solve)(b), getattr(grown, solve)(b)
-                assert got.tobytes() == want.tobytes()
+            for since in sorted({0, n // 3, n - 1 if n else 0, n}):
+                back = UnitLowerFactor()
+                back.append_rows(grown.view(since).strict_lower(), since)
+                back.append_rows(grown.strict_lower(since), n - since)
+                assert back.n == n and back._buf.shape == grown._buf.shape
+                assert back.dense().tobytes() == grown.dense().tobytes()
+                b = rng.normal(size=n)
+                for solve in ("solve_unit_lower", "solve_unit_upper_t"):
+                    got, want = getattr(back, solve)(b), getattr(grown, solve)(b)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_rows_that_do_not_fit_refused_with_nothing_appended(self):
+        lf = UnitLowerFactor()
+        lf.append_rows(np.arange(3.0), 3)
+        with pytest.raises(ValueError):
+            lf.append_rows(np.ones(6), 2)  # rows 3 and 4 hold 7 entries
+        assert lf.n == 3 and lf.strict_lower().tolist() == [0.0, 1.0, 2.0]
+        assert lf.strict_lower(2).tolist() == [1.0, 2.0]
+        assert lf.strict_lower(3).shape == (0,)
 
     def test_view_copies_before_appending(self):
         rng = np.random.default_rng(34)
@@ -242,7 +255,8 @@ class TestSharedFactors:
 
     def test_take_passes_the_right_to_append_in_place(self):
         rng = np.random.default_rng(35)
-        lf = UnitLowerFactor.from_strict_lower(rng.normal(size=6), 4)
+        lf = UnitLowerFactor()
+        lf.append_rows(rng.normal(size=6), 4)
         first = lf.take()
         first.append_row(rng.normal(size=4))
         assert np.shares_memory(first._buf, lf._buf)  # appended in place

@@ -43,7 +43,7 @@ from mtfuse.offline import (
     predictions_grid,
     solve_condensed,
 )
-from mtfuse.server import CASE_NEW_INPUT, CASE_REPEAT_TASK, ServerEngine
+from mtfuse.server import CASE_NEW_INPUT, CASE_REPEAT_GLOBAL, CASE_REPEAT_TASK, ServerEngine
 
 from util import (
     make_config,
@@ -70,21 +70,27 @@ def daemon(cfg, tokens):
 
 class TestMessageRoundTrip:
     def test_get_disclosed(self):
-        msg = proto.GetDisclosed()
-        assert proto.decode(proto.encode(msg)) == msg
+        for since in (0, 7, (1 << 32) - 1):
+            msg = proto.GetDisclosed(since=since)
+            assert proto.decode(proto.encode(msg)) == msg
 
     def test_disclosed_empty(self):
-        msg = proto.Disclosed(
-            epoch=0,
-            keys=(),
-            features=Pool(),
-            y_cond=np.zeros(0),
-            h_packed=np.zeros(0),
-        )
-        back = proto.decode(proto.encode(msg))
-        assert back == msg
-        assert back.y_cond.shape == (0,)
-        assert back.h_packed.shape == (0,)
+        for since in (0, 3):
+            msg = proto.Disclosed(
+                epoch=0,
+                since=since,
+                keys=(),
+                features=Pool(),
+                y_cond=np.zeros(since),
+                h_packed=np.zeros(since * (since + 1) // 2),
+                lower=np.zeros(0),
+                d=np.zeros(0),
+                m=np.zeros(0),
+            )
+            back = proto.decode(proto.encode(msg))
+            assert back == msg
+            assert back.y_cond.shape == (since,)
+            assert back.h_packed.shape == (since * (since + 1) // 2,)
 
     def test_submit_with_and_without_features(self):
         for feats in (None, np.array([0.5, -1.0]), np.zeros(0)):
@@ -170,19 +176,21 @@ def _lookup_engine(rng, alpha):
 class TestGoldenBytes:
     """Message and snapshot bytes pinned by SHA-256.
 
-    Both were computed when a pool's inputs began to travel as columns
-    (wire and snapshot version 3), the message digest also when the
-    fuzzer began drawing TaskCoeffs pools whose inputs all have D
-    features; a codec change that moves one byte of either format fails
-    here.  The snapshot digests also pin the engine's floating-point
-    arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
+    Both were computed when reads began to send only the inputs and
+    factor rows past a since (wire and snapshot version 4).  Against
+    version 3, every message of another row kept its bytes apart from
+    the version byte, and each snapshot its bytes apart from the version
+    word, the since word after the epoch and the CRC; a codec change
+    that moves one byte of either format fails here.  The snapshot
+    digests also pin the engine's floating-point arithmetic (numpy 2.4,
+    OpenBLAS 0.3, x86-64).
     """
 
-    MESSAGES = "1e001127c566214a2b05f13f02fde8ab64abf825c1ad04ba909daf9538e5230d"
+    MESSAGES = "fa8530f12ca861b3f695e52bafde17fe0ab7fa53bdc7d58151ee00ea51ec088d"
     SNAPSHOTS = {
-        0.0: "97cec9639fddf0fa69adfeb9b32873611fdd7218ecd7299da9d95ef1e240f040",
-        0.5: "94794ccdf4397bae9d7f42d0176fe9e5284fc8a3a3ba57b999d09592aa22b581",
-        1.0: "dc9921aad93b9c1aa699afed662f12ee0c7c6f0d866ea6ecf4afd354cea31787",
+        0.0: "717fe07f72cfb00f9bbfadf645828ba656a2d020aef6748c08560a805e058b40",
+        0.5: "385a628ab0cf8267387d30c35ed2e017a626297f490497ef54b1398c3f237ea5",
+        1.0: "661c144c01abd30f7636a7d54e246cd88837e53bc70c97d17f23fd2caf53987d",
     }
 
     def test_message_bytes(self):
@@ -215,12 +223,12 @@ class TestMalformedInput:
             proto.decode(data[:-1])
 
     def test_trailing_bytes(self):
-        data = proto.encode(proto.GetDisclosed())
+        data = proto.encode(proto.GetDisclosed(since=0))
         with pytest.raises(MalformedFrame):
             proto.decode(data + b"\x00")
 
     def test_wrong_wire_version(self):
-        data = proto.encode(proto.GetDisclosed())
+        data = proto.encode(proto.GetDisclosed(since=0))
         with pytest.raises(UnsupportedVersion):
             proto.decode(bytes([99]) + data[1:])
 
@@ -264,6 +272,27 @@ class TestMalformedInput:
                 except (MalformedFrame, UnsupportedVersion):
                     pass
 
+    def test_frames_at_and_past_the_joined_size(self):
+        import io
+
+        class Writes(io.BytesIO):
+            def write(self, b):
+                self.sizes.append(len(b))
+                return super().write(b)
+
+        # a payload of 30 + 8n bytes: one within the joined size, one past it
+        for n, writes in ((proto._JOIN_MAX // 8 - 4, 1), (proto._JOIN_MAX // 8, 2)):
+            msg = proto.TaskCoeffs(epoch=1, since=n, keys=(), features=Pool(), b=np.zeros(0),
+                                   a_cond=np.arange(float(n)), a=np.zeros(0), slots=())
+            out = Writes()
+            out.sizes = []
+            proto.write_message(out, msg)
+            size = len(proto.encode(msg))
+            assert out.sizes == ([4 + size], [4, size])[writes - 1]
+            assert (size <= proto._JOIN_MAX) == (writes == 1)
+            out.seek(0)
+            assert proto.read_message(out) == msg
+
     def test_stream_framing_errors(self):
         import io
 
@@ -278,11 +307,17 @@ class TestMalformedInput:
             proto.read_message(io.BytesIO(short))
 
 
+def _wire(msg):
+    # msg as a reader gets it
+    return proto.decode(proto.encode(msg))
+
+
 def _disclosed(keys, feats):
     n = len(keys)
-    return proto.Disclosed(epoch=4, keys=tuple(keys), features=pool_of(keys, feats),
-                           y_cond=np.arange(n, dtype=float),
-                           h_packed=np.ones(n * (n + 1) // 2))
+    return proto.Disclosed(epoch=4, since=0, keys=tuple(keys),
+                           features=pool_of(keys, feats), y_cond=np.arange(n, dtype=float),
+                           h_packed=np.ones(n * (n + 1) // 2),
+                           lower=np.zeros(n * (n - 1) // 2), d=np.ones(n), m=np.ones(n))
 
 
 class TestInputColumns:
@@ -305,7 +340,7 @@ class TestInputColumns:
                      for f in feats]
             keys = [b"k%d" % i + b"\x00" * i for i in range(len(feats))]
             for msg in (_disclosed(keys, feats),
-                        proto.TaskCoeffs(epoch=1, keys=tuple(keys),
+                        proto.TaskCoeffs(epoch=1, since=0, keys=tuple(keys),
                                          features=pool_of(keys, feats),
                                          b=np.zeros(1), a_cond=np.zeros(len(keys)),
                                          a=np.zeros(0), slots=())):
@@ -347,9 +382,9 @@ class TestInputColumns:
     def test_lengths_that_do_not_fit_rejected(self):
         keys = [b"key-%d" % i for i in range(3)]
         data = proto.encode(_disclosed(keys, self.POOLS["uniform"][:3]))
-        # version, tag, epoch; then n, the key lengths, the keys, the
-        # feature lengths and the value count
-        at_n = 2 + 8
+        # version, tag, epoch, since; then n, the key lengths, the keys,
+        # the feature lengths and the value count
+        at_n = 2 + 8 + 4
         at_klen = at_n + 4
         at_flen = at_klen + 3 * 4 + sum(map(len, keys))
         at_count = at_flen + 3 * 4
@@ -393,10 +428,10 @@ class TestSchemaPrivacy:
             assert "y" not in names
             assert "w" not in names
         assert {f.name for f in fields(proto.Disclosed)} == {
-            "epoch", "keys", "features", "y_cond", "h_packed",
+            "epoch", "since", "keys", "features", "y_cond", "h_packed", "lower", "d", "m",
         }
         assert {f.name for f in fields(proto.TaskCoeffs)} == {
-            "epoch", "keys", "features", "b", "a_cond", "a", "slots",
+            "epoch", "since", "keys", "features", "b", "a_cond", "a", "slots",
         }
         assert {f.name for f in fields(proto.Ack)} == {"epoch", "case"}
         assert {f.name for f in fields(proto.Config)} == {
@@ -423,8 +458,10 @@ class TestSchemaPrivacy:
             assert struct.pack("<d", v) not in blob
 
     def test_factors_schema_and_bytes_hold_no_raw_responses(self):
-        assert {f.name for f in fields(proto.GetFactors)} == {"n"}
-        assert {f.name for f in fields(proto.Factors)} == {"lower", "d", "m"}
+        # a request names only what the caller holds; a reply's factor
+        # rows, full or since a count, hold no response or weight
+        assert {f.name for f in fields(proto.GetDisclosed)} == {"since"}
+        assert {f.name for f in fields(proto.GetTaskCoeffs)} == {"task", "token", "since"}
         rng = np.random.default_rng(3)
         cfg = make_config(0.5, 0.1, d=1)
         xs = make_inputs(rng, 5, unit=True)
@@ -433,8 +470,9 @@ class TestSchemaPrivacy:
         eng = ServerEngine(cfg)
         for i, x in enumerate(xs):
             eng.receive_example(i % 2, x, ys[i % 3], ws[i % 2])
-        blob = proto.encode(proto.factors_to_message(eng.get_disclosed().factors))
-        blob += proto.encode(proto.GetFactors(n=eng.n))
+        blob = b"".join(proto.encode(proto.disclosed_to_message(eng.get_disclosed(), since))
+                        for since in (0, 2))
+        blob += proto.encode(proto.GetDisclosed(since=eng.n))
         for v in ys + ws:
             assert struct.pack("<d", v) not in blob
 
@@ -445,7 +483,7 @@ class TestDisclosedConversion:
         ds, cfg, _ = random_instance(rng, alpha=0.5, d=1)
         eng = stream_into_engine(ServerEngine(cfg), ds.triples)
         db = eng.get_disclosed()
-        back = proto.disclosed_from_message(proto.disclosed_to_message(db))
+        back = proto.Seen().disclosed(proto.disclosed_to_message(db))
         assert back.epoch == db.epoch
         assert [x.key for x in back.inputs] == [x.key for x in db.inputs]
         assert np.asarray(back.y_cond).tobytes() == np.asarray(db.y_cond).tobytes()
@@ -461,7 +499,7 @@ class TestDisclosedConversion:
         msg = proto.disclosed_to_message(eng.get_disclosed())
         msg = replace(msg, keys=(xs[0].key, xs[0].key))
         with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
-            proto.disclosed_from_message(proto.decode(proto.encode(msg)))
+            proto.Seen().disclosed(proto.decode(proto.encode(msg)))
 
     def test_task_coeffs_slot_or_key_out_of_place_rejected(self):
         eng = ServerEngine(make_config(0.5, 0.1, d=1))
@@ -474,40 +512,51 @@ class TestDisclosedConversion:
         for bad, match in ((bad_slot, "slot 2 out of range"),
                            (bad_key, "input key b'x-0000' listed twice")):
             with pytest.raises(MalformedFrame, match=match):
-                proto.task_coeffs_from_message(proto.decode(proto.encode(bad)))
+                proto.Seen().task_coeffs(proto.decode(proto.encode(bad)))
 
     def test_factors_round_trip_bitwise(self):
+        # the factors read at once, or as a head and the rows since it
         rng = np.random.default_rng(29)
         for d in (0, 1):
-            ds, cfg, _ = random_instance(rng, alpha=0.5, d=d)
-            eng = stream_into_engine(ServerEngine(cfg), ds.triples)
-            msg = proto.decode(proto.encode(proto.factors_to_message(eng.factors)))
-            back = proto.factors_from_message(msg, eng.n)
-            assert back.n == eng.n and back.bias_dim == d
-            # one buffer of the capacity the server's appends grew
-            assert back.L._buf.shape == eng.factors.L._buf.shape
-            assert back.L.dense().tobytes() == eng.factors.L.dense().tobytes()
-            assert back.D.values.tobytes() == eng.factors.D.values.tobytes()
-            assert back.M.tobytes() == eng.factors.M.tobytes()
+            ds, cfg, _ = random_instance(rng, alpha=0.5, d=d, n_max=60)
+            total = len({t.x.key for t in ds.triples})
+            eng, rest = ServerEngine(cfg), list(ds.triples)
+            while eng.n < total // 2:
+                t = rest.pop(0)
+                eng.receive_example(t.task, t.x, t.y, t.w)
+            seen = proto.Seen()
+            head = seen.disclosed(_wire(proto.disclosed_to_message(
+                eng.get_disclosed())))
+            stream_into_engine(eng, rest)
+            full = proto.Seen().disclosed(_wire(proto.disclosed_to_message(
+                eng.get_disclosed())))
+            delta = seen.disclosed(_wire(proto.disclosed_to_message(
+                eng.get_disclosed(), head.factors.n)))
+            assert head.factors.n < eng.n
+            for back in (full.factors, delta.factors):
+                assert back.n == eng.n and back.bias_dim == d
+                # one buffer of the capacity the server's appends grew
+                assert back.L._buf.shape == eng.factors.L._buf.shape
+                assert back.L.dense().tobytes() == eng.factors.L.dense().tobytes()
+                assert back.D.values.tobytes() == eng.factors.D.values.tobytes()
+                assert back.M.tobytes() == eng.factors.M.tobytes()
 
     def test_factors_that_do_not_fit_rejected(self):
         eng = ServerEngine(make_config(0.5, 0.1, d=1))
         for t, x in enumerate(make_inputs(np.random.default_rng(30), 3, unit=True)):
             eng.receive_example(t, x, 1.0, 1.0)
         db = eng.get_disclosed()
-        msg = proto.factors_to_message(db.factors)
+        msg = proto.disclosed_to_message(db)
         bad = (
-            (msg, 2, "factors of 3 inputs, not 2"),
-            (replace(msg, lower=msg.lower[:-1]), 3, "2 entries of L do not fit 3"),
-            (replace(msg, m=msg.m[:-1]), 3, "2 entries of M are not a multiple of 3"),
+            (replace(msg, d=msg.d[:-1]), "factors of 2 inputs, not 3"),
+            (replace(msg, lower=msg.lower[:-1]), "2 entries of L do not fit rows 0..3"),
+            (replace(msg, m=msg.m[:-1]), "2 entries of M are not a multiple of 3"),
         )
-        for factors, n, match in bad:
+        for reply, match in bad:
             with pytest.raises(MalformedFrame, match=match):
-                proto.factors_from_message(proto.decode(proto.encode(factors)), n)
+                proto.Seen().disclosed(_wire(reply))
         # two bias columns decode, but do not fit a config with one
-        wide = replace(msg, m=np.repeat(msg.m, 2))
-        back = proto.disclosed_from_message(
-            proto.disclosed_to_message(db), proto.decode(proto.encode(wide)))
+        back = proto.Seen().disclosed(_wire(replace(msg, m=np.repeat(msg.m, 2))))
         assert back.factors.bias_dim == 2
         with pytest.raises(MalformedFrame, match="1 bias columns"):
             ServerEngine.from_disclosed(back, eng.cfg)
@@ -760,6 +809,8 @@ class TestDaemon:
                         assert g.tobytes() == w.tobytes(), (alpha, d, f)
 
     def test_factors_past_the_pool_refused_connection_kept(self):
+        # a since past the pool, in either read, is refused; the
+        # connection then answers a since at the pool and before it
         cfg = make_config(0.5, 0.1, d=1)
         with daemon(cfg, {0: b"t"}) as (eng, srv):
             with RemoteServer(srv.address, task=0, token=b"t") as conn:
@@ -768,13 +819,21 @@ class TestDaemon:
             before = proto.save_snapshot(eng)
             with socket.create_connection(srv.address, timeout=10) as raw:
                 rfile, wfile = raw.makefile("rb"), raw.makefile("wb")
-                proto.write_message(wfile, proto.GetFactors(n=2))
+                for request in (proto.GetDisclosed(since=2),
+                                proto.GetTaskCoeffs(task=0, token=b"t", since=2)):
+                    proto.write_message(wfile, request)
+                    reply = proto.read_message(rfile)
+                    assert isinstance(reply, proto.Error)
+                    assert reply.code == proto.ERR_MALFORMED
+                    assert "inputs from 2 asked for, the pool has 1" in reply.detail
+                for since in (1, 0):
+                    proto.write_message(wfile, proto.GetDisclosed(since=since))
+                    reply = proto.read_message(rfile)
+                    assert reply.since == since and len(reply.d) == 1 - since
+                    assert len(reply.keys) == 1 - since and len(reply.y_cond) == 1
+                proto.write_message(wfile, proto.GetTaskCoeffs(task=0, token=b"t", since=1))
                 reply = proto.read_message(rfile)
-                assert isinstance(reply, proto.Error)
-                assert reply.code == proto.ERR_MALFORMED
-                assert "the pool has 1" in reply.detail
-                proto.write_message(wfile, proto.GetFactors(n=1))
-                assert len(proto.read_message(rfile).d) == 1
+                assert reply.since == 1 and reply.keys == () and reply.slots == (0,)
             assert proto.save_snapshot(eng) == before
 
     def test_idle_shutdown_does_not_wait_for_a_poll(self):
@@ -845,6 +904,28 @@ class TestDaemon:
                 assert conn.get_disclosed().epoch == 1
                 ok = InputPoint(b"ok", np.array([0.5, 0.5, 0.5, 0.5]))
                 assert conn.submit(ok, 0.1, 1.0).case == CASE_NEW_INPUT
+
+    def test_nonfinite_response_refused_keeps_snapshot_and_connection(self):
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {1: b"t", 2: b"t"}) as (eng, srv):
+            with RemoteServer(srv.address, task=1, token=b"t") as conn:
+                p = InputPoint(b"p", np.array([0.0, 1.0, 0.0, 0.0]))
+                conn.submit(p, 1.0, 1.0)
+                before = proto.save_snapshot(eng)
+                fresh = InputPoint(b"q", np.array([0.5, 0.5, 0.5, 0.5]))
+                for y in (np.nan, np.inf, -np.inf):
+                    for x, task in ((p, 1), (p, 2), (fresh, 1)):
+                        msg = proto.SubmitExample(task=task, token=b"t", key=x.key,
+                                                  features=x.features, y=y, w=1.0)
+                        proto.write_message(conn._wfile, msg)
+                        reply = proto.read_message(conn._rfile)
+                        assert isinstance(reply, proto.Error)
+                        assert reply.code == proto.ERR_INVALID_INPUT == 12
+                    with pytest.raises(InvalidInput, match="response must be finite"):
+                        conn.submit(p, y, 1.0)
+                    assert proto.save_snapshot(eng) == before
+                assert conn.get_disclosed().epoch == 1
+                assert conn.submit(fresh, 0.1, 1.0).case == CASE_NEW_INPUT
 
     def test_garbage_frame_reply_then_state_survives(self):
         rng = np.random.default_rng(11)
@@ -965,6 +1046,176 @@ class TestDaemon:
         assert epochs[1] == sorted(epochs[1])
 
 
+def _disclosed_bytes(db):
+    # everything a DisclosedDB holds, as bytes
+    f = db.factors
+    return (db.epoch, db.inputs.keys, db.inputs.lengths.tobytes(),
+            db.inputs.values.tobytes(), np.asarray(db.y_cond).tobytes(),
+            db.H.packed.tobytes(), f.L.dense().tobytes(), f.D.values.tobytes(),
+            f.M.tobytes(), f.M.shape)
+
+
+def _coeffs_bytes(view):
+    # everything a TaskCoeffsView holds, as bytes
+    return (view.epoch, view.inputs.keys, view.inputs.lengths.tobytes(),
+            view.inputs.values.tobytes(), view.b.tobytes(), view.a_cond.tobytes(),
+            view.a.tobytes(), view.slots)
+
+
+def _seen_bytes(seen):
+    f = seen.factors
+    return (seen.inputs.keys, seen.inputs.lengths.tobytes(), seen.inputs.values.tobytes(),
+            f.L.dense().tobytes(), f.D.values.tobytes(), f.M.tobytes())
+
+
+class TestSinceDeltas:
+    """A connection reads each input and factor row once: a read asks
+    for the part past what it holds, and returns views of what it holds
+    at the reply's n."""
+
+    def test_one_connection_reads_as_fresh_connections_do(self):
+        # new inputs, repeats of a global input and of a task's own, with
+        # active and passive reads between them; the pool crosses the
+        # buffers' capacities of 8, 16 and 32
+        rng = np.random.default_rng(41)
+        pool = make_inputs(rng, 40, dim=6, unit=True)
+        private = PrivateData([(pool[0], 0.4, 1.0),
+                               (make_inputs(rng, 1, dim=6, prefix=b"own", unit=True)[0],
+                                -0.2, 2.0)])
+        tokens = {t: b"tok-%d" % t for t in range(4)}
+        cfg = make_config(0.5, 0.1, d=1)
+        kept, cases = [], set()
+        with daemon(cfg, tokens) as (eng, srv):
+            with RemoteServer(srv.address) as writer, RemoteServer(srv.address) as conn:
+                for i in range(140):
+                    task = int(rng.integers(0, 4))
+                    x = pool[min(int(rng.integers(0, i // 3 + 1)), 39)]
+                    cases.add(writer.submit(x, float(rng.normal()), 1.0, task=task,
+                                            token=tokens[task]).case)
+                    if rng.random() < 0.5:
+                        continue
+                    if rng.random() < 0.5:
+                        db = conn.get_disclosed()
+                        with RemoteServer(srv.address) as fresh:
+                            want = fresh.get_disclosed()
+                        got = _disclosed_bytes(db)
+                        assert got == _disclosed_bytes(want)
+                        kept.append((db, got, _disclosed_bytes))
+                        # a passive session appends private inputs
+                        Client(99, cfg).passive_refresh(db, private)
+                    else:
+                        conn.token = tokens[task]
+                        view = conn.task_coefficients(task)
+                        with RemoteServer(srv.address, token=tokens[task]) as fresh:
+                            want = fresh.task_coefficients(task)
+                        got = _coeffs_bytes(view)
+                        assert got == _coeffs_bytes(want)
+                        kept.append((view, got, _coeffs_bytes))
+        assert cases == {CASE_NEW_INPUT, CASE_REPEAT_GLOBAL, CASE_REPEAT_TASK}
+        assert eng.n > 32 and len(kept) > 30
+        # what a read returned never changes
+        for read, got, as_bytes in kept:
+            assert as_bytes(read) == got
+
+    def test_passive_refresh_leaves_the_cache_as_it_was(self):
+        # the session's engine appends private inputs in place, past the
+        # rows the cache holds; the cache copies its rows out when it
+        # next grows, and its reads still equal a fresh connection's
+        rng = np.random.default_rng(42)
+        pool = make_inputs(rng, 12, dim=6, unit=True)
+        mine = make_inputs(rng, 2, dim=6, prefix=b"own", unit=True)
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {}) as (eng, srv):
+            for i, x in enumerate(pool[:10]):
+                eng.receive_example(i % 3, x, float(rng.normal()), 1.0)
+            with RemoteServer(srv.address) as conn:
+                db = conn.get_disclosed()
+                seen = conn._seen
+                before = _seen_bytes(seen)
+                local = ServerEngine.from_disclosed(db, cfg)
+                for x in mine:
+                    local.receive_example(7, x, 0.5, 1.0)
+                # appended in place, with no copy of L
+                assert local.factors.L._buf is seen.factors.L._buf
+                assert _seen_bytes(seen) == before and seen.factors.n == 10
+                rows = local.factors.L.dense().tobytes()
+                Client(7, cfg).passive_refresh(db, PrivateData([(mine[0], 1.0, 1.0)]))
+                assert _seen_bytes(seen) == before
+                for x in pool[10:]:
+                    eng.receive_example(0, x, 0.3, 1.0)
+                grown = conn.get_disclosed()
+                assert seen.factors.L._buf is not local.factors.L._buf
+                assert local.factors.L.dense().tobytes() == rows
+                with RemoteServer(srv.address) as fresh:
+                    assert _disclosed_bytes(grown) == _disclosed_bytes(fresh.get_disclosed())
+
+    def test_since_past_the_pool_refused(self):
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(np.random.default_rng(43), 3, unit=True)):
+            eng.receive_example(t, x, 1.0, 1.0)
+        for since in (0, 3):
+            assert len(proto.disclosed_to_message(eng.get_disclosed(), since).keys) == 3 - since
+        with pytest.raises(MalformedFrame, match="inputs from 4 asked for, the pool has 3"):
+            proto.disclosed_to_message(eng.get_disclosed(), 4)
+        with pytest.raises(MalformedFrame, match="inputs from 4 asked for, the pool has 3"):
+            proto.task_coeffs_to_message(eng.task_coefficients(0), 4)
+
+    def test_replies_that_do_not_fit_are_malformed(self):
+        # the cache holds four inputs (a model read) and two factor rows
+        rng = np.random.default_rng(44)
+        xs = make_inputs(rng, 6, unit=True)
+        cfg = make_config(0.5, 0.1, d=1)
+        eng = ServerEngine(cfg)
+        seen = proto.Seen()
+        for t, x in enumerate(xs[:2]):
+            eng.receive_example(t, x, 1.0, 1.0)
+        seen.disclosed(_wire(proto.disclosed_to_message(eng.get_disclosed())))
+        for t, x in enumerate(xs[2:4]):
+            eng.receive_example(t, x, 1.0, 1.0)
+        seen.task_coeffs(_wire(proto.task_coeffs_to_message(
+            eng.task_coefficients(0), 2)))
+        for x in xs[4:]:
+            eng.receive_example(0, x, 1.0, 1.0)
+        assert (len(seen.inputs), seen.factors.n) == (4, 2)
+        before = _seen_bytes(seen)
+        good = proto.disclosed_to_message(eng.get_disclosed(), 2)
+        coeffs = proto.task_coeffs_to_message(eng.task_coefficients(0), 4)
+        other = make_inputs(rng, 2, unit=True, prefix=b"o")
+        moved = pool_of([xs[2].key, xs[3].key], [xs[2].features, xs[2].features])
+        renamed = [x.key for x in (xs[2], other[0], xs[4], xs[5])]
+        bad = (
+            (proto.disclosed_to_message(eng.get_disclosed(), 1),
+             "factor rows from 1, but 2 are held"),
+            (proto.disclosed_to_message(eng.get_disclosed(), 3),
+             "factor rows from 3, but 2 are held"),
+            (replace(good, d=good.d[:-1]), "factors of 3 inputs, not 4"),
+            (replace(good, lower=good.lower[:-1]), "do not fit rows 2..6"),
+            (replace(good, m=good.m[:-1]), "3 entries of M are not a multiple of 4"),
+            (replace(good, m=np.repeat(good.m, 2)), "rows of M with 2 entries, not 1"),
+            (replace(good, keys=tuple(renamed), features=pool_of(
+                renamed, [x.features for x in xs[2:]])), "inputs 2..4 are not the ones held"),
+            (replace(good, keys=moved.keys + good.keys[2:], features=pool_of(
+                list(moved.keys) + list(good.keys[2:]),
+                [x.features for x in moved] + [x.features for x in xs[4:]])),
+             "inputs 2..4 are not the ones held"),
+            (replace(good, keys=good.keys[:3] + (xs[0].key,), features=pool_of(
+                good.keys[:3] + (xs[0].key,), [x.features for x in xs[2:6]])),
+             "input key b'x-0000' listed twice"),
+            (proto.task_coeffs_to_message(eng.task_coefficients(0), 5),
+             "inputs from 5 do not continue the 4 held"),
+            (replace(coeffs, slots=coeffs.slots[:-1] + (6,)), "task slot 6 out of range"),
+        )
+        for reply, match in bad:
+            read = seen.disclosed if isinstance(reply, proto.Disclosed) else seen.task_coeffs
+            with pytest.raises(MalformedFrame, match=match):
+                read(_wire(reply))
+            assert _seen_bytes(seen) == before
+        db = seen.disclosed(_wire(good))
+        want = proto.Seen().disclosed(_wire(proto.disclosed_to_message(
+            eng.get_disclosed())))
+        assert _disclosed_bytes(db) == _disclosed_bytes(want)
+
+
 class TestDaemonConfigFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "daemon.json"
@@ -1057,10 +1308,9 @@ class TestDaemonConfigFile:
         assert capsys.readouterr().err.startswith("error: %s: " % snap)
         assert snap.read_bytes() == blob
 
-    def test_cli_serve_refuses_version_1_snapshot(self, tmp_path, capsys, monkeypatch):
-        # version 1 wrote the factors without their counts
+    def _refuses_snapshot_version(self, version, tmp_path, capsys, monkeypatch):
         good = proto.save_snapshot(ServerEngine(make_config(0.5, 0.1, d=1)))
-        body = good[:4] + struct.pack("<I", 1) + good[8:-4]
+        body = good[:4] + struct.pack("<I", version) + good[8:-4]
         snap = tmp_path / "engine.snap"
         snap.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         path = tmp_path / "daemon.json"
@@ -1068,20 +1318,21 @@ class TestDaemonConfigFile:
         monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
                             lambda self, *a, **k: None)
         assert cli.main(["serve", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == "error: %s: snapshot version 1\n" % snap
+        assert capsys.readouterr().err == "error: %s: snapshot version %d\n" % (
+            snap, version)
+
+    def test_cli_serve_refuses_version_1_snapshot(self, tmp_path, capsys, monkeypatch):
+        # version 1 wrote the factors without their counts
+        self._refuses_snapshot_version(1, tmp_path, capsys, monkeypatch)
 
     def test_cli_serve_refuses_version_2_snapshot(self, tmp_path, capsys, monkeypatch):
         # version 2 wrote each input's key and features in turn
-        good = proto.save_snapshot(ServerEngine(make_config(0.5, 0.1, d=1)))
-        body = good[:4] + struct.pack("<I", 2) + good[8:-4]
-        snap = tmp_path / "engine.snap"
-        snap.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        path = tmp_path / "daemon.json"
-        path.write_text(json.dumps({"alpha": 0.5, "lam": 0.1, "snapshot": str(snap)}))
-        monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
-                            lambda self, *a, **k: None)
-        assert cli.main(["serve", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == "error: %s: snapshot version 2\n" % snap
+        self._refuses_snapshot_version(2, tmp_path, capsys, monkeypatch)
+
+    def test_cli_serve_refuses_version_3_snapshot(self, tmp_path, capsys, monkeypatch):
+        # version 3 wrote the factors as a body of their own, after a
+        # Disclosed body without since
+        self._refuses_snapshot_version(3, tmp_path, capsys, monkeypatch)
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from mtfuse import kernels
 from mtfuse import protocol as proto
+from mtfuse import server
 from mtfuse.errors import DegenerateGram, InvalidInput, NonPositiveWeight, UnknownTask
 from mtfuse.kernels import InputPoint, KernelSpec, MixedEffectConfig, eval_kernel, kernel_matrix
 from mtfuse.offline import (
@@ -260,6 +261,21 @@ class TestTransactionality:
         fresh = make_inputs(rng, 1, dim=dim, prefix=b"fresh", unit=True)[0]
         assert eng.receive_example(0, fresh, 1.0, 1.0).case == CASE_NEW_INPUT
 
+    def test_nonfinite_response_refused_as_invalid_input(self):
+        rng = np.random.default_rng(23)
+        ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=5)
+        eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+        before = save_snapshot(eng)
+        fresh = make_inputs(rng, 1, dim=len(pool[0].features), prefix=b"f", unit=True)[0]
+        task = ds.triples[0].task
+        # a new input, an input new to the task and a repeat of the pair
+        for x, t in ((fresh, task), (ds.triples[0].x, 99), (ds.triples[0].x, task)):
+            for y in (np.nan, np.inf, -np.inf):
+                with pytest.raises(InvalidInput, match="response must be finite"):
+                    eng.receive_example(t, x, y, 1.0)
+                assert save_snapshot(eng) == before
+        assert proto.exception_to_code(InvalidInput("x")) == proto.ERR_INVALID_INPUT
+
     def test_wrong_feature_length_rejected_and_state_kept(self):
         rng = np.random.default_rng(18)
         ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=5)
@@ -390,6 +406,53 @@ class TestReads:
         local = ServerEngine.from_disclosed(db, cfg)
         assert len(local.inputs) == eng.n > 0 and made == []
         assert isinstance(local.inputs[0], Counted) and len(made) == 1
+
+    def test_shared_solve_runs_once_per_epoch(self, monkeypatch):
+        # every read at one epoch shares one shared solve, and a commit
+        # drops it; the models are the bytes of reads without the cache
+        rng = np.random.default_rng(24)
+        for alpha in (0.0, 0.5):
+            ds, _, pool = random_instance(rng, m_max=4, ell_max=6, n_max=6)
+            cfg = make_config(alpha, 0.1, d=1)
+            eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+            calls = []
+            solve = server.shared_coefficients
+            monkeypatch.setattr(server, "shared_coefficients",
+                                lambda *a: calls.append(1) or solve(*a))
+
+            def models():
+                out = [eng.task_coefficients(t) for t in ds.tasks + [99]]
+                return out + [eng.get_task_coefficients(t) for t in ds.tasks]
+
+            def uncached():
+                # a revived engine has no solve of its own yet
+                revived = proto.load_snapshot(save_snapshot(eng))
+                out = [revived.task_coefficients(t) for t in ds.tasks + [99]]
+                return out + [revived.get_task_coefficients(t) for t in ds.tasks]
+
+            def same(got, want):
+                for g, w in zip(got, want):
+                    if isinstance(g, np.ndarray):
+                        assert g.tobytes() == w.tobytes()
+                        continue
+                    assert g.epoch == w.epoch and g.slots == w.slots
+                    for f in ("b", "a_cond", "a"):
+                        assert getattr(g, f).tobytes() == getattr(w, f).tobytes()
+
+            first = models()
+            assert len(calls) == 1 and models() and len(calls) == 1
+            assert not first[0].b.flags.writeable
+            same(first, uncached())
+            eng.receive_example(ds.triples[0].task, pool[0], 0.25, 1.0)
+            after = models()
+            assert len(calls) == 3  # one for the uncached reads, one here
+            same(after, uncached())
+            # a refused submit keeps the epoch, and so its solve
+            with pytest.raises(InvalidInput):
+                eng.receive_example(0, pool[0], np.nan, 1.0)
+            models()
+            assert len(calls) == 4
+            monkeypatch.undo()
 
     def test_unknown_task(self):
         eng = ServerEngine(make_config(0.5, 1.0, d=0))

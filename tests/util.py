@@ -302,9 +302,15 @@ def random_message(rng):
             int(rng.integers(0, 3))
         ]
         return proto.Ack(epoch=int(rng.integers(0, 1 << 40)), case=case)
+    # since, and what it sizes, is drawn from a generator spawned from
+    # rng, which does not advance rng: the messages that have no since
+    # keep the bytes they had before it
     if kind == 2:
-        return proto.GetDisclosed()
+        (extra,) = rng.spawn(1)
+        return proto.GetDisclosed(since=int(extra.integers(0, 1 << 32)))
     if kind == 3:
+        (extra,) = rng.spawn(1)
+        since = int(extra.integers(0, 4))
         n = int(rng.integers(0, 6))
         keys = tuple(b"in%d-" % i + _rand_bytes(rng, 4) for i in range(n))
         feats = tuple(
@@ -312,17 +318,27 @@ def random_message(rng):
              else rng.standard_normal(int(rng.integers(0, 5))))
             for _ in range(n)
         )
+        epoch = int(rng.integers(0, 1000))
+        y_cond = rng.standard_normal(n)
+        h_packed = rng.standard_normal(n * (n + 1) // 2)
+        total, width = since + n, int(extra.integers(0, 3))
         return proto.Disclosed(
-            epoch=int(rng.integers(0, 1000)),
+            epoch=epoch,
+            since=since,
             keys=keys,
             features=pool_of(keys, feats),
-            y_cond=rng.standard_normal(n),
-            h_packed=rng.standard_normal(n * (n + 1) // 2),
+            y_cond=np.append(extra.standard_normal(since), y_cond),
+            h_packed=np.append(
+                extra.standard_normal(total * (total + 1) // 2 - len(h_packed)), h_packed),
+            lower=extra.standard_normal((total * (total - 1) - since * (since - 1)) // 2),
+            d=extra.standard_normal(n),
+            m=extra.standard_normal(n * width),
         )
     if kind == 4:
-        return proto.GetTaskCoeffs(
-            task=int(rng.integers(-3, 50)), token=_rand_bytes(rng)
-        )
+        task, token = int(rng.integers(-3, 50)), _rand_bytes(rng)
+        (extra,) = rng.spawn(1)
+        return proto.GetTaskCoeffs(task=task, token=token,
+                                   since=int(extra.integers(0, 1 << 32)))
     if kind == 5:
         # the epoch, a and the task's own keys are drawn from rng, the
         # rest from a spawned generator, which does not advance rng: the
@@ -332,18 +348,7 @@ def random_message(rng):
         a = rng.standard_normal(ell)
         keys = tuple(b"c%d-" % i + _rand_bytes(rng, 4) for i in range(ell))
         (more,) = rng.spawn(1)
-        # a third of these draws are GetFactors and a third Factors, drawn
-        # from a generator spawned from more, which advances neither: the
-        # TaskCoeffs drawn here keep their bytes too
-        (late,) = more.spawn(1)
-        pick = int(late.integers(0, 3))
-        if pick == 1:
-            return proto.GetFactors(n=int(late.integers(0, 1 << 32)))
-        if pick == 2:
-            n, width = int(late.integers(0, 6)), int(late.integers(0, 3))
-            return proto.Factors(lower=late.standard_normal(n * (n - 1) // 2),
-                                 d=late.standard_normal(n),
-                                 m=late.standard_normal(n * width))
+        since = int(more.integers(0, 4))
         keys += tuple(b"p%d-" % i + _rand_bytes(more, 4)
                       for i in range(int(more.integers(0, 3))))
         n = len(keys)
@@ -359,12 +364,13 @@ def random_message(rng):
             feats = tuple(block.standard_normal((n, int(block.integers(0, 5)))))
         return proto.TaskCoeffs(
             epoch=epoch,
+            since=since,
             keys=keys,
             features=pool_of(keys, feats),
             b=more.standard_normal(int(more.integers(0, 3))),
-            a_cond=more.standard_normal(n),
+            a_cond=more.standard_normal(since + n),
             a=a,
-            slots=tuple(int(s) for s in more.permutation(n)[:ell]),
+            slots=tuple(int(s) for s in more.permutation(since + n)[:ell]),
         )
     if kind == 6:
         return proto.GetConfig()
