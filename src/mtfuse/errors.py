@@ -44,7 +44,7 @@ class MissingFeatures(EngineError):
 
 class InvalidInput(EngineError):
     """A new input's features are not finite, or not as long as the
-    pool's."""
+    pool's, or an observation's response is not finite."""
 
 
 # --- wire / persistence --------------------------------------------------

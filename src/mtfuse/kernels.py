@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, MissingFeatures, UnknownKey
+from .errors import InvalidInput, MissingFeatures, NonPositiveWeight, UnknownKey
 from .linalg import _grown
 
 _F64 = np.float64
@@ -64,6 +64,17 @@ class InputPoint:
 
     def __repr__(self):  # pragma: no cover
         return "InputPoint(%r)" % (self.key,)
+
+
+def check_observation(y, w):
+    """An observation's response and weight as floats; a weight that is
+    not finite and > 0, or a response that is not finite, is refused."""
+    y, w = float(y), float(w)
+    if not w > 0.0 or not math.isfinite(w):
+        raise NonPositiveWeight("weight must be finite and > 0, got %g" % w)
+    if not math.isfinite(y):
+        raise InvalidInput("response must be finite, got %g" % y)
+    return y, w
 
 
 class LookupTable:

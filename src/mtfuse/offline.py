@@ -19,11 +19,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonPositiveWeight, SingularSystem, UnknownTask
+from .errors import SingularSystem, UnknownTask
 from .kernels import (
     InputPoint,
     Pool,
     basis_matrix,
+    check_observation,
     eval_kernel,
     kernel_matrix,
     kernel_row,
@@ -51,13 +52,7 @@ class Dataset:
             self.add(*t)
 
     def add(self, task, x, y, w):
-        y = float(y)
-        w = float(w)
-        if not w > 0.0 or not np.isfinite(w):
-            raise NonPositiveWeight("weight must be finite and > 0, got %g" % w)
-        if not np.isfinite(y):
-            raise ValueError("response must be finite, got %g" % y)
-        self.triples.append(Triple(int(task), x, y, w))
+        self.triples.append(Triple(int(task), x, *check_observation(y, w)))
 
     def __len__(self):
         return len(self.triples)

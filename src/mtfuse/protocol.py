@@ -6,12 +6,12 @@ packed lower triangles (row-major).  Encoding is canonical — the same
 value always produces the same bytes — so snapshots can be compared for
 bit-exactness.
 
-Each message is declared once, by one _message call: its wire tag, its
-name, and its fields in wire order, each with the codec of its type.
-The call adds the message's row to a table and makes its dataclass from
-the same fields.  encode and decode are one loop over a row; a payload
-that decode cannot turn into a message raises MalformedFrame.
-Snapshots reuse the Config and Disclosed rows' bodies.
+Each record is declared once, by one _Row: its name and its fields in
+byte order, each with the codec of its type, from which the row makes
+its dataclass.  A message is a record with a wire tag, declared by one
+_message call, which adds its row to the message table.  A record's
+body is written and read by one loop over its row; a payload that
+decode cannot turn into a message raises MalformedFrame.
 
 The server's pool of inputs and its LDL^T factor rows are append-only
 in server order, so a read sends only what the reader lacks: GetDisclosed
@@ -52,9 +52,9 @@ anyone can rebuild bit for bit (linalg.FactorSet).  A request's since
 is the caller's own count of public inputs that it has read, so it
 tells the server nothing about the caller.
 
-Snapshot layout (version 4): magic ``MTLS``, u32 format version, the
-Config and Disclosed message bodies (the latter with since = 0), each
-task's block, and a trailing CRC-32 over everything before it.
+Snapshot layout (version 4): the bodies of a SnapshotHead (magic
+``MTLS``, u32 format version), a Config, a Disclosed with since = 0, a
+TaskCount and one TaskBlock per task, then a CRC-32 over all of them.
 """
 
 import struct
@@ -75,7 +75,7 @@ from .kernels import (
     MixedEffectConfig,
     Pool,
 )
-from .linalg import FactorSet, GrowVec, SymMatrix
+from .linalg import FactorSet, SymMatrix
 from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -240,14 +240,26 @@ def _sized_f64s(count, copy=True):
     return _Codec(_write_array, lambda r: r.array(count(r.got), copy))
 
 
-def _repeated(item, count):
-    """count(got) values of one codec, with no count of their own."""
+def _u32_array(r, count):
+    return np.frombuffer(r.take(4 * count), dtype="<u4")
 
-    def write(w, values):
-        for v in values:
-            item.write(w, v)
 
-    return _Codec(write, lambda r: tuple(item.read(r) for _ in range(count(r.got))))
+def _write_u32s(w, values):
+    w.append(np.asarray(values, dtype="<u4"))
+
+
+def _sized_u32s(count):
+    """count(got) u32 values, with no count of their own, read as a tuple."""
+    return _Codec(_write_u32s, lambda r: tuple(_u32_array(r, count(r.got)).tolist()))
+
+
+def _write_counted_u32s(w, values):
+    _u32.write(w, len(values))
+    _write_u32s(w, values)
+
+
+# u32 values after their u32 count, read as a tuple
+_u32s = _Codec(_write_counted_u32s, lambda r: tuple(_u32_array(r, _u32.read(r)).tolist()))
 
 
 def _tag(tags, what):
@@ -342,10 +354,6 @@ _kernel = _Codec(_write_kernel, _read_kernel)
 _NO_FEATURES = 0xFFFFFFFF
 
 
-def _u32s(r, count):
-    return np.frombuffer(r.take(4 * count), dtype="<u4")
-
-
 def _write_inputs(w, keys_pool):
     keys, pool = keys_pool
     if len(pool) != len(keys):
@@ -360,10 +368,10 @@ def _write_inputs(w, keys_pool):
 
 def _read_inputs(r):
     n = _u32.read(r)
-    ends = np.cumsum(_u32s(r, n), dtype=np.int64).tolist()
+    ends = np.cumsum(_u32_array(r, n), dtype=np.int64).tolist()
     blob = bytes(r.take(ends[-1] if n else 0))
     keys = tuple(map(blob.__getitem__, map(slice, [0] + ends[:-1], ends)))
-    lengths = _u32s(r, n).astype(np.int64)
+    lengths = _u32_array(r, n).astype(np.int64)
     lengths[lengths == _NO_FEATURES] = -1
     count = _u32.read(r)
     if count != int(np.maximum(lengths, 0).sum()):
@@ -415,16 +423,19 @@ class _Msg:
 
 
 class _Row:
-    """One message on the wire: its tag, its class and its fields in wire
-    order, each a (name, codec) pair.  A codec that interleaves several
-    fields is listed under their names joined by spaces, and writes and
-    reads the tuple of their values."""
+    """One record, declared once: its class, a dataclass of its fields, and
+    its fields in byte order, each a (name, codec) pair; a message's row
+    also holds its wire tag.  A codec that interleaves several fields is
+    listed under their names joined by spaces, and writes and reads the
+    tuple of their values."""
 
     __slots__ = ("tag", "cls", "fields")
 
-    def __init__(self, tag, cls, *fields):
+    def __init__(self, name, *fields, tag=None):
         self.tag = tag
-        self.cls = cls
+        self.cls = make_dataclass(
+            name, [n for spec, _ in fields for n in spec.split()], bases=(_Msg,),
+            eq=False, namespace={"__module__": __name__})
         self.fields = [(n.split(), attrgetter(*n.split()), c) for n, c in fields]
 
 
@@ -432,13 +443,10 @@ _ROWS = []
 
 
 def _message(tag, name, *fields):
-    """Declare one message: append its row to _ROWS and return its class,
-    a dataclass whose fields are the row's field names in wire order."""
-    cls = make_dataclass(
-        name, [n for spec, _ in fields for n in spec.split()], bases=(_Msg,),
-        eq=False, namespace={"__module__": __name__})
-    _ROWS.append(_Row(tag, cls, *fields))
-    return cls
+    """Declare one message, a record with a wire tag: add its row to _ROWS
+    and return its class."""
+    _ROWS.append(_Row(name, *fields, tag=tag))
+    return _ROWS[-1].cls
 
 
 def _n_inputs(got):
@@ -446,8 +454,9 @@ def _n_inputs(got):
     return got["since"] + len(got["keys"])
 
 
-def _n_packed(got):
-    return _n_inputs(got) * (_n_inputs(got) + 1) // 2
+def _packed(count):
+    # the entries of a packed symmetric matrix of order count(got)
+    return lambda got: count(got) * (count(got) + 1) // 2
 
 
 SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
@@ -457,14 +466,14 @@ Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
                      ("keys features", _inputs), ("y_cond", _sized_f64s(_n_inputs)),
-                     ("h_packed", _sized_f64s(_n_packed, copy=False)),
+                     ("h_packed", _sized_f64s(_packed(_n_inputs), copy=False)),
                      ("lower", _f64s_view), ("d", _f64s_view), ("m", _f64s_view))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
                          ("since", _u32))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
                       ("keys features", _inputs), ("b", _f64s),
                       ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
-                      ("slots", _repeated(_u32, lambda got: len(got["a"]))))
+                      ("slots", _sized_u32s(lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
                   ("individual", _kernel), ("bias_kind", _bias))
@@ -658,96 +667,89 @@ def config_to_message(cfg):
         raise ValueError("per-task kernel overrides are not wire-encodable")
     if cfg.bias.kind not in _BIASES:
         raise ValueError("custom bias bases are not wire-encodable")
-    return Config(
-        alpha=cfg.alpha,
-        lam=cfg.lam,
-        shared=cfg.shared,
-        individual=cfg.individual,
-        bias_kind=cfg.bias.kind,
-    )
+    return Config(cfg.alpha, cfg.lam, cfg.shared, cfg.individual, cfg.bias.kind)
 
 
 def config_from_message(msg):
-    return MixedEffectConfig(
-        alpha=msg.alpha,
-        lam=msg.lam,
-        shared=msg.shared,
-        individual=msg.individual,
-        bias=bias_from_name(msg.bias_kind),
-    )
+    """The MixedEffectConfig of msg; an alpha or lam it refuses is
+    malformed."""
+    try:
+        return MixedEffectConfig(msg.alpha, msg.lam, msg.shared, msg.individual,
+                                 bias=bias_from_name(msg.bias_kind))
+    except ValueError as exc:
+        raise errors.MalformedFrame(str(exc)) from None
 
 
 # ===== snapshots =========================================================
 #
-# After the magic and version, a snapshot holds a Config message body, a
-# Disclosed message body with since = 0 (epoch, inputs, y_cond, H, and
-# L, D and M) and each task's block; a CRC-32 of all of it comes last.
+# Every byte of a snapshot but its CRC is a record body.  A TaskBlock
+# holds a task's raw responses and weights, so no snapshot record has a
+# tag or a row in _ROWS: encode refuses them.
 
+_HEAD = _Row("SnapshotHead", ("magic", _fixed("4s")), ("version", _u32))
 _CONFIG = _ROW_OF_CLASS[Config]
 _DISCLOSED = _ROW_OF_CLASS[Disclosed]
+_TASK_COUNT = _Row("TaskCount", ("count", _u32))
+
+
+def _ell(got):
+    return len(got["slots"])
+
+
+_TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s),
+                   ("y", _sized_f64s(_ell, copy=False)),
+                   ("w", _sized_f64s(_ell, copy=False)),
+                   ("r_packed", _sized_f64s(_packed(_ell), copy=False)))
 
 
 def save_snapshot(engine):
     """Serialize full server state; bit-exact under load + save."""
-    w = [MAGIC]
-    _u32.write(w, SNAPSHOT_VERSION)
+    w = []
+    _write_body(w, _HEAD, _HEAD.cls(MAGIC, SNAPSHOT_VERSION))
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
     db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch,
                      engine.factors)
     _write_body(w, _DISCLOSED, disclosed_to_message(db))
-
-    _u32.write(w, len(engine.tasks))
+    _write_body(w, _TASK_COUNT, _TASK_COUNT.cls(len(engine.tasks)))
     for task, st in engine.tasks.items():
-        _i64.write(w, task)
-        _u32.write(w, len(st.slots))
-        for s in st.slots:
-            _u32.write(w, s)
-        _write_array(w, st.y.values)
-        _write_array(w, st.w.values)
-        _write_array(w, st.R.packed)
-
+        _write_body(w, _TASK_BLOCK, _TASK_BLOCK.cls(task, st.slots, st.y.values,
+                                                     st.w.values, st.R.packed))
     body = b"".join(w)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _add_task(tasks, n, block):
+    """Add the TaskState of a TaskBlock over n inputs to tasks; a task
+    listed twice, or a slot out of range or listed twice, is malformed."""
+    if block.task in tasks:
+        raise errors.MalformedFrame("task %d listed twice" % block.task)
+    top = max(block.slots, default=-1)
+    if top >= n:
+        raise errors.MalformedFrame("task slot %d out of range" % top)
+    ell = len(block.slots)
+    st = TaskState(block.slots, block.y, block.w,
+                   SymMatrix.from_packed(block.r_packed, ell).copy())
+    if len(st.pos) != ell:  # pos holds each slot once
+        twice = next(s for p, s in enumerate(st.slots) if st.pos[s] != p)
+        raise errors.MalformedFrame("task slot %d listed twice" % twice)
+    tasks[block.task] = st
 
 
 def load_snapshot(data):
     """Rebuild a ServerEngine from snapshot bytes."""
     data = memoryview(data)  # slices copy nothing
-    if len(data) < 12 or data[:4] != MAGIC:
+    r = _Reader(data[:-4])
+    head = _read_body(r, _HEAD)
+    if head.magic != MAGIC:
         raise errors.MalformedFrame("not a snapshot (bad magic)")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != SNAPSHOT_VERSION:
-        raise errors.UnsupportedVersion("snapshot version %d" % version)
-    body, crc_bytes = data[:-4], data[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
+    if head.version != SNAPSHOT_VERSION:
+        raise errors.UnsupportedVersion("snapshot version %d" % head.version)
+    if zlib.crc32(r.data) != struct.unpack("<I", data[-4:])[0]:
         raise errors.ChecksumMismatch("snapshot CRC does not match")
-
-    r = _Reader(body)
-    r.take(8)  # magic + version already checked
     cfg = config_from_message(_read_body(r, _CONFIG))
     db = Seen().disclosed(_read_body(r, _DISCLOSED))
-    n = len(db.inputs)
     engine = ServerEngine.from_disclosed(db, cfg)
-
-    for _ in range(_u32.read(r)):
-        task = _i64.read(r)
-        if task in engine.tasks:
-            raise errors.MalformedFrame("task %d listed twice" % task)
-        ell = _u32.read(r)
-        st = TaskState()
-        for _ in range(ell):
-            s = _u32.read(r)
-            if s >= n:
-                raise errors.MalformedFrame("task slot %d out of range" % s)
-            if s in st.pos:
-                raise errors.MalformedFrame("task slot %d listed twice" % s)
-            st.pos[s] = len(st.slots)
-            st.slots.append(s)
-        st.y = GrowVec(r.array(ell, copy=False))
-        st.w = GrowVec(r.array(ell, copy=False))
-        packed = r.array(ell * (ell + 1) // 2, copy=False)
-        st.R = SymMatrix.from_packed(packed, ell).copy()  # the one copy
-        engine.tasks[task] = st
+    for _ in range(_read_body(r, _TASK_COUNT).count):
+        _add_task(engine.tasks, len(db.inputs), _read_body(r, _TASK_BLOCK))
     r.done()
     return engine

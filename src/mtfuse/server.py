@@ -14,14 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    MalformedFrame,
-    NonPositiveWeight,
-    SingularSystem,
-    UnknownTask,
-)
-from .kernels import LOOKUP, InputPoint, Pool, eval_kernel, kernel_row
+from .errors import MalformedFrame, SingularSystem, UnknownTask
+from .kernels import LOOKUP, InputPoint, Pool, check_observation, eval_kernel, kernel_row
 from .linalg import (
     FactorSet,
     GrowVec,
@@ -83,17 +77,18 @@ class DisclosedDB:
 
 
 class TaskState:
-    """Private per-task state: slots into the unique inputs, merged
-    responses/weights, and the inverse of the task's regularized block."""
+    """Private per-task state: slots into the unique inputs and the
+    position of each (pos), merged responses/weights, and the inverse of
+    the task's regularized block."""
 
     __slots__ = ("slots", "pos", "y", "w", "R")
 
-    def __init__(self):
-        self.slots = []
-        self.pos = {}
-        self.y = GrowVec()
-        self.w = GrowVec()
-        self.R = SymMatrix()
+    def __init__(self, slots=(), y=(), w=(), R=None):
+        self.slots = list(slots)
+        self.pos = {s: p for p, s in enumerate(self.slots)}
+        self.y = GrowVec(y)
+        self.w = GrowVec(w)
+        self.R = SymMatrix() if R is None else R
 
 
 def shared_coefficients(y_cond, h_mat, factors, alpha):
@@ -177,12 +172,7 @@ class ServerEngine:
         the state untouched."""
         if not isinstance(x, InputPoint):
             raise TypeError("x must be an InputPoint")
-        y = float(y)
-        w = float(w)
-        if not w > 0.0 or not np.isfinite(w):
-            raise NonPositiveWeight("weight must be finite and > 0, got %g" % w)
-        if not np.isfinite(y):
-            raise InvalidInput("response must be finite, got %g" % y)
+        y, w = check_observation(y, w)
         task = int(task)
 
         s = self.inputs.slot(x.key)

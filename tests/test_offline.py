@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mtfuse.errors import NonPositiveWeight, UnknownTask
+from mtfuse.errors import InvalidInput, NonPositiveWeight, UnknownTask
 from mtfuse.kernels import InputPoint, KernelSpec, basis_matrix, eval_mixed
 from mtfuse.offline import (
     Dataset,
@@ -44,7 +44,7 @@ class TestDataset:
     def test_rejects_nonfinite_response(self):
         ds = Dataset()
         x = InputPoint(b"a", np.ones(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             ds.add(0, x, float("nan"), 1.0)
 
     def test_tasks_in_first_appearance_order(self):

@@ -157,6 +157,21 @@ class TestMessageRoundTrip:
                   re.findall(r"^\| *(\d+) *\| *`(\w+)` *\|", section, re.M)]
         assert listed == [(row.tag, row.cls.__name__) for row in proto._ROWS]
 
+    def test_readme_snapshot_table_lists_every_record(self):
+        # a record without a tag (a snapshot part) is written out in
+        # README's record table, each of its fields in byte order
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Wire format\n", 1)[1].split("\n## ", 1)[0]
+        listed = [(name, re.findall(r"`(\w+)`", cells)) for name, cells in
+                  re.findall(r"^\| *`(\w+)` *\|(.*)\|$", section, re.M)]
+        records = [row for row in vars(proto).values()
+                   if isinstance(row, proto._Row) and row.tag is None]
+        assert [row.cls.__name__ for row in records] == [
+            "SnapshotHead", "TaskCount", "TaskBlock"]
+        assert listed == [(row.cls.__name__, [n for names, _, _ in row.fields
+                                              for n in names]) for row in records]
+
 
 def _lookup_engine(rng, alpha):
     # keys without features, so the snapshot also pins the no-features flag
@@ -438,6 +453,19 @@ class TestSchemaPrivacy:
             "alpha", "lam", "shared", "individual", "bias_kind",
         }
 
+    def test_task_blocks_are_no_messages(self):
+        # a snapshot's task block holds a task's raw responses and
+        # weights: it has no tag, so it never travels as a message, and
+        # SubmitExample is the one message with a y or a w
+        block = proto._TASK_BLOCK.cls(task=0, slots=(0,), y=np.ones(1), w=np.ones(1),
+                                      r_packed=np.ones(1))
+        with pytest.raises(TypeError):
+            proto.encode(block)
+        assert proto._TASK_BLOCK.tag is None and proto._TASK_BLOCK not in proto._ROWS
+        private = [row.cls for row in proto._ROWS
+                   if {"y", "w"} & {n for names, _, _ in row.fields for n in names}]
+        assert private == [proto.SubmitExample]
+
     def test_disclosed_bytes_never_contain_raw_responses(self):
         # distinctive responses/weights; their 8-byte patterns must not
         # appear anywhere in the disclosed encoding
@@ -585,6 +613,10 @@ class TestDisclosedConversion:
             proto.config_to_message(cfg)
 
 
+def _with_crc(body):
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 class TestSnapshot:
     def test_empty_round_trip(self):
         cfg = make_config(0.5, 0.1, d=1)
@@ -652,6 +684,43 @@ class TestSnapshot:
         blob = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         with pytest.raises(MalformedFrame, match="twice"):
             proto.load_snapshot(blob)
+
+    def test_task_slot_out_of_range_rejected(self):
+        # a slot past the pool would index an input the engine lacks
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for x in make_inputs(np.random.default_rng(8), 2, unit=True):
+            eng.receive_example(0, x, 1.0, 1.0)
+        body = bytearray(proto.save_snapshot(eng)[:-4])
+        at = len(body) - 8 * (2 + 2 + 3) - 8
+        assert struct.unpack_from("<II", body, at) == (0, 1)
+        struct.pack_into("<I", body, at + 4, eng.n)
+        with pytest.raises(MalformedFrame, match="task slot 2 out of range"):
+            proto.load_snapshot(_with_crc(body))
+
+    @pytest.mark.parametrize("at, value", [(8, 2.0), (16, 0.0), (16, float("nan"))],
+                             ids=["alpha-2", "lam-0", "lam-nan"])
+    def test_config_the_model_refuses_is_malformed(self, at, value):
+        # alpha is the f64 after the version word, lam the next one
+        body = bytearray(proto.save_snapshot(ServerEngine(make_config(0.5, 0.1)))[:-4])
+        assert struct.unpack_from("<dd", body, 8) == (0.5, 0.1)
+        struct.pack_into("<d", body, at, value)
+        with pytest.raises(MalformedFrame, match="alpha|lam"):
+            proto.load_snapshot(_with_crc(body))
+
+    def test_corrupted_snapshots_raise_only_protocol_errors(self):
+        rng = np.random.default_rng(99)
+        ds, cfg, _ = random_instance(rng, m_max=3, ell_max=4, n_max=6, d=1)
+        good = proto.save_snapshot(stream_into_engine(ServerEngine(cfg), ds.triples))
+        for _ in range(2000):
+            body = bytearray(good[:-4])
+            for _ in range(int(rng.integers(1, 4))):
+                body[int(rng.integers(0, len(body)))] = int(rng.integers(0, 256))
+            if rng.random() < 0.2:
+                del body[int(rng.integers(0, len(body))):]
+            try:
+                proto.load_snapshot(_with_crc(body))
+            except ProtocolError:
+                pass
 
     def test_duplicate_task_rejected(self):
         # a second block for task 0 would replace the first, while y_cond
