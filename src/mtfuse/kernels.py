@@ -6,16 +6,17 @@ point iff their keys are byte-equal.  A pool of unique inputs is held in
 one place, a Pool: keys, a key -> position index and the features as
 one buffer.
 
-Every kernel value in the system comes from one function, kernel_row:
-the values of one input against a pool of inputs, computed as one
-vector.  Entry i depends only on the input and pool[i], never on how
-many rows are evaluated with it or where they sit in memory, so the
-server's row over its whole pool, a client's row over a prefix of it, a
-gather of one task's rows and a single pair (eval_kernel) all give
-bit-identical numbers for the same pair of inputs.  Feature kernels get
-that from np.vecdot, which takes one dot product per row; a
-matrix-vector product (F @ f) may sum a row differently depending on
-the rows around it.
+Every kernel value in the system comes from one block body,
+kernel_matrix: the values of some inputs against others, computed as
+one matrix; kernel_row (one input against a pool) and eval_kernel (a
+single pair) are its one-column and one-entry cases.  Entry (i, j)
+depends only on the pair of inputs, never on the block around it or
+where it sits in memory, so the server's row over its whole pool, a
+client's row over a prefix of it, a gather of one task's rows, a block
+of predictions and a single pair all give bit-identical numbers for the
+same pair of inputs.  Feature kernels get that from np.vecdot, which
+takes one dot product per entry; a matrix product (X @ Y.T) may sum an
+entry differently depending on the entries around it.
 """
 
 import math
@@ -347,62 +348,62 @@ def _missing(spec):
                            % spec.variant)
 
 
-def _operand(spec, x, pool, idx=None):
-    # what a row of x against pool[idx] reads: the keys of those inputs
-    # for a lookup kernel, else their feature vectors as matrix rows (a
-    # Pool's block, or the inputs' vectors stacked, which raises what a
-    # pair would: MissingFeatures, or ValueError on a length mismatch)
+def _operand(spec, xs, idx=None):
+    # what one side of a block reads of the inputs xs[idx] (all by
+    # default): their table positions for a lookup kernel, else their
+    # feature vectors as matrix rows (a Pool's block or its gather, or
+    # the inputs' vectors stacked, which raises MissingFeatures, or
+    # ValueError on ragged lengths)
     if spec.variant == LOOKUP:
-        keys = pool._keys if isinstance(pool, Pool) else [p.key for p in pool]
-        return keys[: len(pool)] if idx is None else [keys[i] for i in idx]
-    if x.features is None:
-        raise _missing(spec)
-    if isinstance(pool, Pool):
-        rows = pool.prefix() if idx is None else pool.take(idx)
+        keys = xs._keys if isinstance(xs, Pool) else [x.key for x in xs]
+        keys = keys[: len(xs)] if idx is None else [keys[i] for i in idx]
+        return np.array([spec.table.position(k) for k in keys], dtype=np.intp)
+    if isinstance(xs, Pool):
+        rows = xs.prefix() if idx is None else xs.take(idx)
         if rows is not None:
             return rows
-    items = pool if idx is None else [pool[i] for i in idx]
-    if any(p.features is None for p in items):
+    items = xs if idx is None else [xs[i] for i in idx]
+    if any(x.features is None for x in items):
         raise _missing(spec)
-    rows = np.array([p.features for p in items], dtype=_F64)
-    return rows.reshape(len(items), len(x.features))
+    return np.array([x.features for x in items])  # float64, as InputPoint holds them
 
 
-def _row(spec, x, operand):
-    # the one kernel body: x against what _operand returned
-    variant = spec.variant
-    if variant == LOOKUP:
-        tbl = spec.table
-        out = tbl.matrix[tbl.position(x.key), [tbl.position(k) for k in operand]]
+def kernel_matrix(xs, ys, spec, idx=None):
+    """Kernel values of the inputs xs[idx] (all by default) against the
+    inputs ys, as a matrix: the one kernel body (see above).
+
+    Each side is a Pool, whose block is read in place (or gathered, for
+    idx), or a sequence of inputs, whose feature vectors are stacked.
+    Raises OverflowError when a value is not finite, MissingFeatures
+    when a feature kernel meets an input without features, ValueError
+    on feature vectors of different lengths and UnknownKey when a
+    lookup kernel meets a key not in its table.
+    """
+    left, right = _operand(spec, xs, idx), _operand(spec, ys)
+    if spec.variant == LOOKUP:
+        out = spec.table.matrix[np.ix_(left, right)]
+    elif not (len(left) and len(right)):
+        return np.zeros((len(left), len(right)), dtype=_F64)
     else:
-        if x.features is None:
-            raise _missing(spec)
         # an overflow is reported below, as an exception, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.vecdot(operand, x.features)
-            if variant == RBF_TAGS:
+            out = np.vecdot(left[:, None], right)
+            if spec.variant == RBF_TAGS:
                 np.exp(out, out=out)
-    if not np.isfinite(out).all():
-        raise OverflowError("kernel %r value is not finite" % variant)
+    if np.count_nonzero(np.isfinite(out)) < out.size:  # cheaper than .all()
+        raise OverflowError("kernel %r value is not finite" % spec.variant)
     return out
 
 
 def kernel_row(spec, x, pool, idx=None):
     """Kernel values of input x against the inputs of pool at positions
-    idx (all by default), as a vector.
-
-    pool is a Pool, whose block the row reads in place (or gathers, for
-    idx), or a sequence of inputs, whose feature vectors are stacked.
-    Entry i is the same for any pool holding pool[i], at any position.
-    Raises OverflowError when a value is not finite, MissingFeatures
-    when a feature kernel meets an input without features.
-    """
-    return _row(spec, x, _operand(spec, x, pool, idx))
+    idx (all by default), as a vector: the one-column kernel_matrix."""
+    return kernel_matrix(pool, (x,), spec, idx)[:, 0]
 
 
 def eval_kernel(spec, x1, x2):
-    """Kernel value for a pair of inputs: the one-row case of kernel_row."""
-    return float(kernel_row(spec, x1, (x2,))[0])
+    """Kernel value for a pair of inputs: the one-entry kernel_matrix."""
+    return float(kernel_matrix((x1,), (x2,), spec)[0, 0])
 
 
 class BiasBasis:
@@ -501,17 +502,6 @@ def eval_mixed(cfg, x1, t1, x2, t2):
     if t1 == t2:
         val += (1.0 - cfg.alpha) * eval_kernel(cfg.individual_for(t1), x1, x2)
     return val
-
-
-def kernel_matrix(xs, ys, spec, idx=None):
-    """Kernel matrix of the inputs xs[idx] (all by default) against ys,
-    one kernel_row per column; xs as for kernel_row."""
-    out = np.empty((len(xs) if idx is None else len(idx), len(ys)), dtype=_F64)
-    if len(ys):
-        operand = _operand(spec, ys[0], xs, idx)
-        for j, y in enumerate(ys):
-            out[:, j] = _row(spec, y, operand)
-    return out
 
 
 def basis_matrix(xs, basis):

@@ -76,12 +76,6 @@ class GrowVec:
         out.n = len(values)
         return out
 
-    def copy(self):
-        out = GrowVec()
-        out._buf = self._buf[: self.n].copy()
-        out.n = self.n
-        return out
-
 
 class UnitLowerFactor:
     """Row-appendable unit lower triangular matrix.
@@ -196,12 +190,6 @@ class UnitLowerFactor:
         n = self.n
         out = np.tril(self._buf[:n, :n], -1)
         np.fill_diagonal(out, 1.0)
-        return out
-
-    def copy(self):
-        out = UnitLowerFactor()
-        out._buf = self._buf.copy()
-        out.n = self.n
         return out
 
 
@@ -428,13 +416,6 @@ class FactorSet:
         self._m = _grown(self._m, n + count)
         self._m[n : n + count] = m
         self.D.extend(d)
-
-    def copy(self):
-        out = FactorSet(self.bias_dim)
-        out.L = self.L.copy()
-        out.D = self.D.copy()
-        out._m = self.M.copy()
-        return out
 
 
 # ===== rank-one inverse updates ==========================================

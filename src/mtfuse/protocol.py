@@ -720,12 +720,17 @@ def save_snapshot(engine):
 
 def _add_task(tasks, n, block):
     """Add the TaskState of a TaskBlock over n inputs to tasks; a task
-    listed twice, or a slot out of range or listed twice, is malformed."""
+    listed twice, a slot out of range or listed twice, a response that
+    is not finite or a weight that is not finite and > 0 is malformed."""
     if block.task in tasks:
         raise errors.MalformedFrame("task %d listed twice" % block.task)
     top = max(block.slots, default=-1)
     if top >= n:
         raise errors.MalformedFrame("task slot %d out of range" % top)
+    y, w = block.y, block.w
+    if not (np.isfinite(y).all() and np.isfinite(w).all() and (w > 0).all()):
+        raise errors.MalformedFrame("task %d has a response that is not finite or a "
+                                    "weight that is not finite and > 0" % block.task)
     ell = len(block.slots)
     st = TaskState(block.slots, block.y, block.w,
                    SymMatrix.from_packed(block.r_packed, ell).copy())

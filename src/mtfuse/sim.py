@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .client import Client, client_predictions
+from .client import Client
 from .daemon import RemoteServer, start_server
 from .errors import DegenerateGram, EngineError
 from .kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, kernel_matrix
@@ -28,6 +28,7 @@ from .offline import (
     Dataset,
     build_index_structures,
     merge_repeats,
+    mixed_predictions,
     predictions_grid,
     solve_condensed,
 )
@@ -252,7 +253,9 @@ def _estimate_offline(world, mcfg):
 
 
 def _estimate_via_daemon(world, mcfg):
-    """Same estimates, but through a live daemon over TCP."""
+    """Same estimates, but through a live daemon over TCP: every user's
+    model is read from it, and the models, all of one epoch, are scored
+    in one predictor call, as offline's are."""
     m = world.cfg.num_users
     tokens = {j: b"user-%d" % j for j in range(m)}
     engine = ServerEngine(mcfg)
@@ -261,7 +264,6 @@ def _estimate_via_daemon(world, mcfg):
         by_task = {}
         for tr in world.ds.triples:
             by_task.setdefault(tr.task, []).append(tr)
-        out = np.zeros((m, len(world.inputs)), dtype=_F64)
         with RemoteServer(srv.address) as conn:
             wire_cfg = conn.get_config()
             # interleave submissions round-robin across users
@@ -272,14 +274,19 @@ def _estimate_via_daemon(world, mcfg):
                         tr = lst.pop(0)
                         conn.submit(tr.x, tr.y, tr.w,
                                     task=tr.task, token=tokens[tr.task])
+            models = []
             for j in range(m):
                 conn.token = tokens[j]
-                model = Client(j, wire_cfg).active_refresh(conn)
-                out[j] = client_predictions(model, wire_cfg, world.inputs)
-        return out
+                models.append(Client(j, wire_cfg).active_refresh(conn))
     finally:
         srv.shutdown()
         srv.server_close()
+    # the models of one epoch share the pool, a_cond and b they were read with
+    one = models[0]
+    if any(model.epoch != one.epoch for model in models):
+        raise RuntimeError("user models read at more than one epoch")
+    own = [(model.task, model.a_task, model.slots) for model in models]
+    return mixed_predictions(wire_cfg, one.inputs, one.a_cond, one.b, own, world.inputs)
 
 
 def sweep(world, alphas, lambdas, mode="offline", k=20, bias=None):
@@ -287,8 +294,9 @@ def sweep(world, alphas, lambdas, mode="offline", k=20, bias=None):
 
     mode "offline" fits with the condensed batch solver;
     "client-server" pushes every observation through a live daemon and
-    reads each user's model from it.  Failed cells
-    are marked, not fatal.
+    reads each user's model from it.  Either way a cell scores all its
+    users in one predictor call (offline.mixed_predictions).  Failed
+    cells are marked, not fatal.
     """
     if mode not in ("offline", "client-server"):
         raise ValueError("unknown mode %r" % (mode,))

@@ -1,5 +1,6 @@
 """Input identity, the input pool, kernel evaluation and bias bases."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -278,6 +279,81 @@ class TestKernelRow:
             eval_kernel(KernelSpec.rbf_tags(), one, InputPoint(b"b", [710.0, 0, 0, 0]))
         edge = InputPoint(b"e", np.array([709.0, 0.0, 0.0, 0.0]))
         assert math.isfinite(eval_kernel(KernelSpec.rbf_tags(), edge, one))
+
+
+class TestKernelBlock:
+    """kernel_matrix is the one kernel body: every entry of a block is
+    its pair evaluated alone, whatever the block's shape or sides."""
+
+    # kernel_matrix and kernel_row over the seeded pool below, computed
+    # before kernel_row and eval_kernel became cases of kernel_matrix
+    DIGEST = "9851d92a2c4993cff622e83a64b0e15a743536a702759e9950b927f13e7bb4cd"
+
+    @staticmethod
+    def specs(inputs, rng):
+        table = rng.normal(size=(len(inputs), len(inputs)))
+        return (KernelSpec.rbf_tags(), KernelSpec.linear_tags(),
+                KernelSpec.lookup([x.key for x in inputs], table + table.T))
+
+    def test_every_entry_is_its_pair_alone(self):
+        rng = np.random.default_rng(25)
+        pool = make_inputs(rng, 64, dim=19, unit=True)
+        queries = make_inputs(rng, 5, dim=19, prefix=b"q", unit=True)
+        whole = Pool(pool)
+        for spec in self.specs(pool + queries, rng):
+            for n_left in (0, 1, 7, 64):
+                idx = [int(s) for s in rng.integers(0, 64, size=n_left)]
+                idx[-1:] = idx[:1]  # a repeat, from two rows on
+                lefts = ((whole.view(n_left), None, pool[:n_left]),
+                         (whole, idx, [pool[i] for i in idx]),
+                         (pool[:n_left], None, pool[:n_left]))
+                for n_right in (0, 1, 5):
+                    ys = queries[:n_right]
+                    for xs, at, items in lefts:
+                        block = kernel_matrix(xs, ys, spec, at)
+                        assert block.shape == (n_left, n_right)
+                        pairs = np.array([[eval_kernel(spec, x, y) for y in ys]
+                                          for x in items]).reshape(n_left, n_right)
+                        assert block.tobytes() == pairs.tobytes()
+                        for j, y in enumerate(ys):
+                            row = kernel_row(spec, y, xs, at)
+                            assert row.tobytes() == block[:, j].tobytes()
+
+    def test_bits_as_before_the_block_body(self):
+        rng = np.random.default_rng(1717)
+        pool = make_inputs(rng, 64, dim=19, unit=True)
+        queries = make_inputs(rng, 5, dim=19, prefix=b"q", unit=True)
+        rows = Pool(pool)
+        slots = [int(s) for s in rng.integers(0, 64, size=9)]
+        h = hashlib.sha256()
+        for spec in (KernelSpec.rbf_tags(), KernelSpec.linear_tags()):
+            h.update(kernel_matrix(rows, queries, spec).tobytes())
+            h.update(kernel_matrix(pool, pool, spec).tobytes())
+            h.update(kernel_matrix(rows, queries, spec, slots).tobytes())
+            for q in queries:
+                h.update(kernel_row(spec, q, rows).tobytes())
+                h.update(kernel_row(spec, q, rows, slots).tobytes())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_errors(self):
+        rng = np.random.default_rng(26)
+        xs = make_inputs(rng, 3)
+        bare, short = InputPoint(b"bare"), make_inputs(rng, 1, dim=3, prefix=b"s")[0]
+        rbf = KernelSpec.rbf_tags()
+        for left, right in ((xs + [bare], xs), (xs, [bare]), (Pool(xs + [bare]), xs)):
+            with pytest.raises(MissingFeatures):
+                kernel_matrix(left, right, rbf)
+        for left, right in ((xs + [short], xs), (xs, [short]), (Pool(xs + [short]), xs)):
+            with pytest.raises(ValueError):
+                kernel_matrix(left, right, KernelSpec.linear_tags())
+        huge = InputPoint(b"huge", np.array([1e200, 0.0, 0.0, 0.0]))
+        for spec in (rbf, KernelSpec.linear_tags()):
+            with pytest.raises(OverflowError):
+                kernel_matrix(xs + [huge], xs + [huge], spec)
+        lookup = self.specs(xs, rng)[2]
+        for left, right in ((xs, [bare]), ([bare], xs), (Pool(xs + [bare]), xs)):
+            with pytest.raises(UnknownKey):
+                kernel_matrix(left, right, lookup)
 
 
 class TestPool:

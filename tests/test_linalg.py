@@ -40,9 +40,11 @@ class TestContainers:
         for k in range(20):
             v.append(float(k))
         assert_allclose(v.values, [1.0, 2.0] + [float(k) for k in range(20)])
-        c = v.copy()
+        # a vector over another's values copies them out on its first append
+        c = GrowVec.over(v.values)
         c.append(99.0)
-        assert len(v.values) == 22  # copy growth does not leak back
+        assert not np.shares_memory(c.values, v.values)
+        assert len(v.values) == 22 and c.values.tolist() == v.values.tolist() + [99.0]
 
     def test_unit_lower_row_lengths(self):
         rng = np.random.default_rng(0)
@@ -332,7 +334,11 @@ class TestFactorSet:
             grown = FactorSet(bias_dim=1)
             for i in range(n):
                 grown.append(gram[i, :i], gram[i, i], [1.0])
-            copied = grown.copy()
+            # a view's first append copies its rows out of grown's buffer
+            copied = grown.view(n - 1)
+            copied.append_precomputed(grown.L.row_strict(n - 1), grown.D.values[n - 1],
+                                      grown.M[n - 1])
+            assert not np.shares_memory(copied.L._buf, grown.L._buf)
             rebuilt = FactorSet(bias_dim=1)
             for i in range(n):
                 rebuilt.append_precomputed(grown.L.row_strict(i), grown.D.values[i],

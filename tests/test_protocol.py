@@ -697,6 +697,22 @@ class TestSnapshot:
         with pytest.raises(MalformedFrame, match="task slot 2 out of range"):
             proto.load_snapshot(_with_crc(body))
 
+    @pytest.mark.parametrize("field, value", [(0, float("nan")), (1, -5.0)],
+                             ids=["y-nan", "w-negative"])
+    def test_task_observation_the_engine_refuses_is_malformed(self, field, value):
+        # a submit would refuse such a response or weight; a repeat of the
+        # input would then merge into it
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for x in make_inputs(np.random.default_rng(8), 2, unit=True):
+            eng.receive_example(0, x, 1.0, 1.0)
+        body = bytearray(proto.save_snapshot(eng)[:-4])
+        # slots (2 x u32), then y and w (2 x f64 each), then packed R
+        at = len(body) - 8 * (2 + 2 + 3) + 16 * field
+        assert struct.unpack_from("<dd", body, at) == (1.0, 1.0)
+        struct.pack_into("<d", body, at, value)
+        with pytest.raises(MalformedFrame, match="task 0 has a response"):
+            proto.load_snapshot(_with_crc(body))
+
     @pytest.mark.parametrize("at, value", [(8, 2.0), (16, 0.0), (16, float("nan"))],
                              ids=["alpha-2", "lam-0", "lam-nan"])
     def test_config_the_model_refuses_is_malformed(self, at, value):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mtfuse import cli, sim
-from mtfuse.kernels import KernelSpec, kernel_matrix
+from mtfuse.client import client_predictions
+from mtfuse.kernels import BiasBasis, KernelSpec, kernel_matrix
 from mtfuse.offline import Dataset
 from mtfuse.sim import (
     SynthConfig,
@@ -255,6 +256,25 @@ class TestSweep:
             assert abs(c_off.rmse - c_live.rmse) < 1e-8
             assert abs(c_off.top20hits - c_live.top20hits) < 1e-8
             assert c_off.hits_per_user.tolist() == c_live.hits_per_user.tolist()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_one_scoring_call_equals_per_user_calls(self, alpha, monkeypatch):
+        # the cell scores every user's model in one call; each row is the
+        # bytes of that user's own call over the same model
+        world = generate_world(SynthConfig(num_artists=20, tag_dim=19, num_users=6,
+                                           samples_per_user=3, noise_sd=0.01, seed=8))
+        mcfg = sim._model_config(alpha, 1e-2, BiasBasis.empty())
+        models, read = [], sim.Client.active_refresh
+
+        def recorded(client, server):
+            models.append(read(client, server))
+            return models[-1]
+
+        monkeypatch.setattr(sim.Client, "active_refresh", recorded)
+        est = sim._estimate_via_daemon(world, mcfg)
+        assert [m.task for m in models] == list(range(6))
+        rows = [client_predictions(m, mcfg, world.inputs) for m in models]
+        assert est.tobytes() == np.vstack(rows).tobytes()
 
 
 class TestPersistenceAndReports:
@@ -508,3 +528,20 @@ class TestHarnessGoldenBytes:
                        "--seed", "11", "--out", out])
         assert rc == 0
         assert self.digests(out, self.GENERATE) == self.GENERATE
+
+    # at the desk and full-scale tag width, where a kernel that sums an
+    # entry differently (a GEMM) moves the world; 3 tags do not show it
+    GENERATE_19 = {
+        "artists.tsv": "d51b1ebc060525d8dbb8670f945254cbdf573f62771125dbe713f1c635a00c9c",
+        "triples.tsv": "bd9dfb9f5fd90d72b5562d9c2345acf964e72f11c0e9808f51e97bf08f4569cc",
+        "true_scores.tsv": "7fe2ec665b05d823131b3a3b4ecce90a9e2f27c22cae9bcb46f281e4256bb85c",
+    }
+
+    def test_generate_bytes_at_19_tags(self, tmp_path, capsys):
+        out = str(tmp_path / "world")
+        rc = cli.main(["generate", "--num-artists", "24", "--tag-dim", "19",
+                       "--num-users", "5", "--samples-per-user", "3",
+                       "--noise-sd", "0.05", "--mix-shared", "0.5",
+                       "--seed", "11", "--out", out])
+        assert rc == 0
+        assert self.digests(out, self.GENERATE_19) == self.GENERATE_19
