@@ -10,7 +10,7 @@ factors of its inputs and its own observations.
 __version__ = "0.1.0"
 
 from . import errors  # noqa: F401
-from .client import Client, ClientModel, PrivateData, predict_client, preference_score
+from .client import Client, PrivateData, predict_client, preference_score
 from .errors import (
     ChecksumMismatch,
     DegenerateGram,
@@ -57,6 +57,7 @@ from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
     CASE_REPEAT_TASK,
+    ClientModel,
     ServerEngine,
     UpdateReceipt,
 )

@@ -132,6 +132,7 @@ def cmd_serve(args):
 
 def cmd_serve_demo(args):
     world = _build_world(args)
+    sim.check_users(world)
     mcfg = sim._model_config(args.alpha, args.lam, bias_from_name(args.bias))
     print("world: %d artists, %d users, %d observations"
           % (len(world.inputs), world.cfg.num_users, len(world.ds.triples)))

@@ -1,21 +1,21 @@
 """Client-side model recovery.
 
-An *active* client reads its task's model from the server in one call.
-A *passive* client never sends its observations anywhere: it seeds a
-local engine with the public disclosed snapshot and the factors of its
-inputs, replays its own triples through the exact same update rules the
-server runs, and reads its model from that engine with the same call.
+A task's model is one server.ClientModel, which holds the pool of
+inputs it lives on.  An *active* client reads it from the server in
+one call.  A *passive* client never sends its observations anywhere:
+it seeds a local engine with the public disclosed snapshot and the
+factors of its inputs, replays its own triples through the exact same
+update rules the server runs, and reads its model from that engine with
+the same call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
 from scipy.special import expit
 
-from .kernels import Pool
 from .offline import mixed_predictions
-from .server import ServerEngine
+from .server import ClientModel, ServerEngine
 
 
 @dataclass
@@ -23,19 +23,6 @@ class PrivateData:
     """A task's own observations: (input, response, weight) triples."""
 
     triples: list
-
-
-@dataclass
-class ClientModel:
-    """What prediction reads for one task at one epoch."""
-
-    task: int
-    epoch: int
-    inputs: Pool
-    b: np.ndarray
-    a_cond: np.ndarray
-    a_task: np.ndarray
-    slots: np.ndarray
 
 
 class Client:
@@ -57,9 +44,9 @@ class Client:
     def active_refresh(self, server):
         """Read this task's model from the server; models are cached by
         epoch, so refreshing an unchanged server returns the same object."""
-        view = server.task_coefficients(self.task)
-        if self._cached is None or self._cached.epoch != view.epoch:
-            self._cached = self._model(view.epoch, view)
+        model = server.task_coefficients(self.task)
+        if self._cached is None or self._cached.epoch != model.epoch:
+            self._cached = model
         return self._cached
 
     # ----- passive path -------------------------------------------------
@@ -70,24 +57,13 @@ class Client:
         Replays the private triples through a local engine seeded from
         the disclosed snapshot; the local updates are the same code the
         server runs, so the result equals an active refresh against a
-        server that had received those triples last.
+        server that had received those triples last.  The model carries
+        the disclosed epoch, not the local engine's.
         """
         local = ServerEngine.from_disclosed(disclosed, self.cfg)
         for x, y, w in private.triples:
             local.receive_example(self.task, x, y, w)
-        return self._model(disclosed.epoch, local.task_coefficients(self.task))
-
-    def _model(self, epoch, view):
-        """The model of this task from a TaskCoeffsView, sharing its pool."""
-        return ClientModel(
-            task=self.task,
-            epoch=epoch,
-            inputs=view.inputs,
-            b=view.b,
-            a_cond=view.a_cond,
-            a_task=view.a,
-            slots=np.asarray(view.slots, dtype=np.intp),
-        )
+        return replace(local.task_coefficients(self.task), epoch=disclosed.epoch)
 
 
 def client_predictions(model, cfg, xs):

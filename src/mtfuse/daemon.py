@@ -159,8 +159,8 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
                 with self.lock:
-                    view = self.engine.task_coefficients(msg.task)
-                return proto.task_coeffs_to_message(view, msg.since)
+                    model = self.engine.task_coefficients(msg.task)
+                return proto.task_coeffs_to_message(model, msg.since)
             if isinstance(msg, proto.GetConfig):
                 return proto.config_to_message(self.engine.get_config())
             raise ProtocolError("unexpected message %s" % type(msg).__name__)
@@ -333,9 +333,10 @@ class RemoteServer:
         return proto.config_from_message(self._rpc(proto.GetConfig(), proto.Config))
 
     def task_coefficients(self, task=None):
+        """The ClientModel of task (this proxy's by default)."""
         task = int(self.task if task is None else task)
         since = self._seen.inputs.n
         reply = self._rpc(
             proto.GetTaskCoeffs(task=task, token=self.token, since=since), proto.TaskCoeffs
         )
-        return self._seen.task_coeffs(reply)
+        return self._seen.task_coeffs(reply, task)

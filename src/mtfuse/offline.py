@@ -124,14 +124,16 @@ def merge_repeats(ds):
 
 @dataclass
 class ModelCoefficients:
-    """Solved coefficients in condensed form.
+    """Solved coefficients in condensed form, with the inputs they live on.
 
-    a_cond lives on the unique inputs (group-sum of the raw kernel
-    coefficients), b on the bias basis, a_task[j] on the unique inputs
-    of task j as listed by task_slots[j].  a_raw is populated only by
-    the dense routes, for diagnostics.
+    inputs is the Pool of the merged dataset's unique inputs; a_cond
+    lives on them (group-sum of the raw kernel coefficients), b on the
+    bias basis, a_task[j] on the unique inputs of task j as listed by
+    task_slots[j].  a_raw is populated only by the dense routes, for
+    diagnostics.
     """
 
+    inputs: Pool
     a_cond: np.ndarray
     b: np.ndarray
     a_task: dict
@@ -191,13 +193,7 @@ def _condense(ds, cfg, a_raw, b):
     for i, tr in enumerate(ds.triples):
         a_cond[ms.unique_inputs.slot(tr.x.key)] += a_raw[i]
         a_task[tr.task][pos[tr.task][tr.x.key]] += a_raw[i]
-    return ModelCoefficients(
-        a_cond=a_cond,
-        b=b,
-        a_task=a_task,
-        task_slots=ms.task_slots,
-        a_raw=a_raw,
-    )
+    return ModelCoefficients(ms.unique_inputs, a_cond, b, a_task, ms.task_slots, a_raw)
 
 
 def solve_full_system(ds, cfg):
@@ -285,7 +281,7 @@ def solve_condensed(ds, cfg):
         for j, (r_j, y_j, _) in blocks.items():
             a_task[j] = r_j @ y_j
             np.add.at(a_cond, ms.task_slots[j], a_task[j])
-        return ModelCoefficients(a_cond, b, a_task, ms.task_slots)
+        return ModelCoefficients(ms.unique_inputs, a_cond, b, a_task, ms.task_slots)
 
     factors = build_factors(ms.unique_inputs, cfg)
     dvals = factors.D.values
@@ -319,7 +315,7 @@ def solve_condensed(ds, cfg):
         a_j = r_j @ (y_j - alpha * (ld[sl] @ q))
         a_task[j] = a_j
         np.add.at(a_cond, sl, a_j)
-    return ModelCoefficients(a_cond, b, a_task, ms.task_slots)
+    return ModelCoefficients(ms.unique_inputs, a_cond, b, a_task, ms.task_slots)
 
 
 # ===== prediction ========================================================
@@ -351,12 +347,12 @@ def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
     return out
 
 
-def predict(coeffs, cfg, structures, task, x):
+def predict(coeffs, cfg, task, x):
     """Mixed-effect prediction for one task at one input."""
-    return float(predictions_grid(coeffs, cfg, structures, [task], [x])[0, 0])
+    return float(predictions_grid(coeffs, cfg, [task], [x])[0, 0])
 
 
-def predictions_grid(coeffs, cfg, structures, tasks, xs):
+def predictions_grid(coeffs, cfg, tasks, xs):
     """Predictions for many tasks over a common input list, shape
     (len(tasks), len(xs))."""
     rows = []
@@ -364,5 +360,4 @@ def predictions_grid(coeffs, cfg, structures, tasks, xs):
         if j not in coeffs.a_task:
             raise UnknownTask("no coefficients for task %r" % (j,))
         rows.append((j, coeffs.a_task[j], coeffs.task_slots[j]))
-    return mixed_predictions(cfg, structures.unique_inputs, coeffs.a_cond, coeffs.b,
-                             rows, xs)
+    return mixed_predictions(cfg, coeffs.inputs, coeffs.a_cond, coeffs.b, rows, xs)

@@ -35,11 +35,11 @@ A pool's inputs travel as columns: the count, the u32 key lengths and
 the keys' bytes, the u32 feature lengths (0xFFFFFFFF for an input
 without features), and one counted f64 array of every present feature
 vector in pool order, which is the count x D block when every input has
-D features.  In those messages the field features holds the
-kernels.Pool of the inputs sent and keys its keys.  The pool's arrays
-are written as they are, and decode into a pool with a fixed number of
-numpy calls plus one slice per key and the pool's key index.  A pool
-that lists a key twice is malformed.  This is wire version 4.
+D features.  In those messages the one field inputs holds the
+kernels.Pool of the inputs sent.  The pool's arrays are written as they
+are, and decode into a pool with a fixed number of numpy calls plus one
+slice per key and the pool's key index.  A pool that lists a key twice
+is malformed.  This is wire version 4.
 
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
@@ -60,7 +60,6 @@ TaskCount and one TaskBlock per task, then a CRC-32 over all of them.
 import struct
 import zlib
 from dataclasses import fields, make_dataclass
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,9 +79,9 @@ from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
     CASE_REPEAT_TASK,
+    ClientModel,
     DisclosedDB,
     ServerEngine,
-    TaskCoeffsView,
     TaskState,
 )
 
@@ -354,11 +353,8 @@ _kernel = _Codec(_write_kernel, _read_kernel)
 _NO_FEATURES = 0xFFFFFFFF
 
 
-def _write_inputs(w, keys_pool):
-    keys, pool = keys_pool
-    if len(pool) != len(keys):
-        raise ValueError("%d keys but %d inputs" % (len(keys), len(pool)))
-    lengths = pool.lengths
+def _write_inputs(w, pool):
+    keys, lengths = pool.keys, pool.lengths
     _u32.write(w, len(keys))
     w.append(np.fromiter(map(len, keys), dtype="<u4", count=len(keys)))
     w.append(b"".join(keys))
@@ -379,14 +375,14 @@ def _read_inputs(r):
                                     % count)
     values = r.array(count)
     try:
-        return keys, Pool.from_columns(keys, lengths, values)
+        return Pool.from_columns(keys, lengths, values)
     except ValueError as exc:  # a key listed twice
         raise errors.MalformedFrame(str(exc)) from None
 
 
-# a pool's keys and the pool, as columns: a u32 count n, n u32 key lengths
-# and the keys' bytes, n u32 feature lengths (_NO_FEATURES for an input
-# without features), and every present feature vector in pool order as one
+# a pool's inputs as columns: a u32 count n, n u32 key lengths and the
+# keys' bytes, n u32 feature lengths (_NO_FEATURES for an input without
+# features), and every present feature vector in pool order as one
 # counted f64 array, the pool's own
 _inputs = _Codec(_write_inputs, _read_inputs)
 
@@ -425,18 +421,15 @@ class _Msg:
 class _Row:
     """One record, declared once: its class, a dataclass of its fields, and
     its fields in byte order, each a (name, codec) pair; a message's row
-    also holds its wire tag.  A codec that interleaves several fields is
-    listed under their names joined by spaces, and writes and reads the
-    tuple of their values."""
+    also holds its wire tag."""
 
     __slots__ = ("tag", "cls", "fields")
 
     def __init__(self, name, *fields, tag=None):
         self.tag = tag
-        self.cls = make_dataclass(
-            name, [n for spec, _ in fields for n in spec.split()], bases=(_Msg,),
-            eq=False, namespace={"__module__": __name__})
-        self.fields = [(n.split(), attrgetter(*n.split()), c) for n, c in fields]
+        self.cls = make_dataclass(name, [n for n, _ in fields], bases=(_Msg,), eq=False,
+                                  namespace={"__module__": __name__})
+        self.fields = fields
 
 
 _ROWS = []
@@ -451,7 +444,7 @@ def _message(tag, name, *fields):
 
 def _n_inputs(got):
     # the inputs held before the reply and the ones it sends
-    return got["since"] + len(got["keys"])
+    return got["since"] + len(got["inputs"])
 
 
 def _packed(count):
@@ -465,13 +458,13 @@ SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
 Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
-                     ("keys features", _inputs), ("y_cond", _sized_f64s(_n_inputs)),
+                     ("inputs", _inputs), ("y_cond", _sized_f64s(_n_inputs)),
                      ("h_packed", _sized_f64s(_packed(_n_inputs), copy=False)),
                      ("lower", _f64s_view), ("d", _f64s_view), ("m", _f64s_view))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
                          ("since", _u32))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
-                      ("keys features", _inputs), ("b", _f64s),
+                      ("inputs", _inputs), ("b", _f64s),
                       ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
                       ("slots", _sized_u32s(lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
@@ -483,18 +476,14 @@ _ROW_OF_CLASS = {row.cls: row for row in _ROWS}
 
 
 def _write_body(w, row, msg):
-    for _, get, codec in row.fields:
-        codec.write(w, get(msg))
+    for name, codec in row.fields:
+        codec.write(w, getattr(msg, name))
 
 
 def _read_body(r, row):
     got = r.got = {}
-    for names, _, codec in row.fields:
-        value = codec.read(r)
-        if len(names) == 1:
-            got[names[0]] = value
-        else:
-            got.update(zip(names, value))
+    for name, codec in row.fields:
+        got[name] = codec.read(r)
     r.got = None  # the message alone holds its fields now
     return row.cls(**got)
 
@@ -576,24 +565,23 @@ def disclosed_to_message(db, since=0):
     inputs and factor rows; it shares db's arrays.  A since past db's
     inputs is malformed."""
     tail, f = _tail(db.inputs, since), db.factors
-    return Disclosed(db.epoch, since, tail.keys, tail, db.y_cond, db.H.packed,
+    return Disclosed(db.epoch, since, tail, db.y_cond, db.H.packed,
                      f.L.strict_lower(since), f.D.values[since:], f.M[since:].ravel())
 
 
-def task_coeffs_to_message(view, since=0):
-    """The TaskCoeffs message of a TaskCoeffsView for a reader holding
-    its first since inputs; it shares view's arrays.  A since past the
-    view's inputs is malformed."""
-    tail = _tail(view.inputs, since)
-    return TaskCoeffs(view.epoch, since, tail.keys, tail,
-                      view.b, view.a_cond, view.a, view.slots)
+def task_coeffs_to_message(model, since=0):
+    """The TaskCoeffs message of a ClientModel for a reader holding its
+    first since inputs; it shares model's arrays.  A since past the
+    model's inputs is malformed."""
+    return TaskCoeffs(model.epoch, since, _tail(model.inputs, since), model.b,
+                      model.a_cond, model.a_task, model.slots)
 
 
 class Seen:
     """What one reader has read of the server's append-only arrays: the
     pool's inputs (a kernels.Pool) and the factor rows (a FactorSet), in
     server order.  Each reply's tail is appended to them, and a reply's
-    DisclosedDB or TaskCoeffsView holds views of them at its own n, which
+    DisclosedDB or ClientModel holds views of them at its own n, which
     take O(1) and never change: the reader's next append goes past them.
 
     A reply must continue what is held: a Disclosed's factor rows start
@@ -612,7 +600,7 @@ class Seen:
 
     def disclosed(self, msg):
         """The DisclosedDB of msg, after appending its tail."""
-        since, count, f = msg.since, len(msg.keys), self.factors
+        since, count, f = msg.since, len(msg.inputs), self.factors
         n = since + count
         if since != f.n:
             raise errors.MalformedFrame("factor rows from %d, but %d are held"
@@ -644,22 +632,22 @@ class Seen:
             factors=f.take(),
         )
 
-    def task_coeffs(self, msg):
-        """The TaskCoeffsView of msg, after appending its tail; a slot
-        past its inputs is malformed."""
+    def task_coeffs(self, msg, task):
+        """The ClientModel of task from msg, after appending its tail; a
+        slot past its inputs is malformed."""
         top = max(msg.slots, default=-1)
-        if top >= msg.since + len(msg.keys):
+        if top >= msg.since + len(msg.inputs):
             raise errors.MalformedFrame("task slot %d out of range" % top)
-        return TaskCoeffsView(msg.epoch, self._inputs(msg), msg.b, msg.a_cond,
-                              msg.a, msg.slots)
+        return ClientModel(task, msg.epoch, self._inputs(msg), msg.b, msg.a_cond,
+                           msg.a, np.asarray(msg.slots, dtype=np.intp))
 
     def _inputs(self, msg):
         # the pool at msg's n, after appending msg's tail
         try:
-            self.inputs.extend(msg.since, msg.features)
+            self.inputs.extend(msg.since, msg.inputs)
         except ValueError as exc:
             raise errors.MalformedFrame(str(exc)) from None
-        return self.inputs.view(msg.since + len(msg.keys))
+        return self.inputs.view(msg.since + len(msg.inputs))
 
 
 def config_to_message(cfg):

@@ -41,16 +41,20 @@ class UpdateReceipt(NamedTuple):
     case: str
 
 
-class TaskCoeffsView(NamedTuple):
-    """One task's model at one epoch (see ServerEngine.task_coefficients);
-    inputs is a view of the pool, whose block a model reads."""
+@dataclass
+class ClientModel:
+    """One task's model at one epoch, what prediction reads: a view of
+    the pool's inputs, the bias coefficients b, the condensed
+    coefficients a_cond on the inputs, and the task's own coefficients
+    a_task on its slots into them (see ServerEngine.task_coefficients)."""
 
+    task: int
     epoch: int
     inputs: Pool
     b: np.ndarray
     a_cond: np.ndarray
-    a: np.ndarray
-    slots: tuple
+    a_task: np.ndarray
+    slots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -359,11 +363,11 @@ class ServerEngine:
         return st.R.matvec(st.y.values - alpha * proj)
 
     def task_coefficients(self, task):
-        """The model of one task from the epoch's shared solve: the pool's
-        inputs, b, a_cond, and the task's coefficients a on its slots into
-        the inputs; a task with no data here gets empty a and slots."""
+        """The ClientModel of one task from the epoch's shared solve; a
+        task with no data here gets empty a_task and slots."""
         b, a_cond, q = self._shared_solve()
         a, slots = np.zeros(0, dtype=_F64), ()
         if task in self.tasks:
-            a, slots = self.get_task_coefficients(task, q), tuple(self.tasks[task].slots)
-        return TaskCoeffsView(self.epoch, self.inputs.view(), b, a_cond, a, slots)
+            a, slots = self.get_task_coefficients(task, q), self.tasks[task].slots
+        return ClientModel(task, self.epoch, self.inputs.view(), b, a_cond, a,
+                           np.asarray(slots, dtype=np.intp))

@@ -24,14 +24,7 @@ from .client import Client
 from .daemon import RemoteServer, start_server
 from .errors import DegenerateGram, EngineError
 from .kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, kernel_matrix
-from .offline import (
-    Dataset,
-    build_index_structures,
-    merge_repeats,
-    mixed_predictions,
-    predictions_grid,
-    solve_condensed,
-)
+from .offline import Dataset, mixed_predictions, predictions_grid, solve_condensed
 from .server import ServerEngine
 
 _F64 = np.float64
@@ -82,7 +75,8 @@ def load_tag_file(path):
     """Read artists from a UTF-8 tag file.
 
     One artist per line: name, then the tag values, tab-separated.
-    Returns (names, tags) with unnormalized rows.
+    Returns (names, tags) with unnormalized rows; a file without an
+    artist raises ValueError("<path>: no artists").
     """
     names, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -100,6 +94,8 @@ def load_tag_file(path):
                 raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError("%s:%d: inconsistent tag count" % (path, lineno))
+    if not names:
+        raise ValueError("%s: no artists" % path)
     return names, np.asarray(rows, dtype=_F64)
 
 
@@ -245,11 +241,21 @@ def _model_config(alpha, lam, bias):
     )
 
 
+def check_users(world):
+    """Raise ValueError unless the world has users and every user has an
+    observation: a model of a user without data scores nothing of its
+    own, and the sweep's modes would disagree on it."""
+    if world.cfg.num_users == 0:
+        raise ValueError("the world has no users")
+    seen = {tr.task for tr in world.ds.triples}
+    for j in range(world.cfg.num_users):
+        if j not in seen:
+            raise ValueError("user %d has no observations" % j)
+
+
 def _estimate_offline(world, mcfg):
     coeffs = solve_condensed(world.ds, mcfg)
-    ms = build_index_structures(merge_repeats(world.ds))
-    tasks = list(range(world.cfg.num_users))
-    return predictions_grid(coeffs, mcfg, ms, tasks, world.inputs)
+    return predictions_grid(coeffs, mcfg, range(world.cfg.num_users), world.inputs)
 
 
 def _estimate_via_daemon(world, mcfg):
@@ -296,10 +302,12 @@ def sweep(world, alphas, lambdas, mode="offline", k=20, bias=None):
     "client-server" pushes every observation through a live daemon and
     reads each user's model from it.  Either way a cell scores all its
     users in one predictor call (offline.mixed_predictions).  Failed
-    cells are marked, not fatal.
+    cells are marked, not fatal; a world that check_users refuses fails
+    before any cell runs.
     """
     if mode not in ("offline", "client-server"):
         raise ValueError("unknown mode %r" % (mode,))
+    check_users(world)
     bias = bias if bias is not None else BiasBasis.empty()
     alphas = np.asarray(alphas, dtype=_F64)
     lambdas = np.asarray(lambdas, dtype=_F64)

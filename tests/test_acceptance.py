@@ -35,8 +35,6 @@ from mtfuse.linalg import (
 )
 from mtfuse.offline import (
     Dataset,
-    build_index_structures,
-    merge_repeats,
     predictions_grid,
     solve_backfit,
     solve_condensed,
@@ -115,11 +113,10 @@ def test_criterion_1_solver_agreement():
         worst = 0.0
         for ds, cfg, pool in instances:
             xs = probe_points(prng, pool)[:6]
-            ms = build_index_structures(merge_repeats(ds))
             preds = []
             for solver in (solve_condensed, solve_backfit, solve_full_system):
                 coeffs = solver(ds, cfg)
-                preds.append(predictions_grid(coeffs, cfg, ms, ds.tasks, xs))
+                preds.append(predictions_grid(coeffs, cfg, ds.tasks, xs))
             for i in range(3):
                 for j in range(i + 1, 3):
                     worst = max(worst, rel_err(preds[i], preds[j]))
@@ -151,8 +148,7 @@ def test_criterion_2_streaming_matches_offline():
                     counts[receipt.case] += 1
                     prefix.add(tr.task, tr.x, tr.y, tr.w)
                     coeffs = solve_condensed(prefix, cfg)
-                    ms = build_index_structures(merge_repeats(prefix))
-                    want = predictions_grid(coeffs, cfg, ms, prefix.tasks, xs)
+                    want = predictions_grid(coeffs, cfg, prefix.tasks, xs)
                     got = engine_state_predictions(eng, cfg, prefix.tasks, xs)
                     worst = max(worst, rel_err(got, want))
         assert worst < 1e-8, "worst prefix rel err %.3e" % worst
@@ -227,8 +223,7 @@ def test_criterion_4_endpoint_reductions():
         for _ in range(10):
             ds, cfg, pool = random_instance(rng, alpha=0.0)
             xs = probe_points(rng, pool)[:6]
-            ms = build_index_structures(merge_repeats(ds))
-            grid = predictions_grid(solve_condensed(ds, cfg), cfg, ms, ds.tasks, xs)
+            grid = predictions_grid(solve_condensed(ds, cfg), cfg, ds.tasks, xs)
             for row, task in enumerate(ds.tasks):
                 ridge = single_task_ridge(
                     [t for t in ds.triples if t.task == task],
@@ -239,8 +234,7 @@ def test_criterion_4_endpoint_reductions():
 
             ds, cfg, pool = random_instance(rng, alpha=1.0)
             xs = probe_points(rng, pool)[:6]
-            ms = build_index_structures(merge_repeats(ds))
-            grid = predictions_grid(solve_condensed(ds, cfg), cfg, ms, ds.tasks, xs)
+            grid = predictions_grid(solve_condensed(ds, cfg), cfg, ds.tasks, xs)
             pooled = pooled_saddle(ds.triples, cfg.shared, cfg.lam, cfg.bias)
             want = [pooled(x) for x in xs]
             for row in range(len(ds.tasks)):
@@ -468,8 +462,7 @@ def test_criterion_9_snapshots_and_wire_format():
         assert {f.name for f in fields(proto.Disclosed)} == {
             "epoch",
             "since",
-            "keys",
-            "features",
+            "inputs",
             "y_cond",
             "h_packed",
             "lower",

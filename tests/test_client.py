@@ -155,7 +155,7 @@ class TestActiveRefresh:
             coeffs = solve_condensed(ds, cfg)
             st = build_index_structures(merge_repeats(ds))
             xs = probe_points(rng, st.unique_inputs)
-            want = predictions_grid(coeffs, cfg, st, [0], xs)[0]
+            want = predictions_grid(coeffs, cfg, [0], xs)[0]
             got = [predict_client(model, cfg, x) for x in xs]
             assert rel_err(got, want) < 1e-8
 
@@ -317,7 +317,7 @@ class TestPassiveRefresh:
         coeffs = solve_condensed(ds, cfg)
         st = build_index_structures(merge_repeats(ds))
         xs = probe_points(rng, st.unique_inputs)
-        want = predictions_grid(coeffs, cfg, st, [mine], xs)[0]
+        want = predictions_grid(coeffs, cfg, [mine], xs)[0]
         got = [predict_client(model, cfg, x) for x in xs]
         assert rel_err(got, want) < 1e-8
 
@@ -418,9 +418,9 @@ class TestSharedFeatureRows:
             seen = proto.Seen()
             msg = proto.decode(proto.encode(proto.task_coeffs_to_message(
                 eng.task_coefficients(task))))
-            view = seen.task_coeffs(msg)
+            view = seen.task_coeffs(msg, task)
             block = seen.inputs.prefix()
-            assert block.tobytes() == msg.features.values.tobytes()
+            assert block.tobytes() == msg.inputs.values.tobytes()
             model = Client(task, cfg).active_refresh(_View(view))
             assert model.inputs is view.inputs
             assert np.shares_memory(model.inputs.prefix(), block)

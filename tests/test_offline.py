@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtfuse.errors import InvalidInput, NonPositiveWeight, UnknownTask
-from mtfuse.kernels import InputPoint, KernelSpec, basis_matrix, eval_mixed
+from mtfuse.kernels import InputPoint, KernelSpec, Pool, basis_matrix, eval_mixed
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -143,10 +143,9 @@ class TestFullSystem:
                 ds.add(task, x, y, 1.0)
         oracle = pooled_saddle(ds.triples, cfg.shared, cfg.lam, cfg.bias)
         coeffs = solve_full_system(ds, cfg)
-        ms = merged_structures(ds)
         xs = probe_points(rng, pool)
         for task in (0, 1):
-            got = [predict(coeffs, cfg, ms, task, x) for x in xs]
+            got = [predict(coeffs, cfg, task, x) for x in xs]
             want = [oracle(x) for x in xs]
             assert rel_err(got, want) < 1e-8
 
@@ -198,9 +197,8 @@ class TestBackfit:
         for _ in range(10):
             ds, cfg, pool = random_instance(rng, m_max=5, ell_max=8, n_max=10)
             xs = probe_points(rng, pool)
-            ms = merged_structures(ds)
-            a = predictions_grid(solve_full_system(ds, cfg), cfg, ms, ds.tasks, xs)
-            b = predictions_grid(solve_backfit(ds, cfg), cfg, ms, ds.tasks, xs)
+            a = predictions_grid(solve_full_system(ds, cfg), cfg, ds.tasks, xs)
+            b = predictions_grid(solve_backfit(ds, cfg), cfg, ds.tasks, xs)
             assert rel_err(b, a) < 1e-8
 
     def test_alpha_one_matches_pooled_ridge(self):
@@ -209,12 +207,25 @@ class TestBackfit:
                                         alpha=1.0, lam=0.1)
         oracle = single_task_ridge(merge_repeats(ds).triples, cfg.shared, cfg.lam)
         coeffs = solve_backfit(ds, cfg)
-        ms = merged_structures(ds)
         xs = probe_points(rng, pool)
         for task in ds.tasks:
-            got = [predict(coeffs, cfg, ms, task, x) for x in xs]
+            got = [predict(coeffs, cfg, task, x) for x in xs]
             want = [oracle(x) for x in xs]
             assert rel_err(got, want) < 1e-8
+
+
+class TestModelInputs:
+    def test_every_solver_holds_the_merged_pool(self):
+        # a model carries the unique inputs its a_cond lives on, so
+        # prediction needs nothing but the model
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            ds, cfg, _ = random_instance(rng, repeat_prob=0.5)
+            want = merged_structures(ds).unique_inputs
+            for solver in (solve_condensed, solve_backfit, solve_full_system):
+                coeffs = solver(ds, cfg)
+                assert isinstance(coeffs.inputs, Pool) and coeffs.inputs == want
+                assert len(coeffs.a_cond) == len(want)
 
 
 class TestCondensed:
@@ -223,13 +234,12 @@ class TestCondensed:
         ds, cfg, pool = random_instance(rng, m_max=5, ell_max=6, n_max=8, d=0,
                                         alpha=0.0, lam=0.1)
         coeffs = solve_condensed(ds, cfg)
-        ms = merged_structures(ds)
         xs = probe_points(rng, pool)
         merged = merge_repeats(ds)
         for task in ds.tasks:
             own = [tr for tr in merged.triples if tr.task == task]
             oracle = single_task_ridge(own, cfg.individual_for(task), cfg.lam)
-            got = [predict(coeffs, cfg, ms, task, x) for x in xs]
+            got = [predict(coeffs, cfg, task, x) for x in xs]
             want = [oracle(x) for x in xs]
             assert rel_err(got, want) < 1e-8
 
@@ -238,10 +248,9 @@ class TestCondensed:
         for _ in range(20):
             ds, cfg, pool = random_instance(rng)
             xs = probe_points(rng, pool)
-            ms = merged_structures(ds)
-            got = predictions_grid(solve_condensed(ds, cfg), cfg, ms, ds.tasks, xs)
+            got = predictions_grid(solve_condensed(ds, cfg), cfg, ds.tasks, xs)
             via_full = predictions_grid(
-                solve_full_system(ds, cfg), cfg, ms, ds.tasks, xs
+                solve_full_system(ds, cfg), cfg, ds.tasks, xs
             )
             assert rel_err(got, via_full) < 1e-8
             independent = naive_predictions(ds, cfg, ds.tasks, xs)
@@ -255,10 +264,9 @@ class TestCondensed:
         ds.add(0, x, 3.7, 1.0)
         cfg = make_config(0.5, 1.0, d=1)
         coeffs = solve_condensed(ds, cfg)
-        ms = merged_structures(ds)
         probe = make_inputs(rng, 1, prefix=b"probe")[0]
-        assert predict(coeffs, cfg, ms, 0, x) == pytest.approx(3.7, abs=1e-10)
-        assert predict(coeffs, cfg, ms, 0, probe) == pytest.approx(3.7, abs=1e-10)
+        assert predict(coeffs, cfg, 0, x) == pytest.approx(3.7, abs=1e-10)
+        assert predict(coeffs, cfg, 0, probe) == pytest.approx(3.7, abs=1e-10)
 
     def test_acheck_is_group_summed_raw_a(self):
         rng = np.random.default_rng(15)
@@ -283,19 +291,17 @@ class TestPredict:
         for tr in ds.triples:
             zero.add(tr.task, tr.x, 0.0, tr.w)
         coeffs = solve_condensed(zero, cfg)
-        ms = merged_structures(zero)
         for x in probe_points(rng, pool):
-            assert predict(coeffs, cfg, ms, zero.tasks[0], x) == 0.0
+            assert predict(coeffs, cfg, zero.tasks[0], x) == 0.0
 
     def test_alpha_one_task_independent(self):
         rng = np.random.default_rng(17)
         ds, cfg, pool = random_instance(rng, m_max=4, ell_max=6, n_max=8,
                                         alpha=1.0)
         coeffs = solve_condensed(ds, cfg)
-        ms = merged_structures(ds)
         xs = probe_points(rng, pool)
         rows = [
-            [predict(coeffs, cfg, ms, task, x) for x in xs] for task in ds.tasks
+            [predict(coeffs, cfg, task, x) for x in xs] for task in ds.tasks
         ]
         for row in rows[1:]:
             assert_allclose(row, rows[0], rtol=0, atol=1e-12)
@@ -304,19 +310,17 @@ class TestPredict:
         rng = np.random.default_rng(18)
         ds, cfg, pool = random_instance(rng, m_max=2, ell_max=4, n_max=5)
         coeffs = solve_condensed(ds, cfg)
-        ms = merged_structures(ds)
         with pytest.raises(UnknownTask):
-            predict(coeffs, cfg, ms, 999, pool[0])
+            predict(coeffs, cfg, 999, pool[0])
 
     def test_grid_matches_scalar_loop(self):
         rng = np.random.default_rng(19)
         ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=8)
         coeffs = solve_condensed(ds, cfg)
-        ms = merged_structures(ds)
         xs = probe_points(rng, pool)
-        grid = predictions_grid(coeffs, cfg, ms, ds.tasks, xs)
+        grid = predictions_grid(coeffs, cfg, ds.tasks, xs)
         for r, task in enumerate(ds.tasks):
             for c, x in enumerate(xs):
                 assert grid[r, c] == pytest.approx(
-                    predict(coeffs, cfg, ms, task, x), abs=1e-12
+                    predict(coeffs, cfg, task, x), abs=1e-12
                 )

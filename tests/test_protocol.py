@@ -43,7 +43,13 @@ from mtfuse.offline import (
     predictions_grid,
     solve_condensed,
 )
-from mtfuse.server import CASE_NEW_INPUT, CASE_REPEAT_GLOBAL, CASE_REPEAT_TASK, ServerEngine
+from mtfuse.server import (
+    CASE_NEW_INPUT,
+    CASE_REPEAT_GLOBAL,
+    CASE_REPEAT_TASK,
+    ClientModel,
+    ServerEngine,
+)
 
 from util import (
     make_config,
@@ -79,8 +85,7 @@ class TestMessageRoundTrip:
             msg = proto.Disclosed(
                 epoch=0,
                 since=since,
-                keys=(),
-                features=Pool(),
+                inputs=Pool(),
                 y_cond=np.zeros(since),
                 h_packed=np.zeros(since * (since + 1) // 2),
                 lower=np.zeros(0),
@@ -169,8 +174,8 @@ class TestMessageRoundTrip:
                    if isinstance(row, proto._Row) and row.tag is None]
         assert [row.cls.__name__ for row in records] == [
             "SnapshotHead", "TaskCount", "TaskBlock"]
-        assert listed == [(row.cls.__name__, [n for names, _, _ in row.fields
-                                              for n in names]) for row in records]
+        assert listed == [(row.cls.__name__, [name for name, _ in row.fields])
+                          for row in records]
 
 
 def _lookup_engine(rng, alpha):
@@ -297,7 +302,7 @@ class TestMalformedInput:
 
         # a payload of 30 + 8n bytes: one within the joined size, one past it
         for n, writes in ((proto._JOIN_MAX // 8 - 4, 1), (proto._JOIN_MAX // 8, 2)):
-            msg = proto.TaskCoeffs(epoch=1, since=n, keys=(), features=Pool(), b=np.zeros(0),
+            msg = proto.TaskCoeffs(epoch=1, since=n, inputs=Pool(), b=np.zeros(0),
                                    a_cond=np.arange(float(n)), a=np.zeros(0), slots=())
             out = Writes()
             out.sizes = []
@@ -327,10 +332,18 @@ def _wire(msg):
     return proto.decode(proto.encode(msg))
 
 
+def _key_twice(msg, key, other):
+    # the bytes of msg with its input key `key` renamed `other`, a key
+    # of the same length that msg lists too
+    data = proto.encode(msg)
+    assert len(key) == len(other) and data.count(key) == 1
+    return data.replace(key, other)
+
+
 def _disclosed(keys, feats):
     n = len(keys)
-    return proto.Disclosed(epoch=4, since=0, keys=tuple(keys),
-                           features=pool_of(keys, feats), y_cond=np.arange(n, dtype=float),
+    return proto.Disclosed(epoch=4, since=0, inputs=pool_of(keys, feats),
+                           y_cond=np.arange(n, dtype=float),
                            h_packed=np.ones(n * (n + 1) // 2),
                            lower=np.zeros(n * (n - 1) // 2), d=np.ones(n), m=np.ones(n))
 
@@ -355,16 +368,15 @@ class TestInputColumns:
                      for f in feats]
             keys = [b"k%d" % i + b"\x00" * i for i in range(len(feats))]
             for msg in (_disclosed(keys, feats),
-                        proto.TaskCoeffs(epoch=1, since=0, keys=tuple(keys),
-                                         features=pool_of(keys, feats),
+                        proto.TaskCoeffs(epoch=1, since=0, inputs=pool_of(keys, feats),
                                          b=np.zeros(1), a_cond=np.zeros(len(keys)),
                                          a=np.zeros(0), slots=())):
                 data = proto.encode(msg)
                 back = proto.decode(data)
-                assert back.keys == tuple(keys), name
-                assert isinstance(back.features, Pool), name
-                assert [x.key for x in back.features] == keys, name
-                for got, want in zip(back.features, feats):
+                assert back.inputs.keys == tuple(keys), name
+                assert isinstance(back.inputs, Pool), name
+                assert [x.key for x in back.inputs] == keys, name
+                for got, want in zip(back.inputs, feats):
                     if want is None:
                         assert got.features is None, name
                     else:
@@ -377,17 +389,17 @@ class TestInputColumns:
     def test_uniform_pool_decodes_to_one_block(self):
         feats = self.POOLS["uniform"]
         back = proto.decode(proto.encode(_disclosed([b"a%d" % i for i in range(5)], feats)))
-        values = back.features.values
+        values = back.inputs.values
         owner = values if values.base is None else values.base
         assert owner.flags.owndata and values.ctypes.data % 8 == 0
-        block = back.features.prefix()
+        block = back.inputs.prefix()
         assert block.shape == (5, 3) and np.shares_memory(block, values)
         assert block.tobytes() == np.stack(feats).tobytes()
         pools = {}
         for name in ("mixed", "absent", "empty"):
             pool = self.POOLS[name]
             pools[name] = proto.decode(proto.encode(_disclosed(
-                [b"a%d" % i for i in range(len(pool))], pool))).features
+                [b"a%d" % i for i in range(len(pool))], pool))).inputs
             assert pools[name].prefix() is None, name
         # as in a pool that grew, the leading inputs with one length are rows
         assert pools["mixed"].prefix(1).tobytes() == np.ones(2).tobytes()
@@ -428,9 +440,9 @@ class TestInputColumns:
 
     def test_key_listed_twice_rejected(self):
         feats = self.POOLS["uniform"][:2]
-        msg = replace(_disclosed([b"same", b"other"], feats), keys=(b"same", b"same"))
+        data = _key_twice(_disclosed([b"same", b"sbme"], feats), b"sbme", b"same")
         with pytest.raises(MalformedFrame, match="input key b'same' listed twice"):
-            proto.decode(proto.encode(msg))
+            proto.decode(data)
 
 
 class TestSchemaPrivacy:
@@ -443,10 +455,10 @@ class TestSchemaPrivacy:
             assert "y" not in names
             assert "w" not in names
         assert {f.name for f in fields(proto.Disclosed)} == {
-            "epoch", "since", "keys", "features", "y_cond", "h_packed", "lower", "d", "m",
+            "epoch", "since", "inputs", "y_cond", "h_packed", "lower", "d", "m",
         }
         assert {f.name for f in fields(proto.TaskCoeffs)} == {
-            "epoch", "since", "keys", "features", "b", "a_cond", "a", "slots",
+            "epoch", "since", "inputs", "b", "a_cond", "a", "slots",
         }
         assert {f.name for f in fields(proto.Ack)} == {"epoch", "case"}
         assert {f.name for f in fields(proto.Config)} == {
@@ -463,7 +475,7 @@ class TestSchemaPrivacy:
             proto.encode(block)
         assert proto._TASK_BLOCK.tag is None and proto._TASK_BLOCK not in proto._ROWS
         private = [row.cls for row in proto._ROWS
-                   if {"y", "w"} & {n for names, _, _ in row.fields for n in names}]
+                   if {"y", "w"} & {name for name, _ in row.fields}]
         assert private == [proto.SubmitExample]
 
     def test_disclosed_bytes_never_contain_raw_responses(self):
@@ -524,10 +536,10 @@ class TestDisclosedConversion:
         xs = make_inputs(np.random.default_rng(21), 2, unit=True)
         for t, x in enumerate(xs):
             eng.receive_example(t, x, 1.0, 1.0)
-        msg = proto.disclosed_to_message(eng.get_disclosed())
-        msg = replace(msg, keys=(xs[0].key, xs[0].key))
+        data = _key_twice(proto.disclosed_to_message(eng.get_disclosed()), xs[1].key,
+                          xs[0].key)
         with pytest.raises(MalformedFrame, match="input key b'x-0000' listed twice"):
-            proto.Seen().disclosed(proto.decode(proto.encode(msg)))
+            proto.Seen().disclosed(proto.decode(data))
 
     def test_task_coeffs_slot_or_key_out_of_place_rejected(self):
         eng = ServerEngine(make_config(0.5, 0.1, d=1))
@@ -535,12 +547,12 @@ class TestDisclosedConversion:
         for x in xs:
             eng.receive_example(0, x, 1.0, 1.0)
         msg = proto.task_coeffs_to_message(eng.task_coefficients(0))
-        bad_slot = replace(msg, slots=(0, 2))
-        bad_key = replace(msg, keys=(xs[0].key, xs[0].key))
+        bad_slot = proto.encode(replace(msg, slots=(0, 2)))
+        bad_key = _key_twice(msg, xs[1].key, xs[0].key)
         for bad, match in ((bad_slot, "slot 2 out of range"),
                            (bad_key, "input key b'x-0000' listed twice")):
             with pytest.raises(MalformedFrame, match=match):
-                proto.Seen().task_coeffs(proto.decode(proto.encode(bad)))
+                proto.Seen().task_coeffs(proto.decode(bad), 0)
 
     def test_factors_round_trip_bitwise(self):
         # the factors read at once, or as a head and the rows since it
@@ -802,7 +814,7 @@ class TestDaemon:
                 cfg_back = conn.get_config()
                 assert cfg_back.alpha == cfg.alpha
                 tc = conn.task_coefficients()
-                assert tc.epoch == 1 and tc.a.shape == (1,)
+                assert tc.epoch == 1 and tc.a_task.shape == (1,)
 
     def test_foreign_task_unauthorized(self):
         rng = np.random.default_rng(9)
@@ -841,8 +853,34 @@ class TestDaemon:
             with RemoteServer(srv.address, task=1, token=b"b") as conn:
                 view = conn.task_coefficients()
         assert view.epoch == 3 and len(view.inputs) == 3
-        assert view.a.shape == (0,) and view.slots == ()
+        assert view.a_task.shape == (0,) and view.slots.shape == (0,)
         assert view.a_cond.shape == (3,)
+
+    def test_every_refresh_returns_one_client_model(self):
+        # an active refresh in process and over TCP and a passive refresh
+        # all return the one model record, with intp slots; the passive
+        # one carries the disclosed epoch, not that of its local engine
+        cfg = make_config(0.5, 0.1, d=1)
+        xs = make_inputs(np.random.default_rng(45), 4, unit=True)
+        public = [(1, x, 0.1 * i, 1.0) for i, x in enumerate(xs[:3])]
+        mine = [(xs[2], 0.5, 1.0), (xs[3], -0.5, 2.0)]
+        with daemon(cfg, {0: b"tok"}) as (eng, srv):
+            for t in public + [(0, *m) for m in mine]:
+                eng.receive_example(*t)
+            with RemoteServer(srv.address, task=0, token=b"tok") as conn:
+                remote = Client(0, cfg, b"tok").active_refresh(conn)
+            local = Client(0, cfg).active_refresh(eng)
+        before = ServerEngine(cfg)
+        for t in public:
+            before.receive_example(*t)
+        disclosed = before.get_disclosed()
+        passive = Client(0, cfg).passive_refresh(disclosed, PrivateData(mine))
+        for model in (local, remote, passive):
+            assert type(model) is ClientModel and model.task == 0
+            assert model.slots.dtype == np.intp and model.slots.tolist() == [2, 3]
+            assert model.a_task.shape == (2,) and len(model.inputs) == 4
+        assert local.epoch == remote.epoch == 5
+        assert passive.epoch == disclosed.epoch == 3
 
     def test_active_model_over_tcp_equals_in_process_bitwise(self):
         rng = np.random.default_rng(27)
@@ -915,10 +953,10 @@ class TestDaemon:
                     proto.write_message(wfile, proto.GetDisclosed(since=since))
                     reply = proto.read_message(rfile)
                     assert reply.since == since and len(reply.d) == 1 - since
-                    assert len(reply.keys) == 1 - since and len(reply.y_cond) == 1
+                    assert len(reply.inputs) == 1 - since and len(reply.y_cond) == 1
                 proto.write_message(wfile, proto.GetTaskCoeffs(task=0, token=b"t", since=1))
                 reply = proto.read_message(rfile)
-                assert reply.since == 1 and reply.keys == () and reply.slots == (0,)
+                assert reply.since == 1 and len(reply.inputs) == 0 and reply.slots == (0,)
             assert proto.save_snapshot(eng) == before
 
     def test_idle_shutdown_does_not_wait_for_a_poll(self):
@@ -1097,7 +1135,7 @@ class TestDaemon:
                 coeffs = solve_condensed(ds, cfg)
                 st = build_index_structures(merge_repeats(ds))
                 xs = probe_points(rng, st.unique_inputs)
-                want = predictions_grid(coeffs, cfg, st, [0, 1, 2], xs)
+                want = predictions_grid(coeffs, cfg, [0, 1, 2], xs)
                 for j in range(3):
                     model = Client(j, cfg).active_refresh(conns[j])
                     got = [predict_client(model, cfg, x) for x in xs]
@@ -1140,11 +1178,11 @@ def _disclosed_bytes(db):
             f.M.tobytes(), f.M.shape)
 
 
-def _coeffs_bytes(view):
-    # everything a TaskCoeffsView holds, as bytes
-    return (view.epoch, view.inputs.keys, view.inputs.lengths.tobytes(),
-            view.inputs.values.tobytes(), view.b.tobytes(), view.a_cond.tobytes(),
-            view.a.tobytes(), view.slots)
+def _coeffs_bytes(model):
+    # everything a ClientModel holds, as bytes
+    return (model.task, model.epoch, model.inputs.keys, model.inputs.lengths.tobytes(),
+            model.inputs.values.tobytes(), model.b.tobytes(), model.a_cond.tobytes(),
+            model.a_task.tobytes(), model.slots.tobytes())
 
 
 def _seen_bytes(seen):
@@ -1239,7 +1277,7 @@ class TestSinceDeltas:
         for t, x in enumerate(make_inputs(np.random.default_rng(43), 3, unit=True)):
             eng.receive_example(t, x, 1.0, 1.0)
         for since in (0, 3):
-            assert len(proto.disclosed_to_message(eng.get_disclosed(), since).keys) == 3 - since
+            assert len(proto.disclosed_to_message(eng.get_disclosed(), since).inputs) == 3 - since
         with pytest.raises(MalformedFrame, match="inputs from 4 asked for, the pool has 3"):
             proto.disclosed_to_message(eng.get_disclosed(), 4)
         with pytest.raises(MalformedFrame, match="inputs from 4 asked for, the pool has 3"):
@@ -1258,7 +1296,7 @@ class TestSinceDeltas:
         for t, x in enumerate(xs[2:4]):
             eng.receive_example(t, x, 1.0, 1.0)
         seen.task_coeffs(_wire(proto.task_coeffs_to_message(
-            eng.task_coefficients(0), 2)))
+            eng.task_coefficients(0), 2)), 0)
         for x in xs[4:]:
             eng.receive_example(0, x, 1.0, 1.0)
         assert (len(seen.inputs), seen.factors.n) == (4, 2)
@@ -1277,21 +1315,22 @@ class TestSinceDeltas:
             (replace(good, lower=good.lower[:-1]), "do not fit rows 2..6"),
             (replace(good, m=good.m[:-1]), "3 entries of M are not a multiple of 4"),
             (replace(good, m=np.repeat(good.m, 2)), "rows of M with 2 entries, not 1"),
-            (replace(good, keys=tuple(renamed), features=pool_of(
-                renamed, [x.features for x in xs[2:]])), "inputs 2..4 are not the ones held"),
-            (replace(good, keys=moved.keys + good.keys[2:], features=pool_of(
-                list(moved.keys) + list(good.keys[2:]),
+            (replace(good, inputs=pool_of(renamed, [x.features for x in xs[2:]])),
+             "inputs 2..4 are not the ones held"),
+            (replace(good, inputs=pool_of(
+                moved.keys + good.inputs.keys[2:],
                 [x.features for x in moved] + [x.features for x in xs[4:]])),
              "inputs 2..4 are not the ones held"),
-            (replace(good, keys=good.keys[:3] + (xs[0].key,), features=pool_of(
-                good.keys[:3] + (xs[0].key,), [x.features for x in xs[2:6]])),
+            (replace(good, inputs=pool_of(
+                good.inputs.keys[:3] + (xs[0].key,), [x.features for x in xs[2:6]])),
              "input key b'x-0000' listed twice"),
             (proto.task_coeffs_to_message(eng.task_coefficients(0), 5),
              "inputs from 5 do not continue the 4 held"),
-            (replace(coeffs, slots=coeffs.slots[:-1] + (6,)), "task slot 6 out of range"),
+            (replace(coeffs, slots=np.append(coeffs.slots[:-1], 6)), "task slot 6 out of range"),
         )
         for reply, match in bad:
-            read = seen.disclosed if isinstance(reply, proto.Disclosed) else seen.task_coeffs
+            read = (seen.disclosed if isinstance(reply, proto.Disclosed)
+                    else lambda msg: seen.task_coeffs(msg, 0))
             with pytest.raises(MalformedFrame, match=match):
                 read(_wire(reply))
             assert _seen_bytes(seen) == before

@@ -206,9 +206,8 @@ class TestMasterInvariant:
                 prefix = Dataset()
                 for p in ds.triples[:k]:
                     prefix.add(p.task, p.x, p.y, p.w)
-                ms = build_index_structures(merge_repeats(prefix))
                 want = predictions_grid(
-                    solve_condensed(prefix, cfg), cfg, ms, prefix.tasks, xs
+                    solve_condensed(prefix, cfg), cfg, prefix.tasks, xs
                 )
                 got = engine_predictions(eng, cfg, prefix.tasks, xs)
                 assert rel_err(got, want) < 1e-8
@@ -400,9 +399,9 @@ class TestReads:
 
         monkeypatch.setattr(kernels, "InputPoint", Counted)
         db = eng.get_disclosed()
-        view = eng.task_coefficients(ds.tasks[0])
+        model = eng.task_coefficients(ds.tasks[0])
         proto.encode(proto.disclosed_to_message(db))
-        proto.encode(proto.task_coeffs_to_message(view))
+        proto.encode(proto.task_coeffs_to_message(model))
         local = ServerEngine.from_disclosed(db, cfg)
         assert len(local.inputs) == eng.n > 0 and made == []
         assert isinstance(local.inputs[0], Counted) and len(made) == 1
@@ -435,8 +434,8 @@ class TestReads:
                     if isinstance(g, np.ndarray):
                         assert g.tobytes() == w.tobytes()
                         continue
-                    assert g.epoch == w.epoch and g.slots == w.slots
-                    for f in ("b", "a_cond", "a"):
+                    assert g.epoch == w.epoch and g.slots.tobytes() == w.slots.tobytes()
+                    for f in ("b", "a_cond", "a_task"):
                         assert getattr(g, f).tobytes() == getattr(w, f).tobytes()
 
             first = models()
@@ -458,5 +457,5 @@ class TestReads:
         eng = ServerEngine(make_config(0.5, 1.0, d=0))
         with pytest.raises(UnknownTask):
             eng.get_task_coefficients(3)
-        view = eng.task_coefficients(3)
-        assert view.a.shape == (0,) and view.slots == ()
+        model = eng.task_coefficients(3)
+        assert model.a_task.shape == (0,) and model.slots.shape == (0,)

@@ -118,6 +118,14 @@ class TestTagFile:
             with pytest.raises(ValueError):
                 load_tag_file(str(p))
 
+    def test_file_without_artists_refused(self, tmp_path):
+        p = tmp_path / "empty.tsv"
+        for content in ("", "\n\n"):
+            p.write_text(content, encoding="utf-8")
+            with pytest.raises(ValueError) as err:
+                load_tag_file(str(p))
+            assert str(err.value) == "%s: no artists" % p
+
 
 class TestMetrics:
     def test_rmse_exact_cases(self):
@@ -167,12 +175,7 @@ class TestMetrics:
 class TestSweep:
     def test_single_cell_equals_direct_run(self):
         from mtfuse.kernels import BiasBasis
-        from mtfuse.offline import (
-            build_index_structures,
-            merge_repeats,
-            predictions_grid,
-            solve_condensed,
-        )
+        from mtfuse.offline import predictions_grid, solve_condensed
 
         world = generate_world(SynthConfig(**TINY))
         res = sweep(world, [0.5], [0.01], k=5)
@@ -180,9 +183,7 @@ class TestSweep:
         assert cell.ok
         mcfg = sim._model_config(0.5, 0.01, BiasBasis.empty())
         coeffs = solve_condensed(world.ds, mcfg)
-        ms = build_index_structures(merge_repeats(world.ds))
-        est = predictions_grid(coeffs, mcfg, ms,
-                               list(range(world.cfg.num_users)), world.inputs)
+        est = predictions_grid(coeffs, mcfg, list(range(world.cfg.num_users)), world.inputs)
         s_est = squash(est)
         assert cell.rmse == rmse(world.s_true, s_est)
         assert cell.top20hits == top_k_hits(world.s_true, s_est, 5)[1]
@@ -238,6 +239,26 @@ class TestSweep:
         assert cell.error != ""
         assert np.isnan(cell.rmse)
         assert res.best_index is None and res.best_cell() is None
+
+    @pytest.mark.parametrize("mode", ["offline", "client-server"])
+    def test_world_with_a_user_without_data_refused(self, mode, monkeypatch):
+        # no users, no observations, or one user without any: both modes
+        # refuse the world with one ValueError before any cell runs
+        cells = []
+        monkeypatch.setattr(sim, "_model_config", lambda *a: cells.append(a))
+        worlds = [(generate_world(SynthConfig(**{**TINY, "num_users": 0})),
+                   "the world has no users"),
+                  (generate_world(SynthConfig(**{**TINY, "num_users": 3,
+                                                  "samples_per_user": 0})),
+                   "user 0 has no observations")]
+        world = generate_world(SynthConfig(**TINY))
+        world.ds = Dataset(t for t in world.ds.triples if t.task != 2)
+        worlds.append((world, "user 2 has no observations"))
+        for world, message in worlds:
+            with pytest.raises(ValueError) as err:
+                sweep(world, [0.5], [0.1], mode=mode, k=5)
+            assert str(err.value) == message
+        assert cells == []
 
     def test_unknown_mode_rejected(self):
         world = generate_world(SynthConfig(**TINY))
@@ -436,6 +457,29 @@ class TestCli:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "rmse" in stdout and "top3hits" in stdout
+
+    def test_world_with_a_user_without_data_exits_2(self, tmp_path, capsys):
+        world = ["--num-artists", "25", "--tag-dim", "5", "--seed", "7"]
+        for knobs, message in ((["--num-users", "0"], "the world has no users"),
+                               (["--num-users", "3", "--samples-per-user", "0"],
+                                "user 0 has no observations")):
+            for command in (["sweep", "--out", str(tmp_path / "o")],
+                            ["sweep", "--mode", "client-server", "--out",
+                             str(tmp_path / "o")],
+                            ["serve-demo"]):
+                assert cli.main([*command, *world, *knobs]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == "error: %s\n" % message
+                assert "Traceback" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_tag_file_exits_2(self, tmp_path, capsys):
+        tags = tmp_path / "empty.tsv"
+        tags.write_text("", encoding="utf-8")
+        for command in ("generate", "sweep"):
+            rc = cli.main([command, "--tags", str(tags), "--out", str(tmp_path / "w")])
+            assert rc == 2
+            assert capsys.readouterr().err == "error: %s: no artists\n" % tags
 
     def test_missing_result_file_reports_error(self, tmp_path, capsys):
         rc = cli.main(["report", "--result", str(tmp_path / "absent.json"),

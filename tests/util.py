@@ -325,8 +325,7 @@ def random_message(rng):
         return proto.Disclosed(
             epoch=epoch,
             since=since,
-            keys=keys,
-            features=pool_of(keys, feats),
+            inputs=pool_of(keys, feats),
             y_cond=np.append(extra.standard_normal(since), y_cond),
             h_packed=np.append(
                 extra.standard_normal(total * (total + 1) // 2 - len(h_packed)), h_packed),
@@ -365,8 +364,7 @@ def random_message(rng):
         return proto.TaskCoeffs(
             epoch=epoch,
             since=since,
-            keys=keys,
-            features=pool_of(keys, feats),
+            inputs=pool_of(keys, feats),
             b=more.standard_normal(int(more.integers(0, 3))),
             a_cond=more.standard_normal(since + n),
             a=a,
