@@ -1,13 +1,16 @@
 """TCP daemon around a ServerEngine, plus the matching client proxy.
 
 One mutex serializes every engine access: submissions apply in arrival
-order, reads copy a snapshot under the lock (or, for the append-only
-input pool and factors, take a view of their first n entries, in O(1))
-and serve it outside.  A read sends only the part of the pool and the
-factors that the reader lacks (see protocol.Seen).  A transport failure
-can only lose a response, never corrupt engine state, because the
-engine finishes (or rejects) an update before any reply bytes are
-written.
+order, and a read is encoded under the lock and written outside it.  A
+Disclosed reply is encoded straight from the engine's live arrays
+(ServerEngine.live_disclosed): y_cond, the packed H, the pool's tail and
+L's rows since the reader's count, each copied once, into the payload.
+So a read holds the lock for one copy of H, and a connection's first
+read for one copy of L's rows as well.  A read sends only the part of
+the pool and the factors that the reader lacks (see protocol.Seen).  A
+transport failure can only lose a response, never corrupt engine state,
+because the engine finishes (or rejects) an update before any reply
+bytes are written.
 """
 
 import hmac
@@ -97,7 +100,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def setup(self):
         super().setup()
         # a large reply's header goes out apart from its payload (see
-        # protocol.write_message): send each write at once, without
+        # protocol.write_frame): send each write at once, without
         # waiting for the client to acknowledge the previous one
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -118,9 +121,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if msg is None:
                 return
-            reply = self.server.dispatch(msg)
+            payload = self.server.dispatch(msg)
             try:
-                proto.write_message(self.wfile, reply)
+                proto.write_frame(self.wfile, payload)
             except OSError:
                 return
 
@@ -143,6 +146,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
         return bool(expected) and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
+        """The encoded reply to msg, the payload of its frame."""
         try:
             if isinstance(msg, proto.SubmitExample):
                 if not self._authorized(msg.task, msg.token):
@@ -150,30 +154,33 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 x = InputPoint(msg.key, msg.features)
                 with self.lock:
                     receipt = self.engine.receive_example(msg.task, x, msg.y, msg.w)
-                return proto.Ack(epoch=receipt.epoch, case=receipt.case)
+                return proto.encode(proto.Ack(epoch=receipt.epoch, case=receipt.case))
             if isinstance(msg, proto.GetDisclosed):
+                # the next commit patches the live arrays: the payload is
+                # their one copy, made before the lock is released
                 with self.lock:
-                    db = self.engine.get_disclosed()
-                return proto.disclosed_to_message(db, msg.since)
+                    db = self.engine.live_disclosed()
+                    return proto.encode(proto.disclosed_to_message(db, msg.since))
             if isinstance(msg, proto.GetTaskCoeffs):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
                 with self.lock:
                     model = self.engine.task_coefficients(msg.task)
-                return proto.task_coeffs_to_message(model, msg.since)
+                return proto.encode(proto.task_coeffs_to_message(model, msg.since))
             if isinstance(msg, proto.GetConfig):
-                return proto.config_to_message(self.engine.get_config())
+                return proto.encode(proto.config_to_message(self.engine.get_config()))
             raise ProtocolError("unexpected message %s" % type(msg).__name__)
         except (EngineError, ValueError, TypeError) as exc:
-            return proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
+            err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
         except Exception as exc:
             # anything else (an OverflowError in a kernel, say) is a fault
             # of this request only: report it and keep the connection
             _log.exception("internal error serving %s", type(msg).__name__)
-            return proto.Error(
+            err = proto.Error(
                 code=proto.ERR_INTERNAL,
                 detail="internal error: %s: %s" % (type(exc).__name__, exc),
             )
+        return proto.encode(err)
 
     @property
     def address(self):

@@ -101,10 +101,10 @@ class UnitLowerFactor:
         self.n = 0
         self._owner = True
 
-    def strict_lower(self, since=0):
-        """The stored entries of rows since..n-1, row after row."""
-        rows = [self._buf[i, :i] for i in range(since, self.n)]
-        return np.concatenate(rows) if rows else np.zeros(0, dtype=_F64)
+    def rows(self, since=0):
+        """The stored entries of rows since..n-1, one view of this buffer
+        per row."""
+        return tuple(self._buf[i, :i] for i in range(since, self.n))
 
     def view(self, n=None):
         """The first n rows (all by default), sharing this buffer."""
@@ -141,7 +141,7 @@ class UnitLowerFactor:
 
     def append_rows(self, entries, count):
         """Append count rows whose stored entries, row after row, are
-        entries (what strict_lower reads), in the buffer that as many
+        entries (rows() joined), in the buffer that as many
         append_row calls would have grown."""
         n, end = self.n, self.n + count
         entries = _as_vec(entries, (end * (end - 1) - n * (n - 1)) // 2)

@@ -229,8 +229,28 @@ def _write_f64s(w, arr):
 
 # an f64 array after its u32 element count
 _f64s = _Codec(_write_f64s, lambda r: r.array(_u32.read(r)))
-# the same, read as a view of the payload, for a caller that copies it
-_f64s_view = _Codec(_write_f64s, lambda r: r.array(_u32.read(r), copy=False))
+
+
+def _write_rows(w, rows):
+    # one f64 array, or a tuple of them written in turn as one counted
+    # array (L's rows, see disclosed_to_message): the final join copies
+    # each row once, and nothing joins them before it
+    rows = rows if isinstance(rows, tuple) else (rows,)
+    _u32.write(w, sum(map(len, rows)))
+    for row in rows:
+        _write_array(w, row)
+
+
+# the same, also written from a tuple of arrays in turn, and read as one
+# view of the payload, for a caller that copies it
+_f64s_view = _Codec(_write_rows, lambda r: r.array(_u32.read(r), copy=False))
+
+
+def _joined(v):
+    # a tuple of f64 arrays, as _write_rows writes it, as one array
+    if isinstance(v, tuple) and all(isinstance(p, np.ndarray) for p in v):
+        return np.concatenate((np.zeros(0, dtype=_F64),) + v)
+    return v
 
 
 def _sized_f64s(count, copy=True):
@@ -391,6 +411,7 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 
 
 def _values_equal(a, b):
+    a, b = _joined(a), _joined(b)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (
             isinstance(a, np.ndarray)
@@ -520,7 +541,12 @@ def decode(data):
 
 
 def write_message(stream, msg):
-    payload = encode(msg)
+    write_frame(stream, encode(msg))
+
+
+def write_frame(stream, payload):
+    """Write one frame: the u32 length of payload, a message's encoding,
+    then payload."""
     header = struct.pack("<I", len(payload))
     if len(payload) <= _JOIN_MAX:
         stream.write(header + payload)
@@ -562,11 +588,12 @@ def _tail(inputs, since):
 
 def disclosed_to_message(db, since=0):
     """The Disclosed message of db for a reader holding its first since
-    inputs and factor rows; it shares db's arrays.  A since past db's
-    inputs is malformed."""
+    inputs and factor rows; it shares db's arrays, and holds L's rows
+    since..n-1 as a tuple of views, which encode writes in turn.  A
+    since past db's inputs is malformed."""
     tail, f = _tail(db.inputs, since), db.factors
     return Disclosed(db.epoch, since, tail, db.y_cond, db.H.packed,
-                     f.L.strict_lower(since), f.D.values[since:], f.M[since:].ravel())
+                     f.L.rows(since), f.D.values[since:], f.M[since:].ravel())
 
 
 def task_coeffs_to_message(model, since=0):
@@ -601,16 +628,16 @@ class Seen:
     def disclosed(self, msg):
         """The DisclosedDB of msg, after appending its tail."""
         since, count, f = msg.since, len(msg.inputs), self.factors
-        n = since + count
+        n, lower = since + count, _joined(msg.lower)
         if since != f.n:
             raise errors.MalformedFrame("factor rows from %d, but %d are held"
                                         % (since, f.n))
         if len(msg.d) != count:
             raise errors.MalformedFrame("factors of %d inputs, not %d"
                                         % (len(msg.d), count))
-        if len(msg.lower) != (n * (n - 1) - since * (since - 1)) // 2:
+        if len(lower) != (n * (n - 1) - since * (since - 1)) // 2:
             raise errors.MalformedFrame("%d entries of L do not fit rows %d..%d"
-                                        % (len(msg.lower), since, n))
+                                        % (len(lower), since, n))
         width = len(msg.m) // count if count else f.bias_dim
         if len(msg.m) != count * width:
             raise errors.MalformedFrame("%d entries of M are not a multiple of %d"
@@ -621,7 +648,7 @@ class Seen:
                                             % (width, f.bias_dim))
             f = FactorSet(width)
         inputs = self._inputs(msg)
-        f.append_rows(msg.lower, msg.d, msg.m)
+        f.append_rows(lower, msg.d, msg.m)
         self.factors = f
         msg.y_cond.flags.writeable = False
         return DisclosedDB(
@@ -695,15 +722,17 @@ def save_snapshot(engine):
     w = []
     _write_body(w, _HEAD, _HEAD.cls(MAGIC, SNAPSHOT_VERSION))
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
-    db = DisclosedDB(engine.inputs, engine.y_cond.values, engine.H, engine.epoch,
-                     engine.factors)
-    _write_body(w, _DISCLOSED, disclosed_to_message(db))
+    _write_body(w, _DISCLOSED, disclosed_to_message(engine.live_disclosed()))
     _write_body(w, _TASK_COUNT, _TASK_COUNT.cls(len(engine.tasks)))
     for task, st in engine.tasks.items():
         _write_body(w, _TASK_BLOCK, _TASK_BLOCK.cls(task, st.slots, st.y.values,
                                                      st.w.values, st.R.packed))
-    body = b"".join(w)
-    return body + struct.pack("<I", zlib.crc32(body))
+    # the CRC runs over the pieces, so that the body is joined once
+    crc = 0
+    for piece in w:
+        crc = zlib.crc32(piece, crc)
+    w.append(struct.pack("<I", crc))
+    return b"".join(w)
 
 
 def _add_task(tasks, n, block):

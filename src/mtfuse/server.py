@@ -9,7 +9,7 @@ patch; every update is planned fully before any state is touched, so a
 rejected triple leaves the server bit-identical.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +59,7 @@ class ClientModel:
 
 @dataclass(frozen=True)
 class DisclosedDB:
-    """Immutable snapshot of everything the server discloses.
+    """Everything the server discloses, at one epoch.
 
     Contains only the unique inputs (a Pool), the condensed response
     vector, the condensed inverse and the LDL^T factors of the inputs
@@ -71,6 +71,13 @@ class DisclosedDB:
     from them copies before it appends, except where the right to
     append to L in place was handed to it.  H may be a read-only view
     (of a wire payload, say): an engine seeded from it copies it.
+
+    ServerEngine.get_disclosed returns one that never changes: y_cond
+    and H are copies.  ServerEngine.live_disclosed returns one whose
+    y_cond and H are the engine's own, which its next commit patches in
+    place; the daemon encodes each Disclosed reply from it under the
+    engine lock, so that the payload is the one copy of H and of L's
+    rows (see protocol.disclosed_to_message), and so does a snapshot.
     """
 
     inputs: Pool
@@ -321,16 +328,20 @@ class ServerEngine:
 
     # ----- reads --------------------------------------------------------
 
+    def live_disclosed(self):
+        """The DisclosedDB of this epoch over the engine's own y_cond and
+        H, which the next commit patches in place: read it only while
+        nothing commits (under the daemon's lock, say)."""
+        return DisclosedDB(self.inputs.view(), self.y_cond.values, self.H, self.epoch,
+                           self.factors.view())
+
     def get_disclosed(self):
-        y = self.y_cond.values.copy()
+        """The DisclosedDB of this epoch, which never changes: the live
+        one with y_cond and H copied."""
+        db = self.live_disclosed()
+        y = db.y_cond.copy()
         y.flags.writeable = False
-        return DisclosedDB(
-            inputs=self.inputs.view(),
-            y_cond=y,
-            H=self.H.copy(),
-            epoch=self.epoch,
-            factors=self.factors.view(),
-        )
+        return replace(db, y_cond=y, H=db.H.copy())
 
     def get_config(self):
         return self.cfg

@@ -211,6 +211,11 @@ class TestLdlAppend:
             ldl_append(lf, d, gram[4, :4], gram[4, 4])
 
 
+def _entries(rows):
+    # the stored entries of rows, row after row
+    return np.concatenate((np.zeros(0),) + rows)
+
+
 class TestSharedFactors:
     def test_decoded_factor_solves_alike(self):
         # a factor written from its entries, at once or as a head and
@@ -223,8 +228,8 @@ class TestSharedFactors:
                 grown.append_row(rng.normal(size=i) / max(i, 1))
             for since in sorted({0, n // 3, n - 1 if n else 0, n}):
                 back = UnitLowerFactor()
-                back.append_rows(grown.view(since).strict_lower(), since)
-                back.append_rows(grown.strict_lower(since), n - since)
+                back.append_rows(_entries(grown.view(since).rows()), since)
+                back.append_rows(_entries(grown.rows(since)), n - since)
                 assert back.n == n and back._buf.shape == grown._buf.shape
                 assert back.dense().tobytes() == grown.dense().tobytes()
                 b = rng.normal(size=n)
@@ -237,9 +242,18 @@ class TestSharedFactors:
         lf.append_rows(np.arange(3.0), 3)
         with pytest.raises(ValueError):
             lf.append_rows(np.ones(6), 2)  # rows 3 and 4 hold 7 entries
-        assert lf.n == 3 and lf.strict_lower().tolist() == [0.0, 1.0, 2.0]
-        assert lf.strict_lower(2).tolist() == [1.0, 2.0]
-        assert lf.strict_lower(3).shape == (0,)
+        assert lf.n == 3 and [r.tolist() for r in lf.rows()] == [[], [0.0], [1.0, 2.0]]
+        assert [r.tolist() for r in lf.rows(2)] == [[1.0, 2.0]]
+        assert lf.rows(3) == ()
+
+    def test_rows_are_views_of_the_buffer(self):
+        # what encode writes in turn, with nothing joined before it
+        lf = UnitLowerFactor()
+        for i in range(5):
+            lf.append_row(np.arange(float(i)))
+        rows = lf.rows(1)
+        assert [len(r) for r in rows] == [1, 2, 3, 4]
+        assert all(np.shares_memory(r, lf._buf) for r in rows)
 
     def test_view_copies_before_appending(self):
         rng = np.random.default_rng(34)

@@ -1,16 +1,20 @@
 """Wire encoding, snapshots, and the TCP daemon."""
 
 import hashlib
+import io
 import json
 import os
 import re
 import socket
 import struct
+import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -589,7 +593,9 @@ class TestDisclosedConversion:
         msg = proto.disclosed_to_message(db)
         bad = (
             (replace(msg, d=msg.d[:-1]), "factors of 2 inputs, not 3"),
-            (replace(msg, lower=msg.lower[:-1]), "2 entries of L do not fit rows 0..3"),
+            # L's rows are a tuple of views: its last row one entry short
+            (replace(msg, lower=msg.lower[:-1] + (msg.lower[-1][:-1],)),
+             "2 entries of L do not fit rows 0..3"),
             (replace(msg, m=msg.m[:-1]), "2 entries of M are not a multiple of 3"),
         )
         for reply, match in bad:
@@ -1312,7 +1318,8 @@ class TestSinceDeltas:
             (proto.disclosed_to_message(eng.get_disclosed(), 3),
              "factor rows from 3, but 2 are held"),
             (replace(good, d=good.d[:-1]), "factors of 3 inputs, not 4"),
-            (replace(good, lower=good.lower[:-1]), "do not fit rows 2..6"),
+            (replace(good, lower=good.lower[:-1] + (good.lower[-1][:-1],)),
+             "13 entries of L do not fit rows 2..6"),
             (replace(good, m=good.m[:-1]), "3 entries of M are not a multiple of 4"),
             (replace(good, m=np.repeat(good.m, 2)), "rows of M with 2 entries, not 1"),
             (replace(good, inputs=pool_of(renamed, [x.features for x in xs[2:]])),
@@ -1338,6 +1345,159 @@ class TestSinceDeltas:
         want = proto.Seen().disclosed(_wire(proto.disclosed_to_message(
             eng.get_disclosed())))
         assert _disclosed_bytes(db) == _disclosed_bytes(want)
+
+
+class _Sink:
+    """A stream that keeps only the bytes it was written, counted."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+    def flush(self):
+        pass
+
+
+def _state_digest(y_cond, h_mat):
+    # the bytes of y_cond and H, hashed
+    return hashlib.sha256(np.asarray(y_cond).tobytes() + h_mat.packed.tobytes()).digest()
+
+
+def _raw_reply(sock_file, request):
+    # the payload of the reply to request, as the socket carried it
+    proto.write_message(sock_file, request)
+    (size,) = struct.unpack("<I", sock_file.read(4))
+    return sock_file.read(size)
+
+
+class TestDisclosedReplies:
+    """A Disclosed reply is encoded under the engine lock, straight from
+    the engine's live arrays: its bytes are those of the in-process
+    summary, and the payload is the one copy of H and of L's rows."""
+
+    def test_replies_equal_the_in_process_encoding(self):
+        # several epochs, since = 0, a middle count and the whole pool
+        rng = np.random.default_rng(45)
+        cfg = make_config(0.5, 0.1, d=1)
+        pool = make_inputs(rng, 30, dim=5, unit=True)
+        with daemon(cfg, {}) as (eng, srv):
+            with socket.create_connection(srv.address) as sock, \
+                    sock.makefile("rwb") as f:
+                for i in range(60):
+                    x = pool[min(int(rng.integers(0, i // 2 + 1)), 29)]
+                    eng.receive_example(int(rng.integers(0, 3)), x, float(rng.normal()), 1.0)
+                    if i % 12 != 11:
+                        continue
+                    for since in (0, eng.n // 2, eng.n):
+                        want = proto.encode(proto.disclosed_to_message(
+                            eng.get_disclosed(), since))
+                        assert _raw_reply(f, proto.GetDisclosed(since=since)) == want
+        assert eng.epoch == 60 and eng.n > 16
+
+    def test_built_reply_equals_its_decoded_self(self):
+        rng = np.random.default_rng(46)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(rng, 9, unit=True)):
+            eng.receive_example(t % 2, x, float(rng.normal()), 1.0)
+        for since in (0, 4, 9):
+            msg = proto.disclosed_to_message(eng.get_disclosed(), since)
+            assert isinstance(msg.lower, tuple)
+            assert _wire(msg) == msg and msg == _wire(msg)
+        # unencoded, as an in-process reader passes it
+        head = proto.Seen().disclosed(proto.disclosed_to_message(eng.get_disclosed()))
+        want = proto.Seen().disclosed(_wire(proto.disclosed_to_message(eng.get_disclosed())))
+        assert _disclosed_bytes(head) == _disclosed_bytes(want)
+
+    def test_full_read_allocates_about_its_payload(self):
+        # a connection's first read, from its request frame to its reply
+        # frame: H and L's rows are copied once, into the payload
+        rng = np.random.default_rng(47)
+        with daemon(make_config(0.5, 0.1, d=1), {}) as (eng, srv):
+            for t, x in enumerate(make_inputs(rng, 400, dim=4, unit=True)):
+                eng.receive_example(t % 5, x, float(rng.normal()), 1.0)
+            request = proto.encode(proto.GetDisclosed(since=0))
+            handler = SimpleNamespace(
+                rfile=io.BytesIO(struct.pack("<I", len(request)) + request),
+                wfile=_Sink(), server=srv)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                daemon_mod._Handler.handle(handler)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        payload = handler.wfile.size - 4
+        assert payload > 1_000_000
+        assert peak <= 1.15 * payload, (peak, payload)
+
+    def test_reads_under_a_writer_see_whole_epochs(self):
+        # one writer and two readers, more threads than cores, switching
+        # often: each reply's y_cond and H are those of one epoch
+        rng = np.random.default_rng(48)
+        cfg = make_config(0.5, 0.1, d=1)
+        pool = make_inputs(rng, 150, dim=4, unit=True)
+        tokens = {t: b"tok-%d" % t for t in range(3)}
+        triples = [(int(rng.integers(0, 3)), pool[min(int(rng.integers(0, i // 4 + 1)), 149)],
+                    float(rng.normal()), float(rng.uniform(0.5, 2.0))) for i in range(1000)]
+        replies, failures = ([], []), []
+        done = threading.Event()
+
+        def write(address):
+            try:
+                with RemoteServer(address) as conn:
+                    for task, x, y, w in triples:
+                        conn.submit(x, y, w, task=task, token=tokens[task])
+            except Exception as exc:
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def read(address, out, fresh):
+            # one reader reads deltas over one connection, the other
+            # whole summaries over a new connection each time
+            try:
+                with RemoteServer(address) as conn:
+                    while True:
+                        last = done.is_set()
+                        if fresh:
+                            with RemoteServer(address) as once:
+                                db = once.get_disclosed()
+                        else:
+                            db = conn.get_disclosed()
+                        out.append((db.epoch, _state_digest(db.y_cond, db.H)))
+                        if last:
+                            return
+            except Exception as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with daemon(cfg, tokens) as (eng, srv):
+                threads = [threading.Thread(target=write, args=(srv.address,))]
+                threads += [threading.Thread(target=read, args=(srv.address, out, fresh))
+                            for out, fresh in zip(replies, (False, True))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        ref = ServerEngine(cfg)
+        want = {0: _state_digest(ref.y_cond.values, ref.H)}
+        for task, x, y, w in triples:
+            ref.receive_example(task, x, y, w)
+            want[ref.epoch] = _state_digest(ref.y_cond.values, ref.H)
+        assert eng.epoch == ref.epoch == len(triples)
+        for out in replies:
+            epochs = [epoch for epoch, _ in out]
+            assert epochs == sorted(epochs) and epochs[-1] == len(triples)
+            for epoch, digest in out:
+                assert digest == want[epoch], epoch
 
 
 class TestDaemonConfigFile:
