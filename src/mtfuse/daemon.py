@@ -4,8 +4,8 @@ One mutex serializes every engine access: submissions apply in arrival
 order, and a read is encoded under the lock and written outside it.  A
 Disclosed reply is encoded straight from the engine's live arrays
 (ServerEngine.live_disclosed): y_cond, the packed H, the pool's tail and
-L's rows since the reader's count, each copied once, into the payload.
-So a read holds the lock for one copy of H, and a connection's first
+L's rows since the reader's count, each copied once, into the reply's
+frame.  So a read holds the lock for one copy of H, and a connection's first
 read for one copy of L's rows as well.  A read sends only the part of
 the pool and the factors that the reader lacks (see protocol.Seen).  A
 transport failure can only lose a response, never corrupt engine state,
@@ -99,9 +99,9 @@ def load_daemon_config(path):
 class _Handler(socketserver.StreamRequestHandler):
     def setup(self):
         super().setup()
-        # a large reply's header goes out apart from its payload (see
-        # protocol.write_frame): send each write at once, without
-        # waiting for the client to acknowledge the previous one
+        # a reply is one write, but a large one spans many segments:
+        # send its last, short one at once, without waiting for the
+        # client to acknowledge the ones before it
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def handle(self):
@@ -121,9 +121,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if msg is None:
                 return
-            payload = self.server.dispatch(msg)
+            frame = self.server.dispatch(msg)
             try:
-                proto.write_frame(self.wfile, payload)
+                proto.write_frame(self.wfile, frame)
             except OSError:
                 return
 
@@ -146,7 +146,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
         return bool(expected) and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
-        """The encoded reply to msg, the payload of its frame."""
+        """The reply to msg, encoded as its frame."""
         try:
             if isinstance(msg, proto.SubmitExample):
                 if not self._authorized(msg.task, msg.token):
@@ -154,22 +154,24 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 x = InputPoint(msg.key, msg.features)
                 with self.lock:
                     receipt = self.engine.receive_example(msg.task, x, msg.y, msg.w)
-                return proto.encode(proto.Ack(epoch=receipt.epoch, case=receipt.case))
-            if isinstance(msg, proto.GetDisclosed):
-                # the next commit patches the live arrays: the payload is
+                reply = proto.Ack(epoch=receipt.epoch, case=receipt.case)
+            elif isinstance(msg, proto.GetDisclosed):
+                # the next commit patches the live arrays: the frame is
                 # their one copy, made before the lock is released
                 with self.lock:
                     db = self.engine.live_disclosed()
-                    return proto.encode(proto.disclosed_to_message(db, msg.since))
-            if isinstance(msg, proto.GetTaskCoeffs):
+                    return proto.encode(proto.disclosed_to_message(db, msg.since), framed=True)
+            elif isinstance(msg, proto.GetTaskCoeffs):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
                 with self.lock:
                     model = self.engine.task_coefficients(msg.task)
-                return proto.encode(proto.task_coeffs_to_message(model, msg.since))
-            if isinstance(msg, proto.GetConfig):
-                return proto.encode(proto.config_to_message(self.engine.get_config()))
-            raise ProtocolError("unexpected message %s" % type(msg).__name__)
+                reply = proto.task_coeffs_to_message(model, msg.since)
+            elif isinstance(msg, proto.GetConfig):
+                reply = proto.config_to_message(self.engine.get_config())
+            else:
+                raise ProtocolError("unexpected message %s" % type(msg).__name__)
+            return proto.encode(reply, framed=True)
         except (EngineError, ValueError, TypeError) as exc:
             err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
         except Exception as exc:
@@ -180,7 +182,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 code=proto.ERR_INTERNAL,
                 detail="internal error: %s: %s" % (type(exc).__name__, exc),
             )
-        return proto.encode(err)
+        return proto.encode(err, framed=True)
 
     @property
     def address(self):
@@ -212,13 +214,13 @@ def write_snapshot(path, engine):
     """Replace the snapshot file at path with the engine's state.
 
     The bytes go to a temporary file in the same directory, which is
-    flushed, fsync'd and then renamed over path: a failure or a crash
-    at any point leaves the previous snapshot whole.
+    flushed, fsync'd and then renamed over path, and the directory is
+    fsync'd after the rename: a failure or a crash at any point leaves
+    the previous snapshot whole, and once this returns the new one stays.
     """
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp",
-        dir=os.path.dirname(os.path.abspath(path)),
-    )
+    folder = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=folder)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(proto.save_snapshot(engine))
@@ -228,6 +230,11 @@ def write_snapshot(path, engine):
     except BaseException:
         os.unlink(tmp)
         raise
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def serve(daemon_config):
@@ -243,13 +250,9 @@ def serve(daemon_config):
                 engine = proto.load_snapshot(fh.read())
         except ProtocolError as exc:
             raise type(exc)("%s: %s" % (path, exc)) from None
-        if proto.config_to_message(engine.cfg) != proto.config_to_message(
-            daemon_config.cfg
-        ):
-            raise ValueError(
-                "snapshot %s holds a model config that differs from the"
-                " config file's; refusing to start" % path
-            )
+        if proto.config_to_message(engine.cfg) != proto.config_to_message(daemon_config.cfg):
+            raise ValueError("snapshot %s holds a model config that differs from the"
+                             " config file's; refusing to start" % path)
     else:
         engine = ServerEngine(daemon_config.cfg)
     srv = DaemonServer(engine, (daemon_config.host, daemon_config.port), daemon_config.tokens)
@@ -313,9 +316,8 @@ class RemoteServer:
         if isinstance(reply, proto.Error):
             proto.raise_for_error(reply)
         if not isinstance(reply, reply_cls):
-            raise ProtocolError(
-                "expected %s, got %s" % (reply_cls.__name__, type(reply).__name__)
-            )
+            raise ProtocolError("expected %s, got %s"
+                                % (reply_cls.__name__, type(reply).__name__))
         return reply
 
     def submit(self, x, y, w, task=None, token=None):
@@ -343,7 +345,6 @@ class RemoteServer:
         """The ClientModel of task (this proxy's by default)."""
         task = int(self.task if task is None else task)
         since = self._seen.inputs.n
-        reply = self._rpc(
-            proto.GetTaskCoeffs(task=task, token=self.token, since=since), proto.TaskCoeffs
-        )
+        reply = self._rpc(proto.GetTaskCoeffs(task=task, token=self.token, since=since),
+                          proto.TaskCoeffs)
         return self._seen.task_coeffs(reply, task)

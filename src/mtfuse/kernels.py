@@ -348,12 +348,14 @@ def _missing(spec):
                            % spec.variant)
 
 
-def _operand(spec, xs, idx=None):
-    # what one side of a block reads of the inputs xs[idx] (all by
-    # default): their table positions for a lookup kernel, else their
-    # feature vectors as matrix rows (a Pool's block or its gather, or
-    # the inputs' vectors stacked, which raises MissingFeatures, or
-    # ValueError on ragged lengths)
+def operand(spec, xs, idx=None):
+    """What one side of a spec block reads of the inputs xs[idx] (all by
+    default): table positions for a lookup kernel, else feature vectors
+    as matrix rows (a Pool's block or its gather, or the inputs' vectors
+    stacked, which raises MissingFeatures, or ValueError on ragged
+    lengths).  An operand built before for spec is taken as it is."""
+    if isinstance(xs, np.ndarray):
+        return xs if idx is None else xs[idx]
     if spec.variant == LOOKUP:
         keys = xs._keys if isinstance(xs, Pool) else [x.key for x in xs]
         keys = keys[: len(xs)] if idx is None else [keys[i] for i in idx]
@@ -373,13 +375,14 @@ def kernel_matrix(xs, ys, spec, idx=None):
     inputs ys, as a matrix: the one kernel body (see above).
 
     Each side is a Pool, whose block is read in place (or gathered, for
-    idx), or a sequence of inputs, whose feature vectors are stacked.
+    idx), a sequence of inputs, whose feature vectors are stacked, or
+    their operand(spec, ...), stacked once for many blocks.
     Raises OverflowError when a value is not finite, MissingFeatures
     when a feature kernel meets an input without features, ValueError
     on feature vectors of different lengths and UnknownKey when a
     lookup kernel meets a key not in its table.
     """
-    left, right = _operand(spec, xs, idx), _operand(spec, ys)
+    left, right = operand(spec, xs, idx), operand(spec, ys)
     if spec.variant == LOOKUP:
         out = spec.table.matrix[np.ix_(left, right)]
     elif not (len(left) and len(right)):

@@ -77,34 +77,39 @@ class GrowVec:
         return out
 
 
+def _tri(n):
+    # entries of n packed rows, each with its diagonal slot
+    return n * (n + 1) // 2
+
+
 class UnitLowerFactor:
     """Row-appendable unit lower triangular matrix.
 
-    Only the strictly-lower entries are stored; the unit diagonal is
-    implicit.  Row i carries exactly i stored entries.  The row-major
-    cap x cap buffer, read transposed, is a column-major unit-upper
-    matrix with leading dimension cap, which BLAS solves in place.  cap
-    is always a power of two (8 or more), copies included: OpenBLAS's
-    dtrsv can round differently when the leading dimension is not a
-    multiple of 4, and the solve must not depend on the buffer.
+    One flat buffer holds the rows packed: row i starts at i(i+1)/2 with
+    its i strictly-lower entries, then a unit-diagonal slot kept at 0.0.
+    Read as column-major packed upper storage, the first n(n+1)/2
+    entries are L^T, which one dtpsv solves.  The buffer has room for a
+    power-of-two count of rows (8 or more), so a reader that appends
+    many rows at once grows it as the server's appends did.
 
     Rows are append-only: a row below n never changes, and a full
     buffer is replaced, not rewritten.  A view shares its buffer with
-    the factor it was taken from, and copies its rows out before its
-    first append; only the buffer's owner writes into it in place.
+    the factor it was taken from, and copies its n(n+1)/2 entries out
+    before its first append; only the buffer's owner writes into it in
+    place, past its rows, where the buffer is still zero.
     """
 
     __slots__ = ("_buf", "n", "_owner")
 
     def __init__(self):
-        self._buf = np.zeros((8, 8), dtype=_F64)
+        self._buf = np.zeros(_tri(8), dtype=_F64)
         self.n = 0
         self._owner = True
 
     def rows(self, since=0):
         """The stored entries of rows since..n-1, one view of this buffer
         per row."""
-        return tuple(self._buf[i, :i] for i in range(since, self.n))
+        return tuple(self._buf[_tri(i) : _tri(i) + i] for i in range(since, self.n))
 
     def view(self, n=None):
         """The first n rows (all by default), sharing this buffer."""
@@ -122,21 +127,19 @@ class UnitLowerFactor:
         return out
 
     def _reserve(self, end):
-        # room for rows up to end in a buffer of this factor's own: a full
-        # buffer doubles, and a view copies its rows out before writing
-        n, cap = self.n, self._buf.shape[0]
+        # room for rows up to end in a buffer of this factor's own, sized
+        # for a power-of-two count of rows; a view copies its rows out
+        cap = int((2 * len(self._buf)) ** 0.5)  # the rows _tri(cap) entries hold
         if end > cap or not self._owner:
-            while cap < end:
-                cap *= 2
-            out = np.zeros((cap, cap), dtype=_F64)
-            out[:n, :n] = self._buf[:n, :n]
+            out = np.zeros(_tri(max(cap, 1 << (end - 1).bit_length())), dtype=_F64)
+            out[: _tri(self.n)] = self._buf[: _tri(self.n)]
             self._buf = out
             self._owner = True
 
     def append_row(self, r):
         r = _as_vec(r, self.n)
         self._reserve(self.n + 1)
-        self._buf[self.n, : self.n] = r
+        self._buf[_tri(self.n) : _tri(self.n) + self.n] = r
         self.n += 1
 
     def append_rows(self, entries, count):
@@ -148,22 +151,14 @@ class UnitLowerFactor:
         self._reserve(end)
         at = 0
         for i in range(n, end):
-            self._buf[i, :i] = entries[at : at + i]
+            self._buf[_tri(i) : _tri(i) + i] = entries[at : at + i]
             at += i
         self.n = end
 
-    def row_strict(self, i):
-        # stored (strictly lower) part of row i, length i
-        return self._buf[i, :i]
-
     def _solve(self, b, trans):
-        # one dtrsv on the whole buffer, read as U = L^T; the right-hand
-        # side is zero past n, and so is the solution there
-        n = self.n
-        t = np.zeros(self._buf.shape[0], dtype=_F64)
-        t[:n] = _as_vec(b, n)
-        t = _blas.dtrsv(self._buf.T, t, lower=0, trans=trans, diag=1, overwrite_x=1)
-        return t[:n]
+        # one dtpsv on the packed rows, read as U = L^T; it refuses n = 0
+        n, b = self.n, _as_vec(b, self.n)
+        return _blas.dtpsv(n, self._buf[: _tri(n)], b, trans=trans, diag=1) if n else b.copy()
 
     def solve_unit_lower(self, b):
         # L t = b by forward substitution
@@ -173,22 +168,31 @@ class UnitLowerFactor:
         # L^T x = t by back substitution
         return self._solve(t, 0)
 
+    def _block(self, idx):
+        # rows idx as one zero-padded len(idx) x n block, for one product
+        n, buf = self.n, self._buf
+        out = np.zeros(len(idx) * n, dtype=_F64)
+        for r, i in enumerate(idx):
+            o = _tri(i)
+            out[r * n : r * n + i] = buf[o : o + i]
+        return out.reshape(len(idx), n)
+
     def rows_t_matvec(self, idx, u):
-        # v = L(idx, :)^T u, full length n; a row's stored part is zero
-        # from its diagonal on, and add.at sums the diagonal over repeats
+        # v = L(idx, :)^T u, full length n; add.at sums the unit diagonal
+        # over repeats
         u = _as_vec(u, len(idx))
-        v = u @ self._buf[idx, : self.n]
+        v = u @ self._block(idx)
         np.add.at(v, idx, u)
         return v
 
     def rows_matvec(self, idx, x):
         # L(idx, :) x for a full-length x
         x = _as_vec(x, self.n)
-        return self._buf[idx, : self.n] @ x + x[idx]
+        return self._block(idx) @ x + x[idx]
 
     def dense(self):
-        n = self.n
-        out = np.tril(self._buf[:n, :n], -1)
+        out = np.zeros((self.n, self.n), dtype=_F64)
+        out[np.tril_indices(self.n)] = self._buf[: _tri(self.n)]
         np.fill_diagonal(out, 1.0)
         return out
 
@@ -305,8 +309,7 @@ def tri_solve_ldl(L, D, b):
     d = D.values
     if np.any(d <= 0.0):
         raise DegenerateGram("diagonal factor has non-positive entries")
-    t = L.solve_unit_lower(b)
-    return t / d if L.n else t
+    return L.solve_unit_lower(b) / d
 
 
 def tri_solve_dlt(L, D, b):
@@ -314,8 +317,7 @@ def tri_solve_dlt(L, D, b):
     d = D.values
     if np.any(d <= 0.0):
         raise DegenerateGram("diagonal factor has non-positive entries")
-    t = _as_vec(b, L.n) / d if L.n else _as_vec(b, 0)
-    return L.solve_unit_upper_t(t)
+    return L.solve_unit_upper_t(_as_vec(b, L.n) / d)
 
 
 # ===== factor growth =====================================================

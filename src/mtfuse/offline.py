@@ -28,6 +28,7 @@ from .kernels import (
     eval_kernel,
     kernel_matrix,
     kernel_row,
+    operand,
 )
 from .linalg import FactorSet
 
@@ -328,7 +329,7 @@ def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
     (task, a_task, slots) triple per output row, slots indexing pool.
     Row r is alpha * (shared rows . a_cond + bias rows . b)
     + (1 - alpha) * (individual rows . a_task), with the shared part
-    evaluated once for all rows.
+    evaluated once for all rows, and xs read once per individual kernel.
     """
     alpha = cfg.alpha
     shared = np.zeros(len(xs), dtype=_F64)
@@ -339,10 +340,14 @@ def mixed_predictions(cfg, pool, a_cond, b, tasks, xs):
             shared = shared + basis_matrix(xs, cfg.bias) @ b
         shared = alpha * shared
     out = np.empty((len(tasks), len(xs)), dtype=_F64)
+    right = {}
     for r, (task, a_task, slots) in enumerate(tasks):
         out[r] = shared
         if alpha < 1.0 and len(slots):
-            kt = kernel_matrix(pool, xs, cfg.individual_for(task), slots)
+            spec = cfg.individual_for(task)
+            if spec not in right:
+                right[spec] = operand(spec, xs)
+            kt = kernel_matrix(pool, right[spec], spec, slots)
             out[r] += (1.0 - alpha) * (a_task @ kt)
     return out
 

@@ -91,9 +91,6 @@ MAGIC = b"MTLS"
 WIRE_VERSION = 4
 SNAPSHOT_VERSION = 4
 MAX_FRAME = 1 << 30
-# largest payload written joined to its frame header, in one write: every
-# request a daemon takes (see daemon.MAX_REQUEST_FRAME) and small replies
-_JOIN_MAX = 1 << 20
 
 # error codes on the wire
 ERR_MALFORMED = 1
@@ -413,16 +410,9 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 def _values_equal(a, b):
     a, b = _joined(a), _joined(b)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-            and a.shape == b.shape
-            and np.array_equal(a, b)
-        )
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(
-            _values_equal(u, v) for u, v in zip(a, b)
-        )
+        return len(a) == len(b) and all(map(_values_equal, a, b))
     return a == b
 
 
@@ -430,10 +420,8 @@ class _Msg:
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        return all(
-            _values_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
+        return all(_values_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def __hash__(self):  # pragma: no cover
         return object.__hash__(self)
@@ -512,13 +500,19 @@ def _read_body(r, row):
 # ===== message encode/decode =============================================
 
 
-def encode(msg):
-    """Canonical bytes for one message."""
+def encode(msg, framed=False):
+    """Canonical bytes for one message; framed, its frame: the u32
+    length of those bytes, then the bytes, joined from the message's
+    pieces in one copy."""
     row = _ROW_OF_CLASS.get(type(msg))
     if row is None:
         raise TypeError("cannot encode %r" % type(msg).__name__)
     w = [bytes((WIRE_VERSION, row.tag))]
     _write_body(w, row, msg)
+    if framed:  # the length goes in front once the pieces are joined
+        frame = bytearray().join([bytes(4)] + w)
+        struct.pack_into("<I", frame, 0, len(frame) - 4)
+        return frame
     return b"".join(w)
 
 
@@ -541,18 +535,12 @@ def decode(data):
 
 
 def write_message(stream, msg):
-    write_frame(stream, encode(msg))
+    write_frame(stream, encode(msg, framed=True))
 
 
-def write_frame(stream, payload):
-    """Write one frame: the u32 length of payload, a message's encoding,
-    then payload."""
-    header = struct.pack("<I", len(payload))
-    if len(payload) <= _JOIN_MAX:
-        stream.write(header + payload)
-    else:  # a copy joined to its header would double a large reply
-        stream.write(header)
-        stream.write(payload)
+def write_frame(stream, frame):
+    """Write one frame (a message encoded framed) in one write."""
+    stream.write(frame)
     stream.flush()
 
 

@@ -1,11 +1,17 @@
 """Factor containers, triangular solves, and the two inverse updates."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mtfuse
 from mtfuse.errors import DegenerateGram, SingularUpdate
 from mtfuse.kernels import KernelSpec, kernel_matrix
 from mtfuse.linalg import (
@@ -52,7 +58,7 @@ class TestContainers:
         for i in range(12):
             lf.append_row(rng.normal(size=i))
         for i in range(12):
-            assert lf.row_strict(i).shape == (i,)
+            assert lf.rows(i)[0].shape == (i,)
         dense = lf.dense()
         assert_allclose(np.diag(dense), 1.0)
         assert_allclose(np.triu(dense, 1), 0.0)
@@ -263,11 +269,32 @@ class TestSharedFactors:
         view = lf.view(3)
         assert view.n == 3 and np.shares_memory(view._buf, lf._buf)
         assert view.dense().tobytes() == lf.dense()[:3, :3].tobytes()
-        row3 = lf.row_strict(3).copy()
+        row3 = lf.rows(3)[0].copy()
         view.append_row(rng.normal(size=3))
-        assert lf.row_strict(3).tobytes() == row3.tobytes()
+        assert lf.rows(3)[0].tobytes() == row3.tobytes()
         assert not np.shares_memory(view._buf, lf._buf)
         assert view._buf.shape == lf._buf.shape  # the same capacity
+
+    def test_view_copies_its_rows_and_no_more(self):
+        # a view's first append allocates the packed rows of its capacity
+        # (not a square buffer) and copies its own n(n+1)/2 entries, not
+        # the rows its source appended past them
+        rng = np.random.default_rng(37)
+        lf = UnitLowerFactor()
+        lf.append_rows(rng.normal(size=300 * 299 // 2), 300)
+        view = lf.view(290)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            view.append_row(rng.normal(size=290))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        packed = 512 * 513 // 2  # room for 512 rows, as lf has
+        assert len(view._buf) == len(lf._buf) == packed
+        assert packed * 8 <= peak < packed * 8 + 10_000  # 512 * 512 * 8 is twice
+        assert view._buf[: 290 * 291 // 2].tobytes() == lf._buf[: 290 * 291 // 2].tobytes()
+        assert not view._buf[291 * 292 // 2 - 1 :].any()  # row 290's slot on
 
     def test_take_passes_the_right_to_append_in_place(self):
         rng = np.random.default_rng(35)
@@ -276,11 +303,11 @@ class TestSharedFactors:
         first = lf.take()
         first.append_row(rng.normal(size=4))
         assert np.shares_memory(first._buf, lf._buf)  # appended in place
-        row4 = first.row_strict(4).copy()
+        row4 = first.rows(4)[0].copy()
         second = lf.take()
         second.append_row(rng.normal(size=4))
         assert not np.shares_memory(second._buf, lf._buf)
-        assert first.row_strict(4).tobytes() == row4.tobytes()
+        assert first.rows(4)[0].tobytes() == row4.tobytes()
         assert lf.n == 4
 
     def test_factor_set_view_is_frozen(self):
@@ -299,9 +326,9 @@ class TestSharedFactors:
         assert view.D.values.tobytes() == d.tobytes()
         assert view.M.tobytes() == m.tobytes()
         # the view's own append leaves the set's fifth row alone
-        row4 = (fs.L.row_strict(4).copy(), fs.D.values[4], fs.M[4].copy())
+        row4 = (fs.L.rows(4)[0].copy(), fs.D.values[4], fs.M[4].copy())
         view.append(gram[5, :4], gram[5, 5], np.ones(1))
-        assert fs.L.row_strict(4).tobytes() == row4[0].tobytes()
+        assert fs.L.rows(4)[0].tobytes() == row4[0].tobytes()
         assert fs.D.values[4] == row4[1] and fs.M[4].tobytes() == row4[2].tobytes()
 
 
@@ -339,8 +366,9 @@ class TestFactorSet:
         assert np.array_equal(fs1.M, fs2.M)
 
     def test_forward_solve_independent_of_buffer(self):
-        # server and client factors share bits only if the solve does not
-        # depend on how the buffer was grown, copied or rebuilt
+        # server and client factors share bits only if the solves and the
+        # rows appended through them do not depend on how the buffer was
+        # grown, copied, rebuilt or reserved
         rng = np.random.default_rng(30)
         for n in (1, 3, 9, 66, 70, 130, 257):
             xs = make_inputs(rng, n + 40, dim=6, unit=True)
@@ -350,29 +378,68 @@ class TestFactorSet:
                 grown.append(gram[i, :i], gram[i, i], [1.0])
             # a view's first append copies its rows out of grown's buffer
             copied = grown.view(n - 1)
-            copied.append_precomputed(grown.L.row_strict(n - 1), grown.D.values[n - 1],
+            copied.append_precomputed(grown.L.rows(n - 1)[0], grown.D.values[n - 1],
                                       grown.M[n - 1])
             assert not np.shares_memory(copied.L._buf, grown.L._buf)
-            rebuilt = FactorSet(bias_dim=1)
+            rebuilt, reserved = FactorSet(bias_dim=1), FactorSet(bias_dim=1)
+            reserved.L._reserve(2048)
             for i in range(n):
-                rebuilt.append_precomputed(grown.L.row_strict(i), grown.D.values[i],
-                                           grown.M[i])
+                for other in (rebuilt, reserved):
+                    other.append_precomputed(grown.L.rows(i)[0], grown.D.values[i],
+                                             grown.M[i])
+            assert len(reserved.L._buf) == 2048 * 2049 // 2
+            others = (copied, rebuilt, reserved)
             b = rng.normal(size=n)
             for solve, dense in (("solve_unit_lower", grown.L.dense()),
                                  ("solve_unit_upper_t", grown.L.dense().T)):
                 want = getattr(grown.L, solve)(b)
-                for other in (copied, rebuilt):
+                for other in others:
                     assert getattr(other.L, solve)(b).tobytes() == want.tobytes()
                 assert_allclose(want, np.linalg.solve(dense, b), rtol=0,
                                 atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
             for i in range(n, n + 40):
                 r, _ = grown.append(gram[i, :i], gram[i, i], [1.0])
-                r2, _ = copied.append(gram[i, :i], gram[i, i], [1.0])
-                assert r.tobytes() == r2.tobytes()
+                for other in others:
+                    r2, _ = other.append(gram[i, :i], gram[i, i], [1.0])
+                    assert r2.tobytes() == r.tobytes()
             b = rng.normal(size=n + 40)
             for solve in ("solve_unit_lower", "solve_unit_upper_t"):
-                assert (getattr(copied.L, solve)(b).tobytes()
-                        == getattr(grown.L, solve)(b).tobytes())
+                want = getattr(grown.L, solve)(b).tobytes()
+                assert all(getattr(o.L, solve)(b).tobytes() == want for o in others)
+
+    def test_solves_alike_under_one_and_two_blas_threads(self):
+        # the factor's rows and both solves, at sizes where OpenBLAS's
+        # level-2 calls may split work between threads, in two children
+        # that differ only in OPENBLAS_NUM_THREADS
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from mtfuse.kernels import InputPoint, KernelSpec, kernel_matrix
+            from mtfuse.linalg import FactorSet
+            for n in (100, 1015):
+                rng = np.random.default_rng(n)
+                z = rng.normal(size=(n, 8))
+                z /= np.linalg.norm(z, axis=1)[:, None]
+                xs = [InputPoint(b"%d" % i, row) for i, row in enumerate(z)]
+                gram = kernel_matrix(xs, xs, KernelSpec.rbf_tags())
+                f = FactorSet(bias_dim=0)
+                for i in range(n):
+                    f.append(gram[i, :i], gram[i, i], np.zeros(0))
+                b = rng.normal(size=n)
+                h = hashlib.sha256(f.L.dense().tobytes())
+                h.update(f.L.solve_unit_lower(b).tobytes())
+                h.update(f.L.solve_unit_upper_t(b).tobytes())
+                print(n, h.hexdigest())
+        """)
+        src = os.path.dirname(os.path.dirname(mtfuse.__file__))
+        got = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                                 capture_output=True, text=True, check=True)
+            got.append(run.stdout.split())
+        assert got[0][::2] == ["100", "1015"]
+        assert got[0] == got[1]
 
 
 class TestSmw:

@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtfuse.errors import InvalidInput, NonPositiveWeight, UnknownTask
-from mtfuse.kernels import InputPoint, KernelSpec, Pool, basis_matrix, eval_mixed
+from mtfuse.kernels import (
+    InputPoint,
+    KernelSpec,
+    MixedEffectConfig,
+    Pool,
+    basis_matrix,
+    eval_mixed,
+)
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -312,6 +319,30 @@ class TestPredict:
         coeffs = solve_condensed(ds, cfg)
         with pytest.raises(UnknownTask):
             predict(coeffs, cfg, 999, pool[0])
+
+    def test_rows_scored_together_equal_rows_scored_alone(self):
+        # the query points are read once per individual kernel, and each
+        # entry is still one vecdot of the same two vectors: a row's
+        # bytes do not depend on the rows scored with it
+        rng = np.random.default_rng(20)
+        pool = make_inputs(rng, 10, dim=4, unit=True)
+        base = make_config(0.5, 0.1, d=1)
+        cfg = MixedEffectConfig(base.alpha, base.lam, base.shared, base.individual,
+                                individual_overrides={2: KernelSpec.rbf_tags()},
+                                bias=base.bias)
+        ds = Dataset()
+        for task in range(4):
+            for _ in range(5):
+                ds.add(task, pool[int(rng.integers(0, 10))], float(rng.normal()), 1.0)
+        coeffs = solve_condensed(ds, cfg)
+        xs = probe_points(rng, pool)
+        grid = predictions_grid(coeffs, cfg, ds.tasks, xs)
+        for r, task in enumerate(ds.tasks):
+            alone = predictions_grid(coeffs, cfg, [task], xs)
+            assert grid[r].tobytes() == alone[0].tobytes()
+        # the override is what task 2's row was scored with
+        plain = predictions_grid(coeffs, base, [2], xs)
+        assert not np.allclose(grid[ds.tasks.index(2)], plain[0])
 
     def test_grid_matches_scalar_loop(self):
         rng = np.random.default_rng(19)

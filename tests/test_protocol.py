@@ -6,6 +6,7 @@ import json
 import os
 import re
 import socket
+import stat
 import struct
 import sys
 import threading
@@ -304,18 +305,20 @@ class TestMalformedInput:
                 self.sizes.append(len(b))
                 return super().write(b)
 
-        # a payload of 30 + 8n bytes: one within the joined size, one past it
-        for n, writes in ((proto._JOIN_MAX // 8 - 4, 1), (proto._JOIN_MAX // 8, 2)):
+        # a payload of 30 + 8n bytes, one within 1 MiB and one past it:
+        # each frame, its header joined to its payload, is one write
+        for n in ((1 << 17) - 4, 1 << 17):
             msg = proto.TaskCoeffs(epoch=1, since=n, inputs=Pool(), b=np.zeros(0),
                                    a_cond=np.arange(float(n)), a=np.zeros(0), slots=())
             out = Writes()
             out.sizes = []
             proto.write_message(out, msg)
             size = len(proto.encode(msg))
-            assert out.sizes == ([4 + size], [4, size])[writes - 1]
-            assert (size <= proto._JOIN_MAX) == (writes == 1)
+            assert out.sizes == [4 + size]
+            assert (size <= 1 << 20) == (n < 1 << 17)
             out.seek(0)
             assert proto.read_message(out) == msg
+            assert out.getvalue() == proto.encode(msg, framed=True)
 
     def test_stream_framing_errors(self):
         import io
@@ -1432,6 +1435,28 @@ class TestDisclosedReplies:
         assert payload > 1_000_000
         assert peak <= 1.15 * payload, (peak, payload)
 
+    def test_delta_read_allocates_about_its_payload(self):
+        # a read of the last input's row alone: header and payload are
+        # joined once from the engine's arrays, not copied twice
+        rng = np.random.default_rng(49)
+        with daemon(make_config(0.5, 0.1, d=1), {}) as (eng, srv):
+            for t, x in enumerate(make_inputs(rng, 400, dim=4, unit=True)):
+                eng.receive_example(t % 5, x, float(rng.normal()), 1.0)
+            request = proto.encode(proto.GetDisclosed(since=eng.n - 1))
+            handler = SimpleNamespace(
+                rfile=io.BytesIO(struct.pack("<I", len(request)) + request),
+                wfile=_Sink(), server=srv)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                daemon_mod._Handler.handle(handler)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        payload = handler.wfile.size - 4
+        assert 8 * 400 * 401 // 2 < payload < 1 << 20  # H, and little else
+        assert peak <= 1.15 * payload, (peak, payload)
+
     def test_reads_under_a_writer_see_whole_epochs(self):
         # one writer and two readers, more threads than cores, switching
         # often: each reply's y_cond and H are those of one epoch
@@ -1638,6 +1663,21 @@ class TestDaemonConfigFile:
         with pytest.raises(RuntimeError, match="disk full"):
             serve(dc)
         assert snap.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["engine.snap"]
+
+    def test_snapshot_directory_synced_after_the_rename(self, tmp_path, monkeypatch):
+        # a crash right after the rename cannot lose it: the directory
+        # that holds the new name is fsync'd once it is there
+        snap = tmp_path / "engine.snap"
+        synced, fsync = [], os.fsync
+
+        def recording(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), snap.exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        daemon_mod.write_snapshot(str(snap), ServerEngine(make_config(0.5, 0.1)))
+        assert synced == [(False, False), (True, True)]
         assert [p.name for p in tmp_path.iterdir()] == ["engine.snap"]
 
     def test_serve_logs_bound_port(self, monkeypatch, caplog):
