@@ -12,8 +12,6 @@ the same call.
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from scipy.special import expit
-
 from .offline import mixed_predictions
 from .server import ClientModel, ServerEngine
 
@@ -80,4 +78,6 @@ def predict_client(model, cfg, x):
 
 def preference_score(model, cfg, x):
     """Squash the prediction to a (0, 1) preference."""
+    from scipy.special import expit
+
     return float(expit(predict_client(model, cfg, x) / 2.0))

@@ -8,8 +8,10 @@ Buffers over-allocate by powers of two so an append never copies more
 than O(n) amortized.
 """
 
+import ctypes
+
 import numpy as np
-from scipy.linalg import blas as _blas
+from numpy._core import _multiarray_umath
 
 from .errors import DegenerateGram, SingularUpdate
 
@@ -19,6 +21,38 @@ BETA_MIN_REL = 1e-10
 EPS_SING = 1e-12
 
 _F64 = np.float64
+
+# ===== BLAS ==============================================================
+#
+# The three packed Level-2 routines come from the OpenBLAS that numpy
+# itself loaded, through its CBLAS entries: dlsym on numpy's own extension
+# module searches that module's dependencies, so no path is named and no
+# second BLAS is loaded.  Sizes are 64-bit; the calls release the GIL.
+
+_BLAS = ctypes.CDLL(_multiarray_umath.__file__)
+_COL_MAJOR, _UPPER, _NO_TRANS, _TRANS, _UNIT = 102, 121, 111, 112, 132
+_E, _N, _D, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+def _cblas(name, *argtypes):
+    try:
+        fn = getattr(_BLAS, name)
+    except AttributeError:
+        raise ImportError("numpy's OpenBLAS has no %s" % name) from None
+    fn.argtypes, fn.restype = argtypes, None
+    return fn
+
+
+_dspmv = _cblas("scipy_cblas_dspmv64_", _E, _E, _N, _D, _P, _P, _N, _D, _P, _N)
+_dspr = _cblas("scipy_cblas_dspr64_", _E, _E, _N, _D, _P, _N, _P)
+_dtpsv = _cblas("scipy_cblas_dtpsv64_", _E, _E, _E, _E, _N, _P, _P, _N)
+
+
+def _addr(a):
+    # the first entry of a non-empty contiguous float64 array, for one call
+    # during which the caller holds a: a writable array lends its buffer
+    # through ctypes, which is the cheaper read, a read-only one its pointer
+    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
 
 
 def _as_vec(x, size=None):
@@ -156,17 +190,20 @@ class UnitLowerFactor:
         self.n = end
 
     def _solve(self, b, trans):
-        # one dtpsv on the packed rows, read as U = L^T; it refuses n = 0
-        n, b = self.n, _as_vec(b, self.n)
-        return _blas.dtpsv(n, self._buf[: _tri(n)], b, trans=trans, diag=1) if n else b.copy()
+        # one dtpsv on the packed rows, read as U = L^T, over a copy of b
+        n, buf = self.n, self._buf
+        x = _as_vec(b, n).copy()
+        if n:
+            _dtpsv(_COL_MAJOR, _UPPER, trans, _UNIT, n, _addr(buf), _addr(x), 1)
+        return x
 
     def solve_unit_lower(self, b):
         # L t = b by forward substitution
-        return self._solve(b, 1)
+        return self._solve(b, _TRANS)
 
     def solve_unit_upper_t(self, t):
         # L^T x = t by back substitution
-        return self._solve(t, 0)
+        return self._solve(t, _NO_TRANS)
 
     def _block(self, idx):
         # rows idx as one zero-padded len(idx) x n block, for one product
@@ -250,22 +287,21 @@ class SymMatrix:
         return out
 
     def matvec(self, x):
-        n = self.n
-        if n == 0:
-            return np.zeros(0, dtype=_F64)
-        x = _as_vec(x, n)
-        return _blas.dspmv(n, 1.0, self.packed, x, lower=0)
+        n, buf = self.n, self._buf
+        x, y = _as_vec(x, n), np.empty(n, dtype=_F64)
+        if n:
+            _dspmv(_COL_MAJOR, _UPPER, n, 1.0, _addr(buf), _addr(x), 1, 0.0, _addr(y), 1)
+        return y
 
     def add_scaled_outer(self, alpha, u):
-        # self += alpha * u u^T, in place on the packed buffer
-        n = self.n
-        if n == 0:
-            return
+        # self += alpha * u u^T, in place on the packed buffer; a matrix
+        # over a read-only buffer is refused with nothing written
+        n, buf = self.n, self._buf
         u = _as_vec(u, n)
-        view = self.packed
-        out = _blas.dspr(n, alpha, u, view, lower=0, overwrite_ap=1)
-        if not np.shares_memory(out, self._buf):  # pragma: no cover - BLAS copied
-            view[:] = out
+        if not buf.flags.writeable:
+            raise ValueError("the matrix's packed buffer is read-only")
+        if n:
+            _dspr(_COL_MAJOR, _UPPER, n, alpha, _addr(u), 1, _addr(buf))
 
     def append_border_row(self, row):
         # grow to order n+1 with a new last row/column

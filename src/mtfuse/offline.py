@@ -14,6 +14,7 @@ they can check each other:
   in the number of unique inputs.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -161,20 +162,25 @@ def _assemble_dense(ds, cfg):
 
 
 def _refined_solve(a_mat, rhs):
-    # dense solve with one round of iterative refinement to pin the
-    # residual down near machine level
-    try:
-        from scipy.linalg import lu_factor, lu_solve
+    # dense solve with up to two rounds of iterative refinement to pin the
+    # residual down near machine level; an exactly zero pivot, which
+    # lu_factor only warns of, and a non-finite step are a singular system
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-        lu = lu_factor(a_mat)
-        sol = lu_solve(lu, rhs)
-        for _ in range(2):
-            res = rhs - a_mat @ sol
-            if np.max(np.abs(res)) <= 1e-12:
-                break
-            sol += lu_solve(lu, res)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises ValueError
-        raise SingularSystem(str(exc)) from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            lu = lu_factor(a_mat)
+        except LinAlgWarning as exc:
+            raise SingularSystem(str(exc)) from None
+    sol = lu_solve(lu, rhs)
+    for _ in range(2):
+        if not np.all(np.isfinite(sol)):
+            break
+        res = rhs - a_mat @ sol
+        if np.max(np.abs(res)) <= 1e-12:
+            break
+        sol += lu_solve(lu, res)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("dense solve produced non-finite values")
     return sol

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .client import Client
 from .daemon import RemoteServer, start_server
@@ -68,6 +67,8 @@ class World:
 
 def squash(f):
     """Map a score to a (0, 1) preference."""
+    from scipy.special import expit
+
     return expit(np.asarray(f, dtype=_F64) / 2.0)
 
 

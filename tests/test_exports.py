@@ -2,6 +2,9 @@
 
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import mtfuse
 
@@ -26,3 +29,36 @@ def test_readme_quick_tour_runs():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert isinstance(namespace["model"], mtfuse.ClientModel)
+
+
+def test_serving_and_both_refreshes_load_no_scipy():
+    # a daemon and its clients in one fresh process, over TCP: the engine's
+    # BLAS is numpy's, and scipy is imported only where it is needed
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from mtfuse import (BiasBasis, Client, InputPoint, KernelSpec, MixedEffectConfig,
+                            PrivateData, ServerEngine, predict_client)
+        from mtfuse.daemon import RemoteServer, start_server
+        cfg = MixedEffectConfig(alpha=0.5, lam=0.1, shared=KernelSpec.rbf_tags(),
+                                individual=KernelSpec.linear_tags(), bias=BiasBasis.constant())
+        points = [InputPoint(b"item-%d" % i, f / np.linalg.norm(f))
+                  for i, f in enumerate(np.random.default_rng(0).normal(size=(3, 4)))]
+        srv = start_server(ServerEngine(cfg), ("127.0.0.1", 0), {0: b"tok"})
+        try:
+            with RemoteServer(srv.address, task=0, token=b"tok") as conn:
+                conn.submit(points[0], 1.0, 1.0)
+                active = Client(0, cfg).active_refresh(conn)
+                passive = Client(1, cfg).passive_refresh(
+                    conn.get_disclosed(), PrivateData([(points[1], 0.5, 1.0)]))
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        for model in (active, passive):
+            assert np.isfinite(predict_client(model, cfg, points[2]))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(mtfuse.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr

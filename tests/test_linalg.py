@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mtfuse
+from mtfuse import linalg
 from mtfuse.errors import DegenerateGram, SingularUpdate
 from mtfuse.kernels import KernelSpec, kernel_matrix
 from mtfuse.linalg import (
@@ -440,6 +441,77 @@ class TestFactorSet:
             got.append(run.stdout.split())
         assert got[0][::2] == ["100", "1015"]
         assert got[0] == got[1]
+
+
+# dspmv, dspr and both dtpsv solves through SymMatrix and UnitLowerFactor,
+# against scipy's wrappers of the same routines, byte for byte
+_BLAS_VS_SCIPY = textwrap.dedent("""
+    import numpy as np
+    from scipy.linalg import blas
+    from mtfuse.linalg import SymMatrix, UnitLowerFactor
+    for n in (1, 5, 100, 489, 1015):
+        rng = np.random.default_rng(n)
+        ap, x, u = rng.normal(size=n * (n + 1) // 2), rng.normal(size=n), rng.normal(size=n)
+        x0, u0 = x.tobytes(), u.tobytes()
+        h = SymMatrix.from_packed(ap, n)
+        assert h.matvec(x).tobytes() == blas.dspmv(n, 1.0, ap, x, lower=0).tobytes()
+        h = SymMatrix.from_packed(ap.copy(), n)
+        h.add_scaled_outer(-0.375, u)
+        assert h.packed.tobytes() == blas.dspr(n, -0.375, u, ap, lower=0).tobytes()
+        rows = [rng.normal(size=i) / n for i in range(n)]
+        f = UnitLowerFactor()
+        f.append_rows(np.concatenate(rows), n)
+        lt = np.concatenate([np.append(r, 0.0) for r in rows])
+        for solve, trans in ((f.solve_unit_lower, 1), (f.solve_unit_upper_t, 0)):
+            want = blas.dtpsv(n, lt, x, trans=trans, diag=1)
+            assert solve(x).tobytes() == want.tobytes()
+        assert (x.tobytes(), u.tobytes()) == (x0, u0)
+    print("alike")
+""")
+
+
+class TestBlasBinding:
+    def test_matches_scipy_bitwise_in_process(self):
+        exec(_BLAS_VS_SCIPY, {})
+
+    def test_matches_scipy_bitwise_under_one_and_two_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(mtfuse.__file__))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", _BLAS_VS_SCIPY], env=env,
+                                 timeout=300, capture_output=True, text=True)
+            assert (run.returncode, run.stdout) == (0, "alike\n"), run.stderr
+
+    def test_missing_symbol_names_itself(self):
+        with pytest.raises(ImportError, match="scipy_cblas_nosuch64_"):
+            linalg._cblas("scipy_cblas_nosuch64_")
+
+    def test_read_only_matrix_refuses_update_and_keeps_its_bytes(self):
+        # a matrix over a payload view, as a decoded Disclosed holds H
+        payload = np.frombuffer(np.arange(1.0, 7.0).tobytes(), dtype="<f8")
+        h = SymMatrix.from_packed(payload, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            h.add_scaled_outer(2.0, np.ones(3))
+        assert payload.tobytes() == np.arange(1.0, 7.0).tobytes()
+        assert h.matvec(np.ones(3)).tolist() == [1.0 + 2.0 + 4.0, 2.0 + 3.0 + 5.0,
+                                                 4.0 + 5.0 + 6.0]
+
+    def test_strided_vectors_reach_blas_as_contiguous_copies(self):
+        rng = np.random.default_rng(11)
+        a = random_spd(rng, 7)
+        wide = rng.normal(size=(7, 3))
+        before = wide.tobytes()
+        got, want = SymMatrix.from_dense(a), SymMatrix.from_dense(a)
+        assert got.matvec(wide[:, 1]).tobytes() == want.matvec(wide[:, 1].copy()).tobytes()
+        got.add_scaled_outer(0.5, wide[:, 2])
+        want.add_scaled_outer(0.5, wide[:, 2].copy())
+        assert got == want
+        f = FactorSet(bias_dim=0)
+        for i in range(7):
+            f.append(a[i, :i], a[i, i], np.zeros(0))
+        for solve in (f.L.solve_unit_lower, f.L.solve_unit_upper_t):
+            assert solve(wide[:, 0]).tobytes() == solve(wide[:, 0].copy()).tobytes()
+        assert wide.tobytes() == before
 
 
 class TestSmw:

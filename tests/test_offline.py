@@ -1,10 +1,13 @@
 """Batch solvers: index structures, merging, the three solve routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor, lu_solve
 
-from mtfuse.errors import InvalidInput, NonPositiveWeight, UnknownTask
+from mtfuse.errors import InvalidInput, NonPositiveWeight, SingularSystem, UnknownTask
 from mtfuse.kernels import (
     InputPoint,
     KernelSpec,
@@ -15,6 +18,7 @@ from mtfuse.kernels import (
 )
 from mtfuse.offline import (
     Dataset,
+    _refined_solve,
     build_index_structures,
     merge_repeats,
     predict,
@@ -179,6 +183,35 @@ class TestFullSystem:
             top = (kmat + wdiag) @ coeffs.a_raw + psi @ (cfg.alpha * coeffs.b) - y
             bottom = psi.T @ coeffs.a_raw
             assert np.max(np.abs(np.concatenate([top, bottom]))) < 1e-10
+
+
+class TestRefinedSolve:
+    def test_singular_system_raises_with_no_warning(self):
+        # an exactly zero pivot, and a step that overflows
+        cases = (([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], "exactly zero"),
+                 ([[0.0]], [1.0], "exactly zero"),
+                 ([[1e-300, 0.0], [0.0, 1.0]], [1e10, 1.0], "non-finite"))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            for a, rhs, match in cases:
+                with pytest.raises(SingularSystem, match=match):
+                    _refined_solve(np.array(a), np.array(rhs))
+        assert seen == []
+
+    def test_regular_system_keeps_its_bits(self):
+        # the same factor, solve and refinement steps, written out
+        rng = np.random.default_rng(21)
+        for n, k in ((1, 1), (6, 1), (40, 3)):
+            a = rng.normal(size=(n, n)) + n * np.eye(n)
+            rhs = rng.normal(size=(n, k)).squeeze(axis=1) if k == 1 else rng.normal(size=(n, k))
+            lu = lu_factor(a)
+            want = lu_solve(lu, rhs)
+            for _ in range(2):
+                res = rhs - a @ want
+                if np.max(np.abs(res)) <= 1e-12:
+                    break
+                want += lu_solve(lu, res)
+            assert _refined_solve(a, rhs).tobytes() == want.tobytes()
 
 
 class TestBackfit:
