@@ -203,7 +203,7 @@ class TestRefinedSolve:
         rng = np.random.default_rng(21)
         for n, k in ((1, 1), (6, 1), (40, 3)):
             a = rng.normal(size=(n, n)) + n * np.eye(n)
-            rhs = rng.normal(size=(n, k)).squeeze(axis=1) if k == 1 else rng.normal(size=(n, k))
+            rhs = rng.normal(size=n if k == 1 else (n, k))
             lu = lu_factor(a)
             want = lu_solve(lu, rhs)
             for _ in range(2):
