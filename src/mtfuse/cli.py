@@ -19,7 +19,7 @@ import numpy as np
 
 from . import daemon, sim
 from .errors import EngineError
-from .protocol import bias_from_name
+from .protocol import BIAS_NAMES, bias_from_name
 
 
 def _world_flags(p):
@@ -164,7 +164,7 @@ def build_parser():
     p.add_argument("--lambda-grid", help="lin:N[:LO:HI] | log:N:LO:HI | comma list")
     p.add_argument("--mode", choices=("offline", "client-server"), default="offline")
     p.add_argument("--k", type=int, default=20, help="top-k size (default 20)")
-    p.add_argument("--bias", choices=("none", "constant"), default="none")
+    p.add_argument("--bias", choices=BIAS_NAMES, default="none")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="re-emit reports from a saved result")
@@ -181,7 +181,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--lam", type=float, default=1e-3)
     p.add_argument("--k", type=int, default=20)
-    p.add_argument("--bias", choices=("none", "constant"), default="none")
+    p.add_argument("--bias", choices=BIAS_NAMES, default="none")
     p.set_defaults(func=cmd_serve_demo)
     return ap
 

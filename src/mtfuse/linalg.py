@@ -181,7 +181,7 @@ class UnitLowerFactor:
         entries (rows() joined), in the buffer that as many
         append_row calls would have grown."""
         n, end = self.n, self.n + count
-        entries = _as_vec(entries, (end * (end - 1) - n * (n - 1)) // 2)
+        entries = _as_vec(entries, _tri(end - 1) - _tri(n - 1))
         self._reserve(end)
         at = 0
         for i in range(n, end):
@@ -263,27 +263,27 @@ class SymMatrix:
         """The matrix of order n whose packed lower triangle is packed,
         sharing it: copy() gives a matrix of its own."""
         out = cls()
-        out._buf = _as_vec(packed, n * (n + 1) // 2)
+        out._buf = _as_vec(packed, _tri(n))
         out.n = n
         return out
 
     @property
     def packed(self):
-        return self._buf[: self.n * (self.n + 1) // 2]
+        return self._buf[: _tri(self.n)]
 
     def entry(self, i, j):
         if j > i:
             i, j = j, i
-        return float(self._buf[i * (i + 1) // 2 + j])
+        return float(self._buf[_tri(i) + j])
 
     def column(self, p):
         n = self.n
         out = np.empty(n, dtype=_F64)
-        base = p * (p + 1) // 2
+        base = _tri(p)
         out[: p + 1] = self._buf[base : base + p + 1]
         if p + 1 < n:
             rows = np.arange(p + 1, n)
-            out[p + 1 :] = self._buf[rows * (rows + 1) // 2 + p]
+            out[p + 1 :] = self._buf[_tri(rows) + p]
         return out
 
     def matvec(self, x):
@@ -307,7 +307,7 @@ class SymMatrix:
         # grow to order n+1 with a new last row/column
         n = self.n
         row = _as_vec(row, n + 1)
-        size = n * (n + 1) // 2
+        size = _tri(n)
         self._buf = _grown(self._buf, size + n + 1)
         self._buf[size : size + n + 1] = row
         self.n = n + 1

@@ -13,18 +13,24 @@ _message call, which adds its row to the message table.  A record's
 body is written and read by one loop over its row; a payload that
 decode cannot turn into a message raises MalformedFrame.
 
+An array field is counted, its u32 element count first, or sized: its
+count follows from the fields before it, and it has none of its own.
+An f64 field reads as an array of its own, but H, lower, d and m of a
+Disclosed and y, w and R of a TaskBlock read as read-only views of the
+payload, which their reader copies.  A u32 field reads as a tuple of
+ints.
+
 The server's pool of inputs and its LDL^T factor rows are append-only
 in server order, so a read sends only what the reader lacks: GetDisclosed
 and GetTaskCoeffs carry since, the number of inputs (factor rows, for
 GetDisclosed) the reader holds, and the reply carries since and the
 inputs from since on.  Disclosed is
-    epoch u64, since u32, inputs[since:], y_cond (n f64), H (packed,
-    n(n+1)/2 f64), lower (u32 count, the stored entries of L's rows
-    since..n-1 in turn), d (u32 count n - since, D's values since..n-1),
-    m (u32 count, M's rows since..n-1 in turn)
+    epoch u64, since u32, inputs[since:], y_cond (n f64), H (n(n+1)/2
+    f64, packed), then counted f64s: lower (the stored entries of L's
+    rows since..n-1 in turn), d (D's since..n-1), m (M's rows since..n-1)
 and TaskCoeffs is
-    epoch u64, since u32, inputs[since:], b (u32 count, f64s),
-    a_cond (n f64), a (u32 count l, f64s), slots (l u32)
+    epoch u64, since u32, inputs[since:], b (counted f64s), a_cond
+    (n f64), a (counted, l f64s), slots (l u32)
 where n = since + the number of inputs sent.  y_cond, H, b, a_cond and
 a are sent whole: a commit can change every entry.  A since past the
 pool is refused (ERR_MALFORMED).  A reader keeps what it has read in a
@@ -74,7 +80,7 @@ from .kernels import (
     MixedEffectConfig,
     Pool,
 )
-from .linalg import FactorSet, SymMatrix
+from .linalg import FactorSet, SymMatrix, _tri
 from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -85,7 +91,7 @@ from .server import (
     TaskState,
 )
 
-_F64 = np.float64
+_F8, _U4 = np.dtype("<f8"), np.dtype("<u4")
 
 MAGIC = b"MTLS"
 WIRE_VERSION = 4
@@ -151,8 +157,7 @@ class _Codec(NamedTuple):
 
 class _Reader:
     def __init__(self, data):
-        # slices of a view copy nothing: an array is copied at most once,
-        # by array()
+        # slices of a view copy nothing: a field copies an array at most once
         self.data = memoryview(data)
         self.pos = 0
         self.got = None
@@ -164,31 +169,19 @@ class _Reader:
         self.pos += n
         return out
 
-    def array(self, count, copy=True):
-        """The next count f64 values, with no count of their own; without
-        copy, a read-only view of the payload."""
-        if count > MAX_FRAME // 8:
-            raise errors.MalformedFrame("array too long")
-        out = np.frombuffer(self.take(8 * count), dtype="<f8")
-        return out.astype(_F64, copy=True) if copy else out
+    def values(self, dtype, count):
+        """A read-only view of the next count values of dtype."""
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
 
     def done(self):
         if self.pos != len(self.data):
-            raise errors.MalformedFrame(
-                "%d trailing bytes" % (len(self.data) - self.pos)
-            )
-
-
-def _write_array(w, arr):
-    # the array itself: the final join copies its bytes once
-    w.append(np.ascontiguousarray(arr, dtype=_F64))
+            raise errors.MalformedFrame("%d trailing bytes" % (len(self.data) - self.pos))
 
 
 def _fixed(fmt):
     st = struct.Struct("<" + fmt)
-    return _Codec(
-        lambda w, v: w.append(st.pack(v)), lambda r: st.unpack(r.take(st.size))[0]
-    )
+    return _Codec(lambda w, v: w.append(st.pack(v)),
+                  lambda r: st.unpack(r.take(st.size))[0])
 
 
 _u8, _u32, _u64, _i64, _f64 = (_fixed(fmt) for fmt in "BIQqd")
@@ -219,63 +212,53 @@ def _read_text(r):
 _text = _Codec(lambda w, s: _write_bytes(w, s.encode("utf-8")), _read_text)
 
 
-def _write_f64s(w, arr):
-    _u32.write(w, len(arr))
-    _write_array(w, arr)
+def _f64s(count=None, copy=True):
+    """An f64 array field: counted, or, given count, sized by count(got).
+    It is written from an array, or from a tuple of arrays in turn (L's
+    rows, see disclosed_to_message), each its own piece, so that the
+    final join copies each once and nothing joins them before it.  It
+    reads as an array of its own or, without copy, as a read-only view
+    of the payload, for a caller that copies it."""
+
+    def write(w, arr):
+        pieces = arr if isinstance(arr, tuple) else (arr,)
+        if count is None:
+            _u32.write(w, sum(map(len, pieces)))
+        for p in pieces:
+            w.append(np.ascontiguousarray(p, dtype=_F8))
+
+    size = _u32.read if count is None else lambda r: count(r.got)
+
+    def read(r):
+        n = size(r)
+        if n > MAX_FRAME // 8:
+            raise errors.MalformedFrame("array too long")
+        out = r.values(_F8, n)
+        return out.copy() if copy else out
+
+    return _Codec(write, read)
 
 
-# an f64 array after its u32 element count
-_f64s = _Codec(_write_f64s, lambda r: r.array(_u32.read(r)))
+def _u32s(count=None):
+    """A u32 array field, counted or sized as _f64s, read as a tuple of ints."""
+
+    def write(w, values):
+        if count is None:
+            _u32.write(w, len(values))
+        w.append(np.asarray(values, dtype=_U4))
+
+    size = _u32.read if count is None else lambda r: count(r.got)
+    return _Codec(write, lambda r: tuple(r.values(_U4, size(r)).tolist()))
 
 
-def _write_rows(w, rows):
-    # one f64 array, or a tuple of them written in turn as one counted
-    # array (L's rows, see disclosed_to_message): the final join copies
-    # each row once, and nothing joins them before it
-    rows = rows if isinstance(rows, tuple) else (rows,)
-    _u32.write(w, sum(map(len, rows)))
-    for row in rows:
-        _write_array(w, row)
-
-
-# the same, also written from a tuple of arrays in turn, and read as one
-# view of the payload, for a caller that copies it
-_f64s_view = _Codec(_write_rows, lambda r: r.array(_u32.read(r), copy=False))
+_counted_f64s = _f64s()
 
 
 def _joined(v):
-    # a tuple of f64 arrays, as _write_rows writes it, as one array
+    # a tuple of f64 arrays, as an _f64s field writes it, as one array
     if isinstance(v, tuple) and all(isinstance(p, np.ndarray) for p in v):
-        return np.concatenate((np.zeros(0, dtype=_F64),) + v)
+        return np.concatenate((np.zeros(0, dtype=_F8),) + v)
     return v
-
-
-def _sized_f64s(count, copy=True):
-    """An f64 array of count(got) elements, with no count of its own
-    (without copy, a view of the payload, for a caller that copies it)."""
-    return _Codec(_write_array, lambda r: r.array(count(r.got), copy))
-
-
-def _u32_array(r, count):
-    return np.frombuffer(r.take(4 * count), dtype="<u4")
-
-
-def _write_u32s(w, values):
-    w.append(np.asarray(values, dtype="<u4"))
-
-
-def _sized_u32s(count):
-    """count(got) u32 values, with no count of their own, read as a tuple."""
-    return _Codec(_write_u32s, lambda r: tuple(_u32_array(r, count(r.got)).tolist()))
-
-
-def _write_counted_u32s(w, values):
-    _u32.write(w, len(values))
-    _write_u32s(w, values)
-
-
-# u32 values after their u32 count, read as a tuple
-_u32s = _Codec(_write_counted_u32s, lambda r: tuple(_u32_array(r, _u32.read(r)).tolist()))
 
 
 def _tag(tags, what):
@@ -298,13 +281,12 @@ _present = _tag({False: 0, True: 1}, "features flag")
 def _write_features(w, feats):
     _present.write(w, feats is not None)
     if feats is not None:
-        _f64s.write(w, feats)
+        _counted_f64s.write(w, feats)
 
 
 # optional features: a flag byte, then the counted array when present
-_features = _Codec(
-    _write_features, lambda r: _f64s.read(r) if _present.read(r) else None
-)
+_features = _Codec(_write_features,
+                   lambda r: _counted_f64s.read(r) if _present.read(r) else None)
 
 
 # built-in kernels and bias kinds: name (as in the daemon config file and
@@ -321,6 +303,7 @@ _BIASES = {
 }
 _variant = _tag({name: tag for name, (tag, _) in _KERNELS.items()}, "kernel variant")
 _bias = _tag({name: tag for name, (tag, _) in _BIASES.items()}, "bias")
+BIAS_NAMES = tuple(_BIASES)  # the --bias choices
 
 
 def _by_name(table, what, name):
@@ -347,7 +330,7 @@ def _write_kernel(w, spec):
         _u32.write(w, len(keys))
         for k in keys:
             _write_bytes(w, k)
-        _write_array(w, SymMatrix.from_dense(spec.table.matrix).packed)
+        w.append(SymMatrix.from_dense(spec.table.matrix).packed)
 
 
 def _read_kernel(r):
@@ -355,8 +338,10 @@ def _read_kernel(r):
     if name != LOOKUP:
         return kernel_from_name(name)
     n = _u32.read(r)
+    if 4 * n + 8 * _tri(n) > len(r.data) - r.pos:  # its keys' lengths and table
+        raise errors.MalformedFrame("lookup table of %d keys past the payload" % n)
     keys = [_read_bytes(r) for _ in range(n)]
-    packed = r.array(n * (n + 1) // 2)
+    packed = r.values(_F8, _tri(n))  # a view: to_dense copies it
     try:
         return KernelSpec.lookup(keys, SymMatrix.from_packed(packed, n).to_dense())
     except ValueError as exc:  # a repeated key, or a NaN that breaks symmetry
@@ -373,24 +358,23 @@ _NO_FEATURES = 0xFFFFFFFF
 def _write_inputs(w, pool):
     keys, lengths = pool.keys, pool.lengths
     _u32.write(w, len(keys))
-    w.append(np.fromiter(map(len, keys), dtype="<u4", count=len(keys)))
+    w.append(np.fromiter(map(len, keys), dtype=_U4, count=len(keys)))
     w.append(b"".join(keys))
-    w.append(np.where(lengths < 0, _NO_FEATURES, lengths).astype("<u4"))
-    _f64s.write(w, pool.values)
+    w.append(np.where(lengths < 0, _NO_FEATURES, lengths).astype(_U4))
+    _counted_f64s.write(w, pool.values)
 
 
 def _read_inputs(r):
     n = _u32.read(r)
-    ends = np.cumsum(_u32_array(r, n), dtype=np.int64).tolist()
+    ends = np.cumsum(r.values(_U4, n), dtype=np.int64).tolist()
     blob = bytes(r.take(ends[-1] if n else 0))
     keys = tuple(map(blob.__getitem__, map(slice, [0] + ends[:-1], ends)))
-    lengths = _u32_array(r, n).astype(np.int64)
+    lengths = r.values(_U4, n).astype(np.int64)
     lengths[lengths == _NO_FEATURES] = -1
-    count = _u32.read(r)
-    if count != int(np.maximum(lengths, 0).sum()):
+    values = _counted_f64s.read(r)
+    if len(values) != int(np.maximum(lengths, 0).sum()):
         raise errors.MalformedFrame("%d feature values do not fit the feature lengths"
-                                    % count)
-    values = r.array(count)
+                                    % len(values))
     try:
         return Pool.from_columns(keys, lengths, values)
     except ValueError as exc:  # a key listed twice
@@ -456,26 +440,22 @@ def _n_inputs(got):
     return got["since"] + len(got["inputs"])
 
 
-def _packed(count):
-    # the entries of a packed symmetric matrix of order count(got)
-    return lambda got: count(got) * (count(got) + 1) // 2
-
-
 SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
                          ("key", _bytes), ("features", _features), ("y", _f64),
                          ("w", _f64))
 Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
-                     ("inputs", _inputs), ("y_cond", _sized_f64s(_n_inputs)),
-                     ("h_packed", _sized_f64s(_packed(_n_inputs), copy=False)),
-                     ("lower", _f64s_view), ("d", _f64s_view), ("m", _f64s_view))
+                     ("inputs", _inputs), ("y_cond", _f64s(_n_inputs)),
+                     ("h_packed", _f64s(lambda got: _tri(_n_inputs(got)), copy=False)),
+                     ("lower", _f64s(copy=False)), ("d", _f64s(copy=False)),
+                     ("m", _f64s(copy=False)))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
                          ("since", _u32))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
-                      ("inputs", _inputs), ("b", _f64s),
-                      ("a_cond", _sized_f64s(_n_inputs)), ("a", _f64s),
-                      ("slots", _sized_u32s(lambda got: len(got["a"]))))
+                      ("inputs", _inputs), ("b", _f64s()),
+                      ("a_cond", _f64s(_n_inputs)), ("a", _f64s()),
+                      ("slots", _u32s(lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
                   ("individual", _kernel), ("bias_kind", _bias))
@@ -623,7 +603,7 @@ class Seen:
         if len(msg.d) != count:
             raise errors.MalformedFrame("factors of %d inputs, not %d"
                                         % (len(msg.d), count))
-        if len(lower) != (n * (n - 1) - since * (since - 1)) // 2:
+        if len(lower) != _tri(n - 1) - _tri(since - 1):  # strict rows since..n-1
             raise errors.MalformedFrame("%d entries of L do not fit rows %d..%d"
                                         % (len(lower), since, n))
         width = len(msg.m) // count if count else f.bias_dim
@@ -639,13 +619,9 @@ class Seen:
         f.append_rows(lower, msg.d, msg.m)
         self.factors = f
         msg.y_cond.flags.writeable = False
-        return DisclosedDB(
-            inputs=inputs,
-            y_cond=msg.y_cond,
-            H=SymMatrix.from_packed(msg.h_packed, n),
-            epoch=msg.epoch,
-            factors=f.take(),
-        )
+        return DisclosedDB(inputs=inputs, y_cond=msg.y_cond,
+                           H=SymMatrix.from_packed(msg.h_packed, n), epoch=msg.epoch,
+                           factors=f.take())
 
     def task_coeffs(self, msg, task):
         """The ClientModel of task from msg, after appending its tail; a
@@ -699,10 +675,9 @@ def _ell(got):
     return len(got["slots"])
 
 
-_TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s),
-                   ("y", _sized_f64s(_ell, copy=False)),
-                   ("w", _sized_f64s(_ell, copy=False)),
-                   ("r_packed", _sized_f64s(_packed(_ell), copy=False)))
+_TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s()),
+                   ("y", _f64s(_ell, copy=False)), ("w", _f64s(_ell, copy=False)),
+                   ("r_packed", _f64s(lambda got: _tri(_ell(got)), copy=False)))
 
 
 def save_snapshot(engine):

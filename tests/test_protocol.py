@@ -40,7 +40,14 @@ from mtfuse.errors import (
     Unauthorized,
     UnsupportedVersion,
 )
-from mtfuse.kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, Pool
+from mtfuse.kernels import (
+    LOOKUP,
+    BiasBasis,
+    InputPoint,
+    KernelSpec,
+    MixedEffectConfig,
+    Pool,
+)
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -283,6 +290,20 @@ class TestMalformedInput:
         with pytest.raises(MalformedFrame, match="duplicate"):
             proto.decode(data.replace(key_b, struct.pack("<I", 1) + b"a"))
 
+    def test_lookup_key_count_past_the_payload_refused_before_any_key(self):
+        # n keys take 4n bytes or more and their table 8 n(n+1)/2: a count
+        # whose keys and table cannot fit in the bytes left is refused
+        # before any key is read, one that fits is read to the table
+        for claim in (0xFFFFFFFF, 1 << 17, 511):
+            with pytest.raises(MalformedFrame, match="lookup table of %d keys" % claim):
+                proto.decode(_lookup_config_claiming(claim, daemon_mod.MAX_REQUEST_FRAME))
+        head = len(_lookup_config_claiming(0, 0))
+        fits = _lookup_config_claiming(10, head + 4 * 10 + 8 * 55)
+        with pytest.raises(MalformedFrame, match="lookup table of 11 keys"):
+            proto.decode(fits[:head - 4] + struct.pack("<I", 11) + fits[head:])
+        with pytest.raises(MalformedFrame, match="bad lookup table"):  # ten empty keys
+            proto.decode(fits)
+
     def test_corrupted_payloads_raise_only_frame_errors(self):
         rng = np.random.default_rng(19)
         for _ in range(3000):
@@ -332,6 +353,15 @@ class TestMalformedInput:
         short = struct.pack("<I", 10) + b"abc"
         with pytest.raises(MalformedFrame):
             proto.read_message(io.BytesIO(short))
+
+
+def _lookup_config_claiming(keys, size):
+    # a Config payload of size bytes (or its head alone) whose shared
+    # lookup kernel claims `keys` keys, padded with zero bytes: as many
+    # empty keys as fit
+    head = struct.pack("<BBddBI", proto.WIRE_VERSION, proto._ROW_OF_CLASS[proto.Config].tag,
+                       0.5, 0.1, proto._KERNELS[LOOKUP][0], keys)
+    return head + bytes(max(size - len(head), 0))
 
 
 def _wire(msg):
@@ -450,6 +480,91 @@ class TestInputColumns:
         data = _key_twice(_disclosed([b"same", b"sbme"], feats), b"sbme", b"same")
         with pytest.raises(MalformedFrame, match="input key b'same' listed twice"):
             proto.decode(data)
+
+
+class TestArrayFields:
+    """The form each array field decodes to, over every record: a copy
+    field owns its data and is writable, a view field is a read-only
+    view of the payload, a u32 field is a tuple of ints."""
+
+    FORMS = {
+        ("SubmitExample", "features"): "copy",
+        ("Disclosed", "y_cond"): "copy",
+        ("Disclosed", "h_packed"): "view",
+        ("Disclosed", "lower"): "view",
+        ("Disclosed", "d"): "view",
+        ("Disclosed", "m"): "view",
+        ("TaskCoeffs", "b"): "copy",
+        ("TaskCoeffs", "a_cond"): "copy",
+        ("TaskCoeffs", "a"): "copy",
+        ("TaskCoeffs", "slots"): "u32",
+        ("TaskBlock", "slots"): "u32",
+        ("TaskBlock", "y"): "view",
+        ("TaskBlock", "w"): "view",
+        ("TaskBlock", "r_packed"): "view",
+    }
+
+    @staticmethod
+    def _samples():
+        # one record of each row, every array in it non-empty
+        rng = np.random.default_rng(44)
+        ds, cfg, _ = random_instance(rng, alpha=0.5, d=1)
+        eng = stream_into_engine(ServerEngine(cfg), ds.triples)
+        task, st = next((t, st) for t, st in eng.tasks.items() if len(st.slots) > 1)
+        spec = KernelSpec.lookup([b"a", b"b"], [[2.0, 1.0], [1.0, 2.0]])
+        return {
+            "SubmitExample": proto.SubmitExample(1, b"t", b"k", np.arange(3.0), 1.0, 1.0),
+            "Ack": proto.Ack(3, CASE_NEW_INPUT),
+            "GetDisclosed": proto.GetDisclosed(2),
+            "Disclosed": proto.disclosed_to_message(eng.get_disclosed(), since=1),
+            "GetTaskCoeffs": proto.GetTaskCoeffs(task, b"t", 1),
+            "TaskCoeffs": proto.task_coeffs_to_message(eng.task_coefficients(task), 1),
+            "GetConfig": proto.GetConfig(),
+            "Config": proto.Config(0.5, 0.1, spec, spec, BiasBasis.CONSTANT),
+            "Error": proto.Error(proto.ERR_INTERNAL, "x"),
+            "SnapshotHead": proto._HEAD.cls(proto.MAGIC, proto.SNAPSHOT_VERSION),
+            "TaskCount": proto._TASK_COUNT.cls(1),
+            "TaskBlock": proto._TASK_BLOCK.cls(task, st.slots, st.y.values, st.w.values,
+                                               st.R.packed),
+        }
+
+    def test_every_array_field_decodes_to_its_form(self):
+        samples = self._samples()
+        rows = list(proto._ROWS) + [row for row in vars(proto).values()
+                                    if isinstance(row, proto._Row) and row.tag is None]
+        assert sorted(samples) == sorted(row.cls.__name__ for row in rows)
+        seen = set()
+        for row in rows:
+            name, w = row.cls.__name__, []
+            proto._write_body(w, row, samples[name])
+            payload = b"".join(w)
+            r = proto._Reader(payload)
+            back = proto._read_body(r, row)
+            r.done()
+            wire = np.frombuffer(payload, dtype=np.uint8)
+            for field, _ in row.fields:
+                value, form = getattr(back, field), self.FORMS.get((name, field))
+                if field == "inputs":  # the pool's feature values are its own
+                    value, form = value.values, "pool"
+                if form is None:
+                    assert not isinstance(value, np.ndarray), (name, field)
+                    continue
+                seen.add((name, field))
+                assert len(value) > 0, (name, field)
+                if form == "u32":
+                    assert type(value) is tuple, (name, field)
+                    assert all(type(v) is int for v in value), (name, field)
+                    continue
+                assert value.dtype == np.float64, (name, field)
+                assert np.shares_memory(value, wire) == (form == "view"), (name, field)
+                if form == "copy":
+                    assert value.flags.owndata and value.flags.writeable, (name, field)
+                elif form == "view":
+                    assert not value.flags.writeable, (name, field)
+            if name == "Config":  # the lookup table is copied out of its view
+                for spec in (back.shared, back.individual):
+                    assert not np.shares_memory(spec.table.matrix, wire)
+        assert seen == set(self.FORMS) | {("Disclosed", "inputs"), ("TaskCoeffs", "inputs")}
 
 
 class TestSchemaPrivacy:
@@ -1100,6 +1215,22 @@ class TestDaemon:
                 assert isinstance(reply, proto.Error)
                 assert reply.code == proto.ERR_MALFORMED
             assert proto.save_snapshot(eng) == before
+
+    def test_lookup_key_count_past_the_payload_refused_connection_kept(self):
+        # a request-sized Config whose table claims 2**32 - 1 keys is
+        # refused before any key is read, and the daemon serves on
+        payload = _lookup_config_claiming(0xFFFFFFFF, daemon_mod.MAX_REQUEST_FRAME)
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            with socket.create_connection(srv.address, timeout=10) as raw:
+                raw.sendall(struct.pack("<I", len(payload)) + payload)
+                reply = proto.read_message(raw.makefile("rb"))
+            assert isinstance(reply, proto.Error)
+            assert reply.code == proto.ERR_MALFORMED
+            assert "lookup table of 4294967295 keys" in reply.detail
+            with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                x = make_inputs(np.random.default_rng(23), 1, unit=True)[0]
+                assert conn.submit(x, 1.0, 1.0).epoch == 1
 
     def test_oversized_request_refused_from_its_header(self):
         # the header alone is sent: a daemon that waited for the payload

@@ -1,12 +1,13 @@
 """Synthetic world generation, metrics, the grid sweep, reports, CLI."""
 
+import argparse
 import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from mtfuse import cli, sim
+from mtfuse import cli, protocol, sim
 from mtfuse.client import client_predictions
 from mtfuse.kernels import BiasBasis, KernelSpec, kernel_matrix
 from mtfuse.offline import Dataset
@@ -432,6 +433,17 @@ class TestCli:
         assert rc == 0
         for name in ("grid_metrics.tsv", "hits_histogram.tsv", "user_topk.tsv"):
             assert read_bytes(str(out1 / name)) == read_bytes(str(out2 / name))
+
+    def test_bias_choices_are_the_wire_table_names(self):
+        # the one name <-> tag <-> object table in protocol serves the CLI
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {name: a.choices for name, p in sub.choices.items()
+                   for a in p._actions if "--bias" in a.option_strings}
+        names = list(protocol._BIASES)
+        assert names == [BiasBasis.NONE, BiasBasis.CONSTANT]
+        assert {name: list(c) for name, c in choices.items()} == {
+            "sweep": names, "serve-demo": names}
 
     def test_grid_spec_parsing(self):
         got = cli._parse_grid("lin:3", None)
