@@ -23,6 +23,7 @@ from .errors import (
     SingularSystem,
     SingularUpdate,
     Unauthorized,
+    UnexpectedMessage,
     UnknownKey,
     UnknownTask,
     UnsupportedVersion,
@@ -121,6 +122,7 @@ __all__ = [
     "ProtocolError",
     "MalformedFrame",
     "UnsupportedVersion",
+    "UnexpectedMessage",
     "ChecksumMismatch",
     "Unauthorized",
 ]

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import protocol as proto
-from .errors import EngineError, ProtocolError, Unauthorized
+from .errors import EngineError, ProtocolError, Unauthorized, UnexpectedMessage
 from .kernels import InputPoint, MixedEffectConfig
 from .server import ServerEngine, UpdateReceipt
 
@@ -36,6 +36,8 @@ _log = logging.getLogger(__name__)
 # largest request frame, refused from its header before authentication;
 # replies keep protocol.MAX_FRAME (a Disclosed at n=4,000 is ~64 MB)
 MAX_REQUEST_FRAME = 1 << 20
+# the messages the daemon answers; any other is refused before its body
+REQUESTS = (proto.SubmitExample, proto.GetDisclosed, proto.GetTaskCoeffs, proto.GetConfig)
 
 
 # ===== daemon configuration file =========================================
@@ -105,23 +107,21 @@ class _Handler(socketserver.StreamRequestHandler):
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def handle(self):
-        while True:
+        serving = True
+        while serving:
             try:
-                msg = proto.read_message(self.rfile, MAX_REQUEST_FRAME)
+                msg = proto.read_message(self.rfile, MAX_REQUEST_FRAME, REQUESTS)
+                if msg is None:
+                    return
+                frame = self.server.dispatch(msg)
             except ProtocolError as exc:
-                try:
-                    proto.write_message(
-                        self.wfile,
-                        proto.Error(code=proto.exception_to_code(exc), detail=str(exc)),
-                    )
-                except OSError:
-                    pass
-                return
+                # a frame that could not be read leaves the stream lost, but
+                # a refused type was read whole: after it the connection serves on
+                serving = isinstance(exc, UnexpectedMessage)
+                err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
+                frame = proto.encode(err, framed=True)
             except OSError:
                 return
-            if msg is None:
-                return
-            frame = self.server.dispatch(msg)
             try:
                 proto.write_frame(self.wfile, frame)
             except OSError:
@@ -146,7 +146,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
         return bool(expected) and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
-        """The reply to msg, encoded as its frame."""
+        """The reply to msg, one of REQUESTS, encoded as its frame."""
         try:
             if isinstance(msg, proto.SubmitExample):
                 if not self._authorized(msg.task, msg.token):
@@ -167,10 +167,8 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 with self.lock:
                     model = self.engine.task_coefficients(msg.task)
                 reply = proto.task_coeffs_to_message(model, msg.since)
-            elif isinstance(msg, proto.GetConfig):
+            else:  # GetConfig
                 reply = proto.config_to_message(self.engine.get_config())
-            else:
-                raise ProtocolError("unexpected message %s" % type(msg).__name__)
             return proto.encode(reply, framed=True)
         except (EngineError, ValueError, TypeError) as exc:
             err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))

@@ -61,6 +61,10 @@ class UnsupportedVersion(ProtocolError):
     """Frame or snapshot written by an incompatible format version."""
 
 
+class UnexpectedMessage(ProtocolError):
+    """A well-formed message of a type its reader never takes."""
+
+
 class ChecksumMismatch(ProtocolError):
     """Snapshot payload does not match its trailing CRC."""
 

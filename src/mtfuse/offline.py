@@ -9,9 +9,9 @@ they can check each other:
 * solve_backfit: eliminates the bias coefficients first, then solves for
   the kernel coefficients.
 * solve_condensed: the production path.  Collapses repeated
-  (task, input) observations, factorizes the shared Gram over unique
-  inputs once and works with per-task inverses, cubic only per task and
-  in the number of unique inputs.
+  (task, input) observations, builds each task's inverse, the factors of
+  the unique inputs, y_cond and a dense H, then makes the server's one
+  shared solve (server.shared_coefficients): cubic per task and in the pool.
 """
 
 import warnings
@@ -31,7 +31,8 @@ from .kernels import (
     kernel_row,
     operand,
 )
-from .linalg import FactorSet
+from .linalg import FactorSet, SymMatrix
+from .server import shared_coefficients
 
 _F64 = np.float64
 
@@ -277,21 +278,19 @@ def solve_condensed(ds, cfg):
     merged = merge_repeats(ds)
     ms = build_index_structures(merged)
     n = len(ms.unique_inputs)
-    d = cfg.bias_dim
-    alpha, lam = cfg.alpha, cfg.lam
+    alpha = cfg.alpha
     blocks = _task_blocks(merged, ms, cfg)
 
     a_task = {}
-    a_cond = np.zeros(n, dtype=_F64)
     if alpha == 0.0 or n == 0:
-        b = np.zeros(d, dtype=_F64)
+        b = np.zeros(cfg.bias_dim, dtype=_F64)
+        a_cond = np.zeros(n, dtype=_F64)
         for j, (r_j, y_j, _) in blocks.items():
             a_task[j] = r_j @ y_j
             np.add.at(a_cond, ms.task_slots[j], a_task[j])
         return ModelCoefficients(ms.unique_inputs, a_cond, b, a_task, ms.task_slots)
 
     factors = build_factors(ms.unique_inputs, cfg)
-    dvals = factors.D.values
     ld = factors.L.dense()
 
     # s = P^T R y and G = P^T R P, scattered from the task blocks
@@ -301,27 +300,16 @@ def solve_condensed(ds, cfg):
         sl = ms.task_slots[j]
         np.add.at(s, sl, r_j @ y_j)
         G[np.ix_(sl, sl)] += r_j
-    y_cond = ld.T @ s
 
     try:
-        h_mat = np.linalg.inv(np.diag(1.0 / dvals) + alpha * (ld.T @ G @ ld))
+        h_mat = np.linalg.inv(np.diag(1.0 / factors.D.values) + alpha * (ld.T @ G @ ld))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("condensed system is singular") from exc
-
-    m_mat = factors.M
-    if d > 0:
-        dm = dvals[:, None] * m_mat
-        hm = h_mat @ m_mat
-        b = _refined_solve(m_mat.T @ (dm - hm), m_mat.T @ (h_mat @ y_cond))
-    else:
-        b = np.zeros(0, dtype=_F64)
-
-    q = h_mat @ (y_cond + m_mat @ b)
+    # the one shared solve, on H made exactly symmetric for its packed form
+    h_sym = SymMatrix.from_dense((h_mat + h_mat.T) / 2)
+    b, a_cond, q = shared_coefficients(ld.T @ s, h_sym, factors, alpha)
     for j, (r_j, y_j, _) in blocks.items():
-        sl = ms.task_slots[j]
-        a_j = r_j @ (y_j - alpha * (ld[sl] @ q))
-        a_task[j] = a_j
-        np.add.at(a_cond, sl, a_j)
+        a_task[j] = r_j @ (y_j - alpha * (ld[ms.task_slots[j]] @ q))
     return ModelCoefficients(ms.unique_inputs, a_cond, b, a_task, ms.task_slots)
 
 

@@ -496,8 +496,10 @@ def encode(msg, framed=False):
     return b"".join(w)
 
 
-def decode(data):
-    """Parse one message; raises MalformedFrame / UnsupportedVersion."""
+def decode(data, accept=None):
+    """Parse one message; raises MalformedFrame / UnsupportedVersion.
+    With accept, the message classes the reader takes, one of another
+    type raises UnexpectedMessage before its body is read."""
     r = _Reader(bytes(data))
     version = _u8.read(r)
     if version != WIRE_VERSION:
@@ -506,6 +508,8 @@ def decode(data):
     row = _ROW_OF_TAG.get(tag)
     if row is None:
         raise errors.MalformedFrame("unknown message tag %d" % tag)
+    if accept is not None and row.cls not in accept:
+        raise errors.UnexpectedMessage("unexpected message %s" % row.cls.__name__)
     msg = _read_body(r, row)
     r.done()
     return msg
@@ -524,11 +528,11 @@ def write_frame(stream, frame):
     stream.flush()
 
 
-def read_message(stream, max_frame=MAX_FRAME):
+def read_message(stream, max_frame=MAX_FRAME, accept=None):
     """Next message from a stream, or None on clean end-of-stream.
 
     A frame longer than max_frame bytes is refused from its header, so
-    nothing of its payload is read or allocated.
+    nothing of its payload is read or allocated; see decode for accept.
     """
     header = stream.read(4)
     if header == b"":
@@ -541,7 +545,7 @@ def read_message(stream, max_frame=MAX_FRAME):
     payload = stream.read(size)
     if len(payload) != size:
         raise errors.MalformedFrame("truncated frame payload")
-    return decode(payload)
+    return decode(payload, accept)
 
 
 # ===== conversions to engine-level objects ===============================

@@ -65,12 +65,15 @@ class DisclosedDB:
     vector, the condensed inverse and the LDL^T factors of the inputs
     (L, D and the bias map M, which are functions of the inputs and the
     config alone); per-task responses, weights and inverses are
-    structurally absent.  The pool and the factors are views of the
-    server's buffers (or of a reader's copy of them, see
-    protocol.Seen): entries below n never change, and an engine seeded
-    from them copies before it appends, except where the right to
-    append to L in place was handed to it.  H may be a read-only view
-    (of a wire payload, say): an engine seeded from it copies it.
+    structurally absent.  That is the schema, not what it reveals: two
+    consecutive summaries reveal a task's first observation between
+    them, and H shows which inputs share a task (README, Privacy model).
+    The pool and the factors are views of the server's buffers (or of a
+    reader's copy of them, see protocol.Seen): entries below n never
+    change, and an engine seeded from them copies before it appends,
+    except where the right to append to L in place was handed to it.  H
+    may be a read-only view (of a wire payload, say): an engine seeded
+    from it copies it.
 
     ServerEngine.get_disclosed returns one that never changes: y_cond
     and H are copies.  ServerEngine.live_disclosed returns one whose
@@ -104,7 +107,7 @@ class TaskState:
 
 def shared_coefficients(y_cond, h_mat, factors, alpha):
     """The one shared solve: bias b, condensed coefficients a_cond and
-    q = H (y_cond + M b) from disclosed data.
+    q = H (y_cond + M b) from disclosed data or offline's batch build.
 
     b solves M^T (D - H) M b = M^T H y_cond; the condensed coefficients
     solve D L^T a = q - D M b; every task's coefficients read q (see

@@ -31,11 +31,23 @@ def test_readme_quick_tour_runs():
     assert isinstance(namespace["model"], mtfuse.ClientModel)
 
 
+def _scipy_modules_after(script):
+    # the scipy modules loaded once script has run in a fresh process
+    script = textwrap.dedent(script) + textwrap.dedent("""
+        import sys
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(mtfuse.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_serving_and_both_refreshes_load_no_scipy():
     # a daemon and its clients in one fresh process, over TCP: the engine's
     # BLAS is numpy's, and scipy is imported only where it is needed
-    script = textwrap.dedent("""
-        import sys
+    assert _scipy_modules_after("""
         import numpy as np
         from mtfuse import (BiasBasis, Client, InputPoint, KernelSpec, MixedEffectConfig,
                             PrivateData, ServerEngine, predict_client)
@@ -56,9 +68,22 @@ def test_serving_and_both_refreshes_load_no_scipy():
             srv.server_close()
         for model in (active, passive):
             assert np.isfinite(predict_client(model, cfg, points[2]))
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """)
-    src = os.path.dirname(os.path.dirname(mtfuse.__file__))
-    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         timeout=120, capture_output=True, text=True)
-    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+    """) == "[]\n"
+
+
+def test_offline_solve_with_a_bias_loads_no_scipy():
+    # the production offline solve and its predictions, with a constant
+    # bias: the bias is the engine's shared solve, and LU is the oracles' alone
+    assert _scipy_modules_after("""
+        import numpy as np
+        from mtfuse import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig
+        from mtfuse.offline import Dataset, predictions_grid, solve_condensed
+        cfg = MixedEffectConfig(alpha=0.5, lam=0.1, shared=KernelSpec.rbf_tags(),
+                                individual=KernelSpec.linear_tags(), bias=BiasBasis.constant())
+        points = [InputPoint(b"item-%d" % i, f / np.linalg.norm(f))
+                  for i, f in enumerate(np.random.default_rng(1).normal(size=(3, 4)))]
+        ds = Dataset([(0, points[0], 1.0, 1.0), (1, points[1], -0.5, 2.0),
+                      (1, points[0], 0.2, 1.0)])
+        grid = predictions_grid(solve_condensed(ds, cfg), cfg, [0, 1], points)
+        assert grid.shape == (2, 3) and np.all(np.isfinite(grid))
+    """) == "[]\n"

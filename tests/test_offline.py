@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import lu_factor, lu_solve
 
-from mtfuse.errors import InvalidInput, NonPositiveWeight, SingularSystem, UnknownTask
+from mtfuse.errors import (
+    DegenerateGram,
+    InvalidInput,
+    NonPositiveWeight,
+    SingularSystem,
+    UnknownTask,
+)
 from mtfuse.kernels import (
     InputPoint,
     KernelSpec,
@@ -282,6 +288,25 @@ class TestCondensed:
             got = [predict(coeffs, cfg, task, x) for x in xs]
             want = [oracle(x) for x in xs]
             assert rel_err(got, want) < 1e-8
+
+    def test_alpha_zero_builds_no_shared_factors(self):
+        # two keys with one feature vector: the shared rbf Gram is
+        # singular, so factors over the pool cannot be built.  At alpha = 0
+        # the shared kernel has no weight and the solve needs no factors;
+        # at alpha = 0.5 the factors refuse the second key
+        f = np.array([0.6, 0.8, 0.0])
+        twins = [InputPoint(b"a", f), InputPoint(b"b", f.copy())]
+        ds = Dataset([(0, twins[0], 1.0, 1.0), (1, twins[1], -0.5, 2.0),
+                      (0, twins[1], 0.3, 1.0)])
+        xs = twins + make_inputs(np.random.default_rng(22), 2, dim=3, prefix=b"p",
+                                 unit=True)
+        for d in (0, 1):
+            cfg = make_config(0.0, 0.1, d=d)
+            got = predictions_grid(solve_condensed(ds, cfg), cfg, ds.tasks, xs)
+            want = predictions_grid(solve_full_system(ds, cfg), cfg, ds.tasks, xs)
+            assert rel_err(got, want) < 1e-8
+            with pytest.raises(DegenerateGram):
+                solve_condensed(ds, make_config(0.5, 0.1, d=d))
 
     def test_agrees_with_oracle_and_independent_assembly(self):
         rng = np.random.default_rng(13)

@@ -1193,14 +1193,14 @@ class TestDaemon:
                 assert conn.submit(x, 1.0, 1.0).epoch == 1
 
     def test_undecodable_requests_answered_malformed(self):
-        bad_text = proto.encode(proto.Error(code=proto.ERR_INTERNAL, detail="ab"))
-        spec = KernelSpec.lookup([b"a", b"b"], [[2.0, 1.0], [1.0, 2.0]])
-        config = proto.encode(proto.Config(
-            alpha=0.5, lam=0.1, shared=spec, individual=spec,
-            bias_kind=BiasBasis.CONSTANT))
+        submit = proto.encode(proto.SubmitExample(task=0, token=b"t", key=b"k",
+                                                  features=np.ones(4), y=1.0, w=1.0))
         payloads = (
-            bad_text[:-2] + b"\xff\xfe",
-            config.replace(struct.pack("<I", 1) + b"b", struct.pack("<I", 1) + b"a"),
+            submit[:-3],  # cut short
+            proto.encode(proto.GetDisclosed(since=0)) + b"\0",  # a byte past its body
+            # a token longer than the payload
+            proto.encode(proto.GetTaskCoeffs(task=0, token=b"t", since=0)).replace(
+                struct.pack("<I", 1) + b"t", struct.pack("<I", 99) + b"t"),
         )
         cfg = make_config(0.5, 0.1, d=1)
         with daemon(cfg, {0: b"t"}) as (eng, srv):
@@ -1218,19 +1218,64 @@ class TestDaemon:
 
     def test_lookup_key_count_past_the_payload_refused_connection_kept(self):
         # a request-sized Config whose table claims 2**32 - 1 keys is
-        # refused before any key is read, and the daemon serves on
+        # refused from its tag, before any key is read, and the daemon
+        # serves on, on the same connection
         payload = _lookup_config_claiming(0xFFFFFFFF, daemon_mod.MAX_REQUEST_FRAME)
         cfg = make_config(0.5, 0.1, d=1)
         with daemon(cfg, {0: b"t"}) as (eng, srv):
-            with socket.create_connection(srv.address, timeout=10) as raw:
-                raw.sendall(struct.pack("<I", len(payload)) + payload)
-                reply = proto.read_message(raw.makefile("rb"))
-            assert isinstance(reply, proto.Error)
-            assert reply.code == proto.ERR_MALFORMED
-            assert "lookup table of 4294967295 keys" in reply.detail
             with RemoteServer(srv.address, task=0, token=b"t") as conn:
+                conn._wfile.write(struct.pack("<I", len(payload)) + payload)
+                conn._wfile.flush()
+                reply = proto.read_message(conn._rfile)
+                assert isinstance(reply, proto.Error)
+                assert (reply.code, reply.detail) == (proto.ERR_INTERNAL,
+                                                      "unexpected message Config")
                 x = make_inputs(np.random.default_rng(23), 1, unit=True)[0]
                 assert conn.submit(x, 1.0, 1.0).epoch == 1
+
+    def test_reply_only_types_refused_before_their_body(self, monkeypatch):
+        # each reply-only type, well formed or not, gets code 11 and
+        # "unexpected message <type>" from its tag alone: the daemon reads
+        # no body but the GetConfig's, and the connection serves on
+        read = []
+        read_body = proto._read_body
+
+        def spy(r, row):
+            read.append(row.cls)
+            return read_body(r, row)
+
+        monkeypatch.setattr(proto, "_read_body", spy)
+        spec = KernelSpec.lookup([b"a", b"b"], [[2.0, 1.0], [1.0, 2.0]])
+        config = proto.encode(proto.Config(alpha=0.5, lam=0.1, shared=spec, individual=spec,
+                                           bias_kind=BiasBasis.CONSTANT))
+        bad_text = proto.encode(proto.Error(code=proto.ERR_INTERNAL, detail="ab"))
+        cfg = make_config(0.5, 0.1, d=1)
+        with daemon(cfg, {0: b"t"}) as (eng, srv):
+            eng.receive_example(0, make_inputs(np.random.default_rng(24), 1, unit=True)[0],
+                                1.0, 1.0)
+            before = proto.save_snapshot(eng)
+            payloads = [proto.encode(m) for m in (
+                proto.config_to_message(cfg),
+                proto.disclosed_to_message(eng.get_disclosed()),
+                proto.task_coeffs_to_message(eng.task_coefficients(0)),
+                proto.Ack(epoch=1, case=CASE_NEW_INPUT),
+                proto.Error(code=proto.ERR_MALFORMED, detail="x"))]
+            payloads += [  # a duplicate lookup key, and text that is not utf-8
+                config.replace(struct.pack("<I", 1) + b"b", struct.pack("<I", 1) + b"a"),
+                bad_text[:-2] + b"\xff\xfe"]
+            with socket.create_connection(srv.address, timeout=10) as raw:
+                rfile = raw.makefile("rb")
+                for payload in payloads + [proto.encode(proto.GetConfig())]:
+                    raw.sendall(struct.pack("<I", len(payload)) + payload)
+                    (size,) = struct.unpack("<I", rfile.read(4))
+                    got = rfile.read(size)
+                    name = proto._ROW_OF_TAG[payload[1]].cls.__name__
+                    want = (proto.config_to_message(cfg) if name == "GetConfig" else
+                            proto.Error(code=proto.ERR_INTERNAL,
+                                        detail="unexpected message " + name))
+                    assert got == proto.encode(want), name
+            assert proto.save_snapshot(eng) == before
+        assert read == [proto.GetConfig]
 
     def test_oversized_request_refused_from_its_header(self):
         # the header alone is sent: a daemon that waited for the payload
