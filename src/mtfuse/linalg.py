@@ -141,9 +141,9 @@ class UnitLowerFactor:
         self._owner = True
 
     def rows(self, since=0):
-        """The stored entries of rows since..n-1, one view of this buffer
-        per row."""
-        return tuple(self._buf[_tri(i) : _tri(i) + i] for i in range(since, self.n))
+        """Rows since..n-1 as stored, each with its 0.0 slot: one view of
+        this buffer."""
+        return self._buf[_tri(since) : _tri(self.n)]
 
     def view(self, n=None):
         """The first n rows (all by default), sharing this buffer."""
@@ -176,17 +176,13 @@ class UnitLowerFactor:
         self._buf[_tri(self.n) : _tri(self.n) + self.n] = r
         self.n += 1
 
-    def append_rows(self, entries, count):
-        """Append count rows whose stored entries, row after row, are
-        entries (rows() joined), in the buffer that as many
-        append_row calls would have grown."""
+    def append_rows(self, stored, count):
+        """Append count rows stored as rows() gives them, in the buffer
+        that as many append_row calls would have grown."""
         n, end = self.n, self.n + count
-        entries = _as_vec(entries, _tri(end - 1) - _tri(n - 1))
+        stored = _as_vec(stored, _tri(end) - _tri(n))
         self._reserve(end)
-        at = 0
-        for i in range(n, end):
-            self._buf[_tri(i) : _tri(i) + i] = entries[at : at + i]
-            at += i
+        self._buf[_tri(n) : _tri(end)] = stored
         self.n = end
 
     def _solve(self, b, trans):
@@ -444,10 +440,9 @@ class FactorSet:
         self.D.append(beta)
 
     def append_rows(self, lower, d, m):
-        """Append the factor rows of len(d) more inputs: L's stored
-        entries row after row (see UnitLowerFactor.append_rows), D's
-        values and M's rows; counts that do not fit raise ValueError
-        with nothing appended."""
+        """Append the factor rows of len(d) more inputs: L's rows as
+        stored (see UnitLowerFactor.rows), D's values and M's rows;
+        counts that do not fit raise ValueError with nothing appended."""
         n, count = self.n, len(d)
         m = np.asarray(m, dtype=_F64).reshape(count, self.bias_dim)
         self.L.append_rows(lower, count)

@@ -26,8 +26,9 @@ and GetTaskCoeffs carry since, the number of inputs (factor rows, for
 GetDisclosed) the reader holds, and the reply carries since and the
 inputs from since on.  Disclosed is
     epoch u64, since u32, inputs[since:], y_cond (n f64), H (n(n+1)/2
-    f64, packed), then counted f64s: lower (the stored entries of L's
-    rows since..n-1 in turn), d (D's since..n-1), m (M's rows since..n-1)
+    f64, packed), then counted f64s: lower (L's rows since..n-1 as
+    stored, row i its i entries and then its diagonal slot, 0.0), d
+    (D's since..n-1), m (M's rows since..n-1)
 and TaskCoeffs is
     epoch u64, since u32, inputs[since:], b (counted f64s), a_cond
     (n f64), a (counted, l f64s), slots (l u32)
@@ -45,7 +46,7 @@ D features.  In those messages the one field inputs holds the
 kernels.Pool of the inputs sent.  The pool's arrays are written as they
 are, and decode into a pool with a fixed number of numpy calls plus one
 slice per key and the pool's key index.  A pool that lists a key twice
-is malformed.  This is wire version 4.
+is malformed.  This is wire version 5.
 
 Privacy: a TaskCoeffs reply tells its task nothing new.  Its inputs, b
 and a_cond are deterministic functions of the public Disclosed summary
@@ -58,7 +59,7 @@ anyone can rebuild bit for bit (linalg.FactorSet).  A request's since
 is the caller's own count of public inputs that it has read, so it
 tells the server nothing about the caller.
 
-Snapshot layout (version 4): the bodies of a SnapshotHead (magic
+Snapshot layout (version 5): the bodies of a SnapshotHead (magic
 ``MTLS``, u32 format version), a Config, a Disclosed with since = 0, a
 TaskCount and one TaskBlock per task, then a CRC-32 over all of them.
 """
@@ -94,8 +95,8 @@ from .server import (
 _F8, _U4 = np.dtype("<f8"), np.dtype("<u4")
 
 MAGIC = b"MTLS"
-WIRE_VERSION = 4
-SNAPSHOT_VERSION = 4
+WIRE_VERSION = 5
+SNAPSHOT_VERSION = 5
 MAX_FRAME = 1 << 30
 
 # error codes on the wire
@@ -214,18 +215,16 @@ _text = _Codec(lambda w, s: _write_bytes(w, s.encode("utf-8")), _read_text)
 
 def _f64s(count=None, copy=True):
     """An f64 array field: counted, or, given count, sized by count(got).
-    It is written from an array, or from a tuple of arrays in turn (L's
-    rows, see disclosed_to_message), each its own piece, so that the
-    final join copies each once and nothing joins them before it.  It
-    reads as an array of its own or, without copy, as a read-only view
-    of the payload, for a caller that copies it."""
+    It is written from one array, as its own piece, so that the final
+    join copies it once.  It reads as an array of its own or, without
+    copy, as a read-only view of the payload, for a caller that copies
+    it."""
 
     def write(w, arr):
-        pieces = arr if isinstance(arr, tuple) else (arr,)
+        arr = np.ascontiguousarray(arr, dtype=_F8)
         if count is None:
-            _u32.write(w, sum(map(len, pieces)))
-        for p in pieces:
-            w.append(np.ascontiguousarray(p, dtype=_F8))
+            _u32.write(w, len(arr))
+        w.append(arr)
 
     size = _u32.read if count is None else lambda r: count(r.got)
 
@@ -252,13 +251,6 @@ def _u32s(count=None):
 
 
 _counted_f64s = _f64s()
-
-
-def _joined(v):
-    # a tuple of f64 arrays, as an _f64s field writes it, as one array
-    if isinstance(v, tuple) and all(isinstance(p, np.ndarray) for p in v):
-        return np.concatenate((np.zeros(0, dtype=_F8),) + v)
-    return v
 
 
 def _tag(tags, what):
@@ -392,7 +384,6 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 
 
 def _values_equal(a, b):
-    a, b = _joined(a), _joined(b)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
     if isinstance(a, tuple) and isinstance(b, tuple):
@@ -560,9 +551,9 @@ def _tail(inputs, since):
 
 def disclosed_to_message(db, since=0):
     """The Disclosed message of db for a reader holding its first since
-    inputs and factor rows; it shares db's arrays, and holds L's rows
-    since..n-1 as a tuple of views, which encode writes in turn.  A
-    since past db's inputs is malformed."""
+    inputs and factor rows; it shares db's arrays, L's rows since..n-1
+    included (one view, see UnitLowerFactor.rows).  A since past db's
+    inputs is malformed."""
     tail, f = _tail(db.inputs, since), db.factors
     return Disclosed(db.epoch, since, tail, db.y_cond, db.H.packed,
                      f.L.rows(since), f.D.values[since:], f.M[since:].ravel())
@@ -584,13 +575,14 @@ class Seen:
     take O(1) and never change: the reader's next append goes past them.
 
     A reply must continue what is held: a Disclosed's factor rows start
-    at the rows held, and the inputs a reply repeats must be the ones
-    held.  A reply that does not fit is malformed, and leaves what is
-    held as it was.  The factor set takes its bias dimension from the
-    first reply that has rows.  A DisclosedDB is handed the right to
-    append to L in place (FactorSet.take), so that an engine seeded from
-    it appends without copying L; this set then copies its rows out when
-    it next grows, and never writes where such an engine has.
+    at the rows held, each diagonal slot of L is 0.0, and the inputs a
+    reply repeats must be the ones held.  A reply that does not fit is
+    malformed, and leaves what is held as it was.  The factor set takes
+    its bias dimension from the first reply that has rows.  A
+    DisclosedDB is handed the right to append to L in place
+    (FactorSet.take), so that an engine seeded from it appends without
+    copying L; this set then copies its rows out when it next grows, and
+    never writes where such an engine has.
     """
 
     def __init__(self):
@@ -600,16 +592,20 @@ class Seen:
     def disclosed(self, msg):
         """The DisclosedDB of msg, after appending its tail."""
         since, count, f = msg.since, len(msg.inputs), self.factors
-        n, lower = since + count, _joined(msg.lower)
+        n, lower = since + count, msg.lower
         if since != f.n:
             raise errors.MalformedFrame("factor rows from %d, but %d are held"
                                         % (since, f.n))
         if len(msg.d) != count:
             raise errors.MalformedFrame("factors of %d inputs, not %d"
                                         % (len(msg.d), count))
-        if len(lower) != _tri(n - 1) - _tri(since - 1):  # strict rows since..n-1
+        if len(lower) != _tri(n) - _tri(since):  # rows since..n-1 as stored
             raise errors.MalformedFrame("%d entries of L do not fit rows %d..%d"
                                         % (len(lower), since, n))
+        # each row's slot is 0.0, bit for bit, so that L has one encoding
+        slots = lower[_tri(np.arange(since + 1, n + 1)) - 1 - _tri(since)]
+        if slots.view(np.uint64).any():
+            raise errors.MalformedFrame("a diagonal slot of L is not 0.0")
         width = len(msg.m) // count if count else f.bias_dim
         if len(msg.m) != count * width:
             raise errors.MalformedFrame("%d entries of M are not a multiple of %d"

@@ -59,7 +59,8 @@ class TestContainers:
         for i in range(12):
             lf.append_row(rng.normal(size=i))
         for i in range(12):
-            assert lf.rows(i)[0].shape == (i,)
+            row = lf.rows(i)[: len(lf.rows(i)) - len(lf.rows(i + 1))]
+            assert row.shape == (i + 1,) and row[i] == 0.0  # i entries, then the slot
         dense = lf.dense()
         assert_allclose(np.diag(dense), 1.0)
         assert_allclose(np.triu(dense, 1), 0.0)
@@ -218,9 +219,10 @@ class TestLdlAppend:
             ldl_append(lf, d, gram[4, :4], gram[4, 4])
 
 
-def _entries(rows):
-    # the stored entries of rows, row after row
-    return np.concatenate((np.zeros(0),) + rows)
+def _stored(rows):
+    # rows as a UnitLowerFactor stores them: each row's entries, then
+    # its 0.0 diagonal slot
+    return np.concatenate([np.zeros(0)] + [np.append(r, 0.0) for r in rows])
 
 
 class TestSharedFactors:
@@ -235,8 +237,8 @@ class TestSharedFactors:
                 grown.append_row(rng.normal(size=i) / max(i, 1))
             for since in sorted({0, n // 3, n - 1 if n else 0, n}):
                 back = UnitLowerFactor()
-                back.append_rows(_entries(grown.view(since).rows()), since)
-                back.append_rows(_entries(grown.rows(since)), n - since)
+                back.append_rows(grown.view(since).rows(), since)
+                back.append_rows(grown.rows(since), n - since)
                 assert back.n == n and back._buf.shape == grown._buf.shape
                 assert back.dense().tobytes() == grown.dense().tobytes()
                 b = rng.normal(size=n)
@@ -246,21 +248,21 @@ class TestSharedFactors:
 
     def test_rows_that_do_not_fit_refused_with_nothing_appended(self):
         lf = UnitLowerFactor()
-        lf.append_rows(np.arange(3.0), 3)
+        lf.append_rows(_stored([[], [0.0], [1.0, 2.0]]), 3)
         with pytest.raises(ValueError):
-            lf.append_rows(np.ones(6), 2)  # rows 3 and 4 hold 7 entries
-        assert lf.n == 3 and [r.tolist() for r in lf.rows()] == [[], [0.0], [1.0, 2.0]]
-        assert [r.tolist() for r in lf.rows(2)] == [[1.0, 2.0]]
-        assert lf.rows(3) == ()
+            lf.append_rows(np.ones(8), 2)  # rows 3 and 4 hold 9 entries with slots
+        assert lf.n == 3 and lf.rows().tolist() == [0.0, 0.0, 0.0, 1.0, 2.0, 0.0]
+        assert lf.rows(2).tolist() == [1.0, 2.0, 0.0]
+        assert len(lf.rows(3)) == 0
 
     def test_rows_are_views_of_the_buffer(self):
-        # what encode writes in turn, with nothing joined before it
+        # what encode writes, as one piece, with nothing joined before it
         lf = UnitLowerFactor()
         for i in range(5):
             lf.append_row(np.arange(float(i)))
         rows = lf.rows(1)
-        assert [len(r) for r in rows] == [1, 2, 3, 4]
-        assert all(np.shares_memory(r, lf._buf) for r in rows)
+        assert rows.tolist() == _stored([np.arange(float(i)) for i in range(1, 5)]).tolist()
+        assert np.shares_memory(rows, lf._buf)
 
     def test_view_copies_before_appending(self):
         rng = np.random.default_rng(34)
@@ -282,7 +284,7 @@ class TestSharedFactors:
         # the rows its source appended past them
         rng = np.random.default_rng(37)
         lf = UnitLowerFactor()
-        lf.append_rows(rng.normal(size=300 * 299 // 2), 300)
+        lf.append_rows(_stored([rng.normal(size=i) for i in range(300)]), 300)
         view = lf.view(290)
         tracemalloc.start()
         try:
@@ -300,15 +302,15 @@ class TestSharedFactors:
     def test_take_passes_the_right_to_append_in_place(self):
         rng = np.random.default_rng(35)
         lf = UnitLowerFactor()
-        lf.append_rows(rng.normal(size=6), 4)
+        lf.append_rows(_stored([rng.normal(size=i) for i in range(4)]), 4)
         first = lf.take()
         first.append_row(rng.normal(size=4))
         assert np.shares_memory(first._buf, lf._buf)  # appended in place
-        row4 = first.rows(4)[0].copy()
+        row4 = first.rows(4).copy()
         second = lf.take()
         second.append_row(rng.normal(size=4))
         assert not np.shares_memory(second._buf, lf._buf)
-        assert first.rows(4)[0].tobytes() == row4.tobytes()
+        assert first.rows(4).tobytes() == row4.tobytes()
         assert lf.n == 4
 
     def test_factor_set_view_is_frozen(self):
@@ -379,14 +381,14 @@ class TestFactorSet:
                 grown.append(gram[i, :i], gram[i, i], [1.0])
             # a view's first append copies its rows out of grown's buffer
             copied = grown.view(n - 1)
-            copied.append_precomputed(grown.L.rows(n - 1)[0], grown.D.values[n - 1],
+            copied.append_precomputed(grown.L.rows(n - 1)[:-1], grown.D.values[n - 1],
                                       grown.M[n - 1])
             assert not np.shares_memory(copied.L._buf, grown.L._buf)
             rebuilt, reserved = FactorSet(bias_dim=1), FactorSet(bias_dim=1)
             reserved.L._reserve(2048)
             for i in range(n):
                 for other in (rebuilt, reserved):
-                    other.append_precomputed(grown.L.rows(i)[0], grown.D.values[i],
+                    other.append_precomputed(grown.L.rows(i)[:i], grown.D.values[i],
                                              grown.M[i])
             assert len(reserved.L._buf) == 2048 * 2049 // 2
             others = (copied, rebuilt, reserved)
@@ -459,9 +461,9 @@ _BLAS_VS_SCIPY = textwrap.dedent("""
         h.add_scaled_outer(-0.375, u)
         assert h.packed.tobytes() == blas.dspr(n, -0.375, u, ap, lower=0).tobytes()
         rows = [rng.normal(size=i) / n for i in range(n)]
-        f = UnitLowerFactor()
-        f.append_rows(np.concatenate(rows), n)
         lt = np.concatenate([np.append(r, 0.0) for r in rows])
+        f = UnitLowerFactor()
+        f.append_rows(lt, n)
         for solve, trans in ((f.solve_unit_lower, 1), (f.solve_unit_upper_t, 0)):
             want = blas.dtpsv(n, lt, x, trans=trans, diag=1)
             assert solve(x).tobytes() == want.tobytes()

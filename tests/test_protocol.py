@@ -47,7 +47,9 @@ from mtfuse.kernels import (
     KernelSpec,
     MixedEffectConfig,
     Pool,
+    eval_kernel,
 )
+from mtfuse.linalg import _tri
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -208,21 +210,22 @@ def _lookup_engine(rng, alpha):
 class TestGoldenBytes:
     """Message and snapshot bytes pinned by SHA-256.
 
-    Both were computed when reads began to send only the inputs and
-    factor rows past a since (wire and snapshot version 4).  Against
-    version 3, every message of another row kept its bytes apart from
-    the version byte, and each snapshot its bytes apart from the version
-    word, the since word after the epoch and the CRC; a codec change
-    that moves one byte of either format fails here.  The snapshot
-    digests also pin the engine's floating-point arithmetic (numpy 2.4,
-    OpenBLAS 0.3, x86-64).
+    Both were computed when L's rows began to travel as stored, each
+    with its 0.0 diagonal slot (wire and snapshot version 5).  Against
+    version 4, every message kept its bytes apart from the version byte,
+    and each snapshot its bytes apart from the version word, L's count
+    word, L's slots (8 zero bytes after each row) and the CRC.  Version
+    4 in turn kept version 3's bytes apart from the version, the since
+    word after the epoch and the CRC.  A codec change that moves one
+    byte of either format fails here.  The snapshot digests also pin the
+    engine's floating-point arithmetic (numpy 2.4, OpenBLAS 0.3, x86-64).
     """
 
-    MESSAGES = "fa8530f12ca861b3f695e52bafde17fe0ab7fa53bdc7d58151ee00ea51ec088d"
+    MESSAGES = "df39d653abac49b9ee16d79a8ad485ad9ba6c0ff9757fd3f49c0436efef5b48c"
     SNAPSHOTS = {
-        0.0: "717fe07f72cfb00f9bbfadf645828ba656a2d020aef6748c08560a805e058b40",
-        0.5: "385a628ab0cf8267387d30c35ed2e017a626297f490497ef54b1398c3f237ea5",
-        1.0: "661c144c01abd30f7636a7d54e246cd88837e53bc70c97d17f23fd2caf53987d",
+        0.0: "7ef7e409a0b8e5594e30e61350aad30e0019913ba8ed55ccfd344411faad2185",
+        0.5: "60d9582bd28bd1773443db92911321ec1dfd588048774808c5dbf2ce21cc2079",
+        1.0: "3584a9d50a45ae2900ae81ac40acc224faaf161a7c485c33540474c4cb50d024",
     }
 
     def test_message_bytes(self):
@@ -639,6 +642,70 @@ class TestSchemaPrivacy:
             assert struct.pack("<d", v) not in blob
 
 
+def _rated_engine(rng, n=24, tasks=6, per=5):
+    # n pooled inputs (8-dim, unit), each first rated by task i % tasks,
+    # then per more ratings by each task: a co-rating pattern about half
+    # full
+    eng = ServerEngine(make_config(0.5, 0.1, d=1))
+    xs = make_inputs(rng, n, dim=8, unit=True)
+    for i, x in enumerate(xs):
+        eng.receive_example(i % tasks, x, float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+    for t in range(tasks):
+        for s in rng.choice(n, per, replace=False):
+            eng.receive_example(t, xs[s], float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+    return eng
+
+
+class TestInformationPrivacy:
+    """What the public summaries reveal beyond their schema (README,
+    Privacy model), read from get_disclosed() and the config alone."""
+
+    def test_consecutive_summaries_reveal_a_first_observation(self):
+        # a new task's first observation (y, w) on the pooled input at
+        # slot s adds mu v to y_cond and alpha gamma v v^T to H^-1, with
+        # v = -L[s]^T, mu = -gamma y and 1/gamma = lam w + (1 - alpha)
+        # k_ind(x, x); s is the last entry that y_cond's change moves
+        rng = np.random.default_rng(71)
+        eng = _rated_engine(rng)
+        cfg = eng.get_config()
+        for k in range(20):
+            before = eng.get_disclosed()
+            slot = int(rng.integers(0, eng.n))
+            y = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            w = float(rng.uniform(0.5, 2.0))
+            eng.receive_example(100 + k, before.inputs[slot], y, w)
+            after = eng.get_disclosed()
+            dy = np.asarray(after.y_cond) - np.asarray(before.y_cond)
+            s = int(np.flatnonzero(dy)[-1])
+            assert s == slot
+            v = -after.factors.L.dense()[s]
+            dhinv = np.linalg.inv(after.H.to_dense()) - np.linalg.inv(before.H.to_dense())
+            vv = v @ v
+            gamma = (v @ dhinv @ v) / vv**2 / cfg.alpha
+            mu = (v @ dy) / vv
+            x = after.inputs[s]
+            k_ind = eval_kernel(cfg.individual, x, x)
+            got = (-mu / gamma, (1.0 / gamma - (1.0 - cfg.alpha) * k_ind) / cfg.lam)
+            np.testing.assert_allclose(got, (y, w), rtol=1e-9, atol=0)
+
+    def test_one_summary_shows_which_inputs_share_a_task(self):
+        # G = L^-T (H^-1 - D^-1) L^-1 / alpha is the sum of the task
+        # inverses, each over its task's slots: G is nonzero exactly on
+        # the private co-rating pattern
+        eng = _rated_engine(np.random.default_rng(72))
+        db, alpha = eng.get_disclosed(), eng.get_config().alpha
+        l_inv = np.linalg.inv(db.factors.L.dense())
+        h_inv = np.linalg.inv(db.H.to_dense())
+        g = l_inv.T @ (h_inv - np.diag(1.0 / db.factors.D.values)) @ l_inv / alpha
+        pattern = np.zeros(g.shape, dtype=bool)
+        for st in eng.tasks.values():
+            pattern[np.ix_(st.slots, st.slots)] = True
+        assert 0 < pattern.sum() < pattern.size
+        top = np.abs(g).max()
+        assert np.abs(g[~pattern]).max() <= 1e-10 * top
+        assert np.abs(g[pattern]).min() >= 1e-6 * top
+
+
 class TestDisclosedConversion:
     def test_round_trip_preserves_arrays(self):
         rng = np.random.default_rng(4)
@@ -711,9 +778,8 @@ class TestDisclosedConversion:
         msg = proto.disclosed_to_message(db)
         bad = (
             (replace(msg, d=msg.d[:-1]), "factors of 2 inputs, not 3"),
-            # L's rows are a tuple of views: its last row one entry short
-            (replace(msg, lower=msg.lower[:-1] + (msg.lower[-1][:-1],)),
-             "2 entries of L do not fit rows 0..3"),
+            # L's rows as stored, one entry short
+            (replace(msg, lower=msg.lower[:-1]), "5 entries of L do not fit rows 0..3"),
             (replace(msg, m=msg.m[:-1]), "2 entries of M are not a multiple of 3"),
         )
         for reply, match in bad:
@@ -751,6 +817,82 @@ class TestDisclosedConversion:
 
 def _with_crc(body):
     return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _snapshot_with_slot(value):
+    # a snapshot of three inputs whose L has value in row 1's diagonal slot
+    eng = ServerEngine(make_config(0.5, 0.1, d=1))
+    for t, x in enumerate(make_inputs(np.random.default_rng(48), 3, unit=True)):
+        eng.receive_example(t, x, 1.0, 1.0)
+    good, rows = proto.save_snapshot(eng), eng.factors.L.rows().tobytes()
+    at = good.index(rows) + 8 * (_tri(2) - 1)
+    assert good.count(rows) == 1 and good[at : at + 8] == bytes(8)
+    return _with_crc(good[:at] + struct.pack("<d", value) + good[at + 8 : -4])
+
+
+class TestStoredRowsOfL:
+    """L travels as it is stored: rows since..n-1, each with its 0.0
+    diagonal slot, one view of the buffer out and one copy in."""
+
+    def test_message_holds_one_view_of_the_rows_sent(self):
+        rng = np.random.default_rng(49)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(rng, 9, unit=True)):
+            eng.receive_example(t % 2, x, float(rng.normal()), 1.0)
+        db = eng.get_disclosed()
+        for since in (0, 4, 9):
+            lower = proto.disclosed_to_message(db, since).lower
+            assert isinstance(lower, np.ndarray) and lower.base is db.factors.L._buf
+            assert len(lower) == _tri(9) - _tri(since)
+            assert since == 9 or np.shares_memory(lower, db.factors.L._buf)
+
+    def test_reads_send_the_rows_past_since_with_zero_slots(self):
+        rng = np.random.default_rng(50)
+        xs = make_inputs(rng, 12, unit=True)
+        eng, seen = ServerEngine(make_config(0.5, 0.1, d=1)), proto.Seen()
+        for since, upto in ((0, 5), (5, 12)):
+            for t, x in enumerate(xs[since:upto]):
+                eng.receive_example(t % 3, x, float(rng.normal()), 1.0)
+            assert seen.factors.n == since
+            reply = _wire(proto.disclosed_to_message(eng.get_disclosed(), since))
+            assert reply.lower.tobytes() == eng.factors.L.rows(since).tobytes()
+            seen.disclosed(reply)
+            stored = seen.factors.L.rows()
+            assert seen.factors.n == upto
+            assert stored.tobytes() == eng.factors.L.rows().tobytes()
+            slots = stored[_tri(np.arange(1, upto + 1)) - 1]
+            assert not slots.view(np.uint64).any()  # 0.0, not -0.0
+
+    def test_nonzero_slot_refused_with_nothing_appended(self):
+        # one encoding per L: a slot of 1.0, -0.0 or NaN in the first or
+        # the last row sent, at a full or a delta read
+        rng = np.random.default_rng(51)
+        xs = make_inputs(rng, 6, unit=True)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(xs[:2]):
+            eng.receive_example(t, x, 1.0, 1.0)
+        held = proto.Seen()
+        held.disclosed(_wire(proto.disclosed_to_message(eng.get_disclosed())))
+        for t, x in enumerate(xs[2:]):
+            eng.receive_example(t, x, 1.0, 1.0)
+        for seen in (proto.Seen(), held):
+            since = seen.factors.n
+            good = proto.disclosed_to_message(eng.get_disclosed(), since)
+            before = _seen_bytes(seen) + (seen.factors.L.rows().tobytes(),)
+            for value in (1.0, -0.0, np.nan):
+                for at in (since, len(good.lower) - 1):  # a slot of the first and last row
+                    lower = good.lower.copy()
+                    lower[at] = value
+                    with pytest.raises(MalformedFrame, match="a diagonal slot of L is not 0.0"):
+                        seen.disclosed(_wire(replace(good, lower=lower)))
+                    assert _seen_bytes(seen) + (seen.factors.L.rows().tobytes(),) == before
+            seen.disclosed(_wire(good))
+            assert seen.factors.n == eng.n
+
+    def test_snapshot_with_nonzero_slot_refused(self):
+        with pytest.raises(MalformedFrame, match="a diagonal slot of L is not 0.0"):
+            proto.load_snapshot(_snapshot_with_slot(1.0))
+        assert proto.load_snapshot(_snapshot_with_slot(0.0)).n == 3
 
 
 class TestSnapshot:
@@ -1497,8 +1639,7 @@ class TestSinceDeltas:
             (proto.disclosed_to_message(eng.get_disclosed(), 3),
              "factor rows from 3, but 2 are held"),
             (replace(good, d=good.d[:-1]), "factors of 3 inputs, not 4"),
-            (replace(good, lower=good.lower[:-1] + (good.lower[-1][:-1],)),
-             "13 entries of L do not fit rows 2..6"),
+            (replace(good, lower=good.lower[:-1]), "17 entries of L do not fit rows 2..6"),
             (replace(good, m=good.m[:-1]), "3 entries of M are not a multiple of 4"),
             (replace(good, m=np.repeat(good.m, 2)), "rows of M with 2 entries, not 1"),
             (replace(good, inputs=pool_of(renamed, [x.features for x in xs[2:]])),
@@ -1582,7 +1723,7 @@ class TestDisclosedReplies:
             eng.receive_example(t % 2, x, float(rng.normal()), 1.0)
         for since in (0, 4, 9):
             msg = proto.disclosed_to_message(eng.get_disclosed(), since)
-            assert isinstance(msg.lower, tuple)
+            assert isinstance(msg.lower, np.ndarray)
             assert _wire(msg) == msg and msg == _wire(msg)
         # unencoded, as an in-process reader passes it
         head = proto.Seen().disclosed(proto.disclosed_to_message(eng.get_disclosed()))
@@ -1770,6 +1911,8 @@ class TestDaemonConfigFile:
             return b"XXXX" + good[4:]
         if case == "version":
             return b"MTLSgarbagegarbage"
+        if case == "slot":
+            return _snapshot_with_slot(1.0)
         if case == "crc":
             flipped = bytearray(good)
             flipped[len(good) // 2] ^= 0xFF
@@ -1777,7 +1920,7 @@ class TestDaemonConfigFile:
         body = good[:-4] + b"\x00"  # a trailing byte under a valid CRC
         return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
-    @pytest.mark.parametrize("case", ["bad-magic", "version", "crc", "malformed"])
+    @pytest.mark.parametrize("case", ["bad-magic", "version", "crc", "malformed", "slot"])
     def test_cli_serve_refuses_bad_snapshot(self, tmp_path, capsys, monkeypatch,
                                             case):
         snap = tmp_path / "engine.snap"
@@ -1818,6 +1961,10 @@ class TestDaemonConfigFile:
         # version 3 wrote the factors as a body of their own, after a
         # Disclosed body without since
         self._refuses_snapshot_version(3, tmp_path, capsys, monkeypatch)
+
+    def test_cli_serve_refuses_version_4_snapshot(self, tmp_path, capsys, monkeypatch):
+        # version 4 wrote L's rows without their diagonal slots
+        self._refuses_snapshot_version(4, tmp_path, capsys, monkeypatch)
 
     def test_failed_snapshot_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(18)
