@@ -386,8 +386,6 @@ _inputs = _Codec(_write_inputs, _read_inputs)
 def _values_equal(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(map(_values_equal, a, b))
     return a == b
 
 

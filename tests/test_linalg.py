@@ -272,9 +272,9 @@ class TestSharedFactors:
         view = lf.view(3)
         assert view.n == 3 and np.shares_memory(view._buf, lf._buf)
         assert view.dense().tobytes() == lf.dense()[:3, :3].tobytes()
-        row3 = lf.rows(3)[0].copy()
+        row3 = lf.rows(3)[:4].copy()  # row 3's three entries and its slot
         view.append_row(rng.normal(size=3))
-        assert lf.rows(3)[0].tobytes() == row3.tobytes()
+        assert lf.rows(3)[:4].tobytes() == row3.tobytes()
         assert not np.shares_memory(view._buf, lf._buf)
         assert view._buf.shape == lf._buf.shape  # the same capacity
 
@@ -329,9 +329,9 @@ class TestSharedFactors:
         assert view.D.values.tobytes() == d.tobytes()
         assert view.M.tobytes() == m.tobytes()
         # the view's own append leaves the set's fifth row alone
-        row4 = (fs.L.rows(4)[0].copy(), fs.D.values[4], fs.M[4].copy())
+        row4 = (fs.L.rows(4)[:5].copy(), fs.D.values[4], fs.M[4].copy())
         view.append(gram[5, :4], gram[5, 5], np.ones(1))
-        assert fs.L.rows(4)[0].tobytes() == row4[0].tobytes()
+        assert fs.L.rows(4)[:5].tobytes() == row4[0].tobytes()
         assert fs.D.values[4] == row4[1] and fs.M[4].tobytes() == row4[2].tobytes()
 
 

@@ -889,11 +889,6 @@ class TestStoredRowsOfL:
             seen.disclosed(_wire(good))
             assert seen.factors.n == eng.n
 
-    def test_snapshot_with_nonzero_slot_refused(self):
-        with pytest.raises(MalformedFrame, match="a diagonal slot of L is not 0.0"):
-            proto.load_snapshot(_snapshot_with_slot(1.0))
-        assert proto.load_snapshot(_snapshot_with_slot(0.0)).n == 3
-
 
 class TestSnapshot:
     def test_empty_round_trip(self):
@@ -1933,7 +1928,10 @@ class TestDaemonConfigFile:
         monkeypatch.setattr(daemon_mod.DaemonServer, "serve_forever",
                             lambda self, *a, **k: None)
         assert cli.main(["serve", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: %s: " % snap)
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % snap)
+        if case == "slot":  # load_snapshot's MalformedFrame, as Seen.disclosed's
+            assert err == "error: %s: a diagonal slot of L is not 0.0\n" % snap
         assert snap.read_bytes() == blob
 
     def _refuses_snapshot_version(self, version, tmp_path, capsys, monkeypatch):
