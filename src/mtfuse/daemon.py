@@ -1,16 +1,18 @@
 """TCP daemon around a ServerEngine, plus the matching client proxy.
 
 One mutex serializes every engine access: submissions apply in arrival
-order, and a read is encoded under the lock and written outside it.  A
-Disclosed reply is encoded straight from the engine's live arrays
-(ServerEngine.live_disclosed): y_cond, the packed H, the pool's tail and
-L's rows since the reader's count, each copied once, into the reply's
-frame.  So a read holds the lock for one copy of H, and a connection's first
-read for one copy of L's rows as well.  A read sends only the part of
+order, and a read takes its reply's data under the lock and writes it
+outside it.  A Disclosed reply holds the engine's own arrays
+(ServerEngine.get_disclosed): the pool's tail, L's rows since the
+reader's count and H, which the engine lends copy on write, with only
+y_cond (8n bytes) copied; the reply is written as its pieces, each
+array as it is, and dropped once written, so that a commit copies H
+only while a reply is being written.  A read sends only the part of
 the pool and the factors that the reader lacks (see protocol.Seen).  A
 transport failure can only lose a response, never corrupt engine state,
 because the engine finishes (or rejects) an update before any reply
-bytes are written.
+bytes are written.  A snapshot is written as its pieces, and loaded
+field by field from its file after one pass over it for its CRC.
 """
 
 import hmac
@@ -101,8 +103,8 @@ def load_daemon_config(path):
 class _Handler(socketserver.StreamRequestHandler):
     def setup(self):
         super().setup()
-        # a reply is one write, but a large one spans many segments:
-        # send its last, short one at once, without waiting for the
+        # a reply is a few writes, and a large one spans many segments:
+        # send each last, short one at once, without waiting for the
         # client to acknowledge the ones before it
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -113,19 +115,21 @@ class _Handler(socketserver.StreamRequestHandler):
                 msg = proto.read_message(self.rfile, MAX_REQUEST_FRAME, REQUESTS)
                 if msg is None:
                     return
-                frame = self.server.dispatch(msg)
+                reply = self.server.dispatch(msg)
             except ProtocolError as exc:
                 # a frame that could not be read leaves the stream lost, but
                 # a refused type was read whole: after it the connection serves on
                 serving = isinstance(exc, UnexpectedMessage)
-                err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
-                frame = proto.encode(err, framed=True)
+                reply = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
             except OSError:
                 return
             try:
-                proto.write_frame(self.wfile, frame)
+                proto.write_message(self.wfile, reply)
             except OSError:
                 return
+            # a Disclosed reply holds H as lent: while it lives, every
+            # commit would copy H
+            reply = None
 
 
 class DaemonServer(socketserver.ThreadingTCPServer):
@@ -146,7 +150,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
         return bool(expected) and hmac.compare_digest(expected, token)
 
     def dispatch(self, msg):
-        """The reply to msg, one of REQUESTS, encoded as its frame."""
+        """The reply to msg, one of REQUESTS."""
         try:
             if isinstance(msg, proto.SubmitExample):
                 if not self._authorized(msg.task, msg.token):
@@ -156,11 +160,9 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                     receipt = self.engine.receive_example(msg.task, x, msg.y, msg.w)
                 reply = proto.Ack(epoch=receipt.epoch, case=receipt.case)
             elif isinstance(msg, proto.GetDisclosed):
-                # the next commit patches the live arrays: the frame is
-                # their one copy, made before the lock is released
                 with self.lock:
-                    db = self.engine.live_disclosed()
-                    return proto.encode(proto.disclosed_to_message(db, msg.since), framed=True)
+                    db = self.engine.get_disclosed()
+                reply = proto.disclosed_to_message(db, msg.since)
             elif isinstance(msg, proto.GetTaskCoeffs):
                 if not self._authorized(msg.task, msg.token):
                     raise Unauthorized("bad token for task %d" % msg.task)
@@ -169,7 +171,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 reply = proto.task_coeffs_to_message(model, msg.since)
             else:  # GetConfig
                 reply = proto.config_to_message(self.engine.get_config())
-            return proto.encode(reply, framed=True)
+            return reply
         except (EngineError, ValueError, TypeError) as exc:
             err = proto.Error(code=proto.exception_to_code(exc), detail=str(exc))
         except Exception as exc:
@@ -180,7 +182,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
                 code=proto.ERR_INTERNAL,
                 detail="internal error: %s: %s" % (type(exc).__name__, exc),
             )
-        return proto.encode(err, framed=True)
+        return err
 
     @property
     def address(self):
@@ -211,17 +213,18 @@ def start_server(engine, address, tokens):
 def write_snapshot(path, engine):
     """Replace the snapshot file at path with the engine's state.
 
-    The bytes go to a temporary file in the same directory, which is
-    flushed, fsync'd and then renamed over path, and the directory is
-    fsync'd after the rename: a failure or a crash at any point leaves
-    the previous snapshot whole, and once this returns the new one stays.
+    The bytes go, as their pieces, to a temporary file in the same
+    directory, which is flushed, fsync'd and then renamed over path, and
+    the directory is fsync'd after the rename: a failure or a crash at
+    any point leaves the previous snapshot whole, and once this returns
+    the new one stays.
     """
     folder = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
                                dir=folder)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(proto.save_snapshot(engine))
+            proto.save_snapshot_to(fh, engine)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -238,14 +241,15 @@ def write_snapshot(path, engine):
 def serve(daemon_config):
     """Run the daemon from a DaemonConfig until interrupted.
 
-    Loads the snapshot file when one exists, saves it back on shutdown
-    (atomically, see write_snapshot).
+    Loads the snapshot file when one exists, field by field from the
+    open file (protocol.load_snapshot_from), and saves it back on
+    shutdown (atomically, see write_snapshot).
     """
     path = daemon_config.snapshot_path
     if path and os.path.exists(path):
         try:
             with open(path, "rb") as fh:
-                engine = proto.load_snapshot(fh.read())
+                engine = proto.load_snapshot_from(fh)
         except ProtocolError as exc:
             raise type(exc)("%s: %s" % (path, exc)) from None
         if proto.config_to_message(engine.cfg) != proto.config_to_message(daemon_config.cfg):

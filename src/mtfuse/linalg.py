@@ -9,6 +9,7 @@ than O(n) amortized.
 """
 
 import ctypes
+import weakref
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -236,13 +237,22 @@ class SymMatrix:
     Row-major packed rows coincide with BLAS upper-packed column-major
     order, so dspmv/dspr run directly on the buffer.  Symmetry is
     structural: there is no second copy of any off-diagonal entry.
+
+    The packed triangle is lent, never handed out writable: packed is a
+    read-only array over the buffer, made with np.frombuffer so that
+    every slice of it keeps it alive, and held here by a weak reference.
+    While any lent array lives, add_scaled_outer first moves the matrix
+    to a copy of its buffer (copy on write), so a lent array never
+    changes; a border append writes past every lent array and copies
+    nothing.
     """
 
-    __slots__ = ("_buf", "n")
+    __slots__ = ("_buf", "n", "_lent")
 
     def __init__(self):
         self._buf = np.zeros(8, dtype=_F64)
         self.n = 0
+        self._lent = []  # weak references to the arrays lent over _buf
 
     @classmethod
     def from_dense(cls, a):
@@ -265,7 +275,18 @@ class SymMatrix:
 
     @property
     def packed(self):
-        return self._buf[: _tri(self.n)]
+        """The packed lower triangle, lent: a read-only array that never
+        changes.  Reads between two writes share one."""
+        size = _tri(self.n)
+        lent = self._lent[-1]() if self._lent else None
+        if lent is None or len(lent) != size:
+            # over a memoryview, not the buffer itself: a slice of a
+            # view of the buffer would keep only the buffer alive
+            lent = np.frombuffer(memoryview(self._buf), dtype=_F64, count=size)
+            lent.flags.writeable = False
+            self._lent = [ref for ref in self._lent if ref() is not None]
+            self._lent.append(weakref.ref(lent))
+        return lent
 
     def entry(self, i, j):
         if j > i:
@@ -290,44 +311,52 @@ class SymMatrix:
         return y
 
     def add_scaled_outer(self, alpha, u):
-        # self += alpha * u u^T, in place on the packed buffer; a matrix
-        # over a read-only buffer is refused with nothing written
-        n, buf = self.n, self._buf
+        # self += alpha * u u^T, in place on the packed buffer, or on a
+        # copy of it while an array lent over it lives; a matrix over a
+        # read-only buffer is refused with nothing written
+        n = self.n
         u = _as_vec(u, n)
-        if not buf.flags.writeable:
+        if not self._buf.flags.writeable:
             raise ValueError("the matrix's packed buffer is read-only")
+        if any(ref() is not None for ref in self._lent):
+            buf = np.zeros(len(self._buf), dtype=_F64)
+            buf[: _tri(n)] = self._buf[: _tri(n)]
+            self._buf = buf
+        self._lent = []
         if n:
-            _dspr(_COL_MAJOR, _UPPER, n, alpha, _addr(u), 1, _addr(buf))
+            _dspr(_COL_MAJOR, _UPPER, n, alpha, _addr(u), 1, _addr(self._buf))
 
     def append_border_row(self, row):
         # grow to order n+1 with a new last row/column
         n = self.n
         row = _as_vec(row, n + 1)
         size = _tri(n)
-        self._buf = _grown(self._buf, size + n + 1)
-        self._buf[size : size + n + 1] = row
+        buf = _grown(self._buf, size + n + 1)
+        if buf is not self._buf:  # the lent arrays keep the old buffer
+            self._buf, self._lent = buf, []
+        buf[size : size + n + 1] = row
         self.n = n + 1
 
     def to_dense(self):
         n = self.n
         out = np.zeros((n, n), dtype=_F64)
-        out[np.tril_indices(n)] = self.packed
+        out[np.tril_indices(n)] = self._buf[: _tri(n)]
         return out + np.tril(out, -1).T
 
     def copy(self):
         # with the capacity appends would have grown, so that the copy's
         # own first append does not copy it again
         out = SymMatrix()
-        size = len(self.packed)
-        out._buf = _grown(out._buf, size)
-        out._buf[:size] = self.packed
+        out._buf = _grown(out._buf, _tri(self.n))
+        out._buf[: _tri(self.n)] = self._buf[: _tri(self.n)]
         out.n = self.n
         return out
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.packed, other.packed)
+        size = _tri(self.n)
+        return self.n == other.n and np.array_equal(self._buf[:size], other._buf[:size])
 
     def __hash__(self):  # pragma: no cover
         return object.__hash__(self)

@@ -15,10 +15,14 @@ decode cannot turn into a message raises MalformedFrame.
 
 An array field is counted, its u32 element count first, or sized: its
 count follows from the fields before it, and it has none of its own.
-An f64 field reads as an array of its own, but H, lower, d and m of a
-Disclosed and y, w and R of a TaskBlock read as read-only views of the
-payload, which their reader copies.  A u32 field reads as a tuple of
-ints.
+An f64 field reads as an array of its own, a u32 field as a tuple of
+ints.  A record is read field by field from a binary stream, each array
+straight into its own array, within a byte budget: a count that claims
+more than the frame or the file has left is malformed before anything
+is allocated, so neither a frame nor a snapshot is ever held whole.  A
+message is written as its pieces: runs of small fields joined, and each
+array of _RUN bytes or more as it is, so that a reply is written from
+the server's own arrays, with no second copy of them.
 
 The server's pool of inputs and its LDL^T factor rows are append-only
 in server order, so a read sends only what the reader lacks: GetDisclosed
@@ -64,6 +68,7 @@ Snapshot layout (version 5): the bodies of a SnapshotHead (magic
 TaskCount and one TaskBlock per task, then a CRC-32 over all of them.
 """
 
+import io
 import struct
 import zlib
 from dataclasses import fields, make_dataclass
@@ -146,9 +151,10 @@ def raise_for_error(msg):
 # ===== field codecs ======================================================
 #
 # A codec is one kind of wire field: write(w, value) appends the value's
-# bytes to the list w, and read(r) returns the next value.  While a
-# message is read, r.got holds its fields read so far, so that an array
-# can take its element count from an earlier field.
+# bytes to the list w, an array's as a byte view of it (_piece), and
+# read(r) returns the next value.  While a message is read, r.got holds
+# its fields read so far, so that an array can take its element count
+# from an earlier field.
 
 
 class _Codec(NamedTuple):
@@ -156,27 +162,57 @@ class _Codec(NamedTuple):
     read: Callable
 
 
+# an array of this many bytes or more is written as its own piece, and
+# smaller pieces are joined into runs of about this size; a frame is
+# skipped and a snapshot's CRC taken in reads of this size
+_RUN = 1 << 16
+
+
 class _Reader:
-    def __init__(self, data):
-        # slices of a view copy nothing: a field copies an array at most once
-        self.data = memoryview(data)
-        self.pos = 0
+    """Reads records from a binary stream, at most left bytes of it: a
+    field past them is malformed, and so is a stream that ends before
+    them."""
+
+    def __init__(self, stream, left):
+        self.stream = stream
+        self.left = left
         self.got = None
 
-    def take(self, n):
-        if n < 0 or self.pos + n > len(self.data):
+    def _budget(self, n):
+        if not 0 <= n <= self.left:
             raise errors.MalformedFrame("truncated payload")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+
+    def take(self, n):
+        """The next n bytes."""
+        self._budget(n)
+        out = self.stream.read(n)
+        self.left -= len(out)
+        if len(out) != n:
+            raise errors.MalformedFrame("truncated frame payload")
         return out
 
     def values(self, dtype, count):
-        """A read-only view of the next count values of dtype."""
-        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
+        """The next count values of dtype, read into an array of their own."""
+        self._budget(dtype.itemsize * count)
+        out = np.empty(count, dtype=dtype)
+        view = memoryview(out).cast("B")
+        while len(view):
+            got = self.stream.readinto(view)
+            if not got:
+                raise errors.MalformedFrame("truncated frame payload")
+            self.left -= got
+            view = view[got:]
+        return out
+
+    def skip(self):
+        """Read the rest, to its end or the stream's: one cut short is
+        malformed, whatever its fields said."""
+        while self.left:
+            self.take(min(self.left, _RUN))
 
     def done(self):
-        if self.pos != len(self.data):
-            raise errors.MalformedFrame("%d trailing bytes" % (len(self.data) - self.pos))
+        if self.left:
+            raise errors.MalformedFrame("%d trailing bytes" % self.left)
 
 
 def _fixed(fmt):
@@ -194,10 +230,7 @@ def _write_bytes(w, b):
 
 
 def _read_bytes(r):
-    n = _u32.read(r)
-    if n > MAX_FRAME:
-        raise errors.MalformedFrame("byte string too long")
-    return bytes(r.take(n))
+    return r.take(_u32.read(r))
 
 
 _bytes = _Codec(_write_bytes, _read_bytes)
@@ -213,29 +246,24 @@ def _read_text(r):
 _text = _Codec(lambda w, s: _write_bytes(w, s.encode("utf-8")), _read_text)
 
 
-def _f64s(count=None, copy=True):
+def _piece(values, dtype):
+    # the bytes of values as an array of dtype: a view of values when
+    # they are one already
+    return memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
+
+
+def _f64s(count=None):
     """An f64 array field: counted, or, given count, sized by count(got).
-    It is written from one array, as its own piece, so that the final
-    join copies it once.  It reads as an array of its own or, without
-    copy, as a read-only view of the payload, for a caller that copies
-    it."""
+    It is written from one array, as its own piece, and read into an
+    array of its own."""
 
     def write(w, arr):
-        arr = np.ascontiguousarray(arr, dtype=_F8)
         if count is None:
             _u32.write(w, len(arr))
-        w.append(arr)
+        w.append(_piece(arr, _F8))
 
     size = _u32.read if count is None else lambda r: count(r.got)
-
-    def read(r):
-        n = size(r)
-        if n > MAX_FRAME // 8:
-            raise errors.MalformedFrame("array too long")
-        out = r.values(_F8, n)
-        return out.copy() if copy else out
-
-    return _Codec(write, read)
+    return _Codec(write, lambda r: r.values(_F8, size(r)))
 
 
 def _u32s(count=None):
@@ -244,7 +272,7 @@ def _u32s(count=None):
     def write(w, values):
         if count is None:
             _u32.write(w, len(values))
-        w.append(np.asarray(values, dtype=_U4))
+        w.append(_piece(values, _U4))
 
     size = _u32.read if count is None else lambda r: count(r.got)
     return _Codec(write, lambda r: tuple(r.values(_U4, size(r)).tolist()))
@@ -322,7 +350,7 @@ def _write_kernel(w, spec):
         _u32.write(w, len(keys))
         for k in keys:
             _write_bytes(w, k)
-        w.append(SymMatrix.from_dense(spec.table.matrix).packed)
+        w.append(_piece(SymMatrix.from_dense(spec.table.matrix).packed, _F8))
 
 
 def _read_kernel(r):
@@ -330,10 +358,10 @@ def _read_kernel(r):
     if name != LOOKUP:
         return kernel_from_name(name)
     n = _u32.read(r)
-    if 4 * n + 8 * _tri(n) > len(r.data) - r.pos:  # its keys' lengths and table
+    if 4 * n + 8 * _tri(n) > r.left:  # its keys' lengths and table
         raise errors.MalformedFrame("lookup table of %d keys past the payload" % n)
     keys = [_read_bytes(r) for _ in range(n)]
-    packed = r.values(_F8, _tri(n))  # a view: to_dense copies it
+    packed = r.values(_F8, _tri(n))
     try:
         return KernelSpec.lookup(keys, SymMatrix.from_packed(packed, n).to_dense())
     except ValueError as exc:  # a repeated key, or a NaN that breaks symmetry
@@ -350,16 +378,16 @@ _NO_FEATURES = 0xFFFFFFFF
 def _write_inputs(w, pool):
     keys, lengths = pool.keys, pool.lengths
     _u32.write(w, len(keys))
-    w.append(np.fromiter(map(len, keys), dtype=_U4, count=len(keys)))
+    w.append(_piece(np.fromiter(map(len, keys), dtype=_U4, count=len(keys)), _U4))
     w.append(b"".join(keys))
-    w.append(np.where(lengths < 0, _NO_FEATURES, lengths).astype(_U4))
+    w.append(_piece(np.where(lengths < 0, _NO_FEATURES, lengths), _U4))
     _counted_f64s.write(w, pool.values)
 
 
 def _read_inputs(r):
     n = _u32.read(r)
     ends = np.cumsum(r.values(_U4, n), dtype=np.int64).tolist()
-    blob = bytes(r.take(ends[-1] if n else 0))
+    blob = r.take(ends[-1] if n else 0)
     keys = tuple(map(blob.__getitem__, map(slice, [0] + ends[:-1], ends)))
     lengths = r.values(_U4, n).astype(np.int64)
     lengths[lengths == _NO_FEATURES] = -1
@@ -436,14 +464,13 @@ Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
                      ("inputs", _inputs), ("y_cond", _f64s(_n_inputs)),
-                     ("h_packed", _f64s(lambda got: _tri(_n_inputs(got)), copy=False)),
-                     ("lower", _f64s(copy=False)), ("d", _f64s(copy=False)),
-                     ("m", _f64s(copy=False)))
+                     ("h_packed", _f64s(lambda got: _tri(_n_inputs(got)))),
+                     ("lower", _counted_f64s), ("d", _counted_f64s), ("m", _counted_f64s))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
                          ("since", _u32))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
-                      ("inputs", _inputs), ("b", _f64s()),
-                      ("a_cond", _f64s(_n_inputs)), ("a", _f64s()),
+                      ("inputs", _inputs), ("b", _counted_f64s),
+                      ("a_cond", _f64s(_n_inputs)), ("a", _counted_f64s),
                       ("slots", _u32s(lambda got: len(got["a"]))))
 GetConfig = _message(7, "GetConfig")
 Config = _message(8, "Config", ("alpha", _f64), ("lam", _f64), ("shared", _kernel),
@@ -469,27 +496,42 @@ def _read_body(r, row):
 # ===== message encode/decode =============================================
 
 
-def encode(msg, framed=False):
-    """Canonical bytes for one message; framed, its frame: the u32
-    length of those bytes, then the bytes, joined from the message's
-    pieces in one copy."""
+def _pieces(msg):
+    # the message's bytes as pieces: the version and tag, then its body
     row = _ROW_OF_CLASS.get(type(msg))
     if row is None:
         raise TypeError("cannot encode %r" % type(msg).__name__)
     w = [bytes((WIRE_VERSION, row.tag))]
     _write_body(w, row, msg)
-    if framed:  # the length goes in front once the pieces are joined
-        frame = bytearray().join([bytes(4)] + w)
-        struct.pack_into("<I", frame, 0, len(frame) - 4)
-        return frame
-    return b"".join(w)
+    return w
 
 
-def decode(data, accept=None):
-    """Parse one message; raises MalformedFrame / UnsupportedVersion.
-    With accept, the message classes the reader takes, one of another
-    type raises UnexpectedMessage before its body is read."""
-    r = _Reader(bytes(data))
+def _write_pieces(stream, pieces):
+    """Write pieces to stream: each of _RUN bytes or more as it is, the
+    rest joined into runs of about _RUN bytes."""
+    run, size = [], 0
+    for piece in pieces:
+        if len(piece) >= _RUN:
+            if run:
+                stream.write(b"".join(run))
+                run, size = [], 0
+            stream.write(piece)
+            continue
+        run.append(piece)
+        size += len(piece)
+        if size >= _RUN:
+            stream.write(b"".join(run))
+            run, size = [], 0
+    if run:
+        stream.write(b"".join(run))
+
+
+def encode(msg):
+    """Canonical bytes for one message, joined from its pieces."""
+    return b"".join(_pieces(msg))
+
+
+def _decode(r, accept):
     version = _u8.read(r)
     if version != WIRE_VERSION:
         raise errors.UnsupportedVersion("wire version %d" % version)
@@ -504,16 +546,28 @@ def decode(data, accept=None):
     return msg
 
 
+def decode(data, accept=None):
+    """Parse one message from its bytes, through the reader that
+    read_message runs on a stream; raises MalformedFrame /
+    UnsupportedVersion.  With accept, the message classes the reader
+    takes, one of another type raises UnexpectedMessage before its body
+    is read."""
+    return _decode(_Reader(io.BytesIO(data), len(data)), accept)
+
+
 # ===== stream framing ====================================================
 
 
 def write_message(stream, msg):
-    write_frame(stream, encode(msg, framed=True))
-
-
-def write_frame(stream, frame):
-    """Write one frame (a message encoded framed) in one write."""
-    stream.write(frame)
+    """Write msg's frame, the u32 length of its bytes and then the
+    bytes, as its pieces (see _write_pieces), and flush."""
+    w = _pieces(msg)
+    size = sum(map(len, w))
+    w.insert(0, struct.pack("<I", size))
+    if size < _RUN:  # one write, as _write_pieces would make it
+        stream.write(b"".join(w))
+    else:
+        _write_pieces(stream, w)
     stream.flush()
 
 
@@ -521,7 +575,11 @@ def read_message(stream, max_frame=MAX_FRAME, accept=None):
     """Next message from a stream, or None on clean end-of-stream.
 
     A frame longer than max_frame bytes is refused from its header, so
-    nothing of its payload is read or allocated; see decode for accept.
+    nothing of its payload is read or allocated.  The payload is decoded
+    straight from the stream (see decode for accept); a frame refused
+    for its content is first read to its end, so that a stream that
+    ends before it raises MalformedFrame, and a refused type leaves the
+    stream at the next frame.
     """
     header = stream.read(4)
     if header == b"":
@@ -531,10 +589,12 @@ def read_message(stream, max_frame=MAX_FRAME, accept=None):
     (size,) = struct.unpack("<I", header)
     if size > max_frame:
         raise errors.MalformedFrame("frame too large (%d bytes)" % size)
-    payload = stream.read(size)
-    if len(payload) != size:
-        raise errors.MalformedFrame("truncated frame payload")
-    return decode(payload, accept)
+    r = _Reader(stream, size)
+    try:
+        return _decode(r, accept)
+    except errors.ProtocolError:
+        r.skip()
+        raise
 
 
 # ===== conversions to engine-level objects ===============================
@@ -616,7 +676,7 @@ class Seen:
         inputs = self._inputs(msg)
         f.append_rows(lower, msg.d, msg.m)
         self.factors = f
-        msg.y_cond.flags.writeable = False
+        msg.y_cond.flags.writeable = msg.h_packed.flags.writeable = False
         return DisclosedDB(inputs=inputs, y_cond=msg.y_cond,
                            H=SymMatrix.from_packed(msg.h_packed, n), epoch=msg.epoch,
                            factors=f.take())
@@ -673,27 +733,36 @@ def _ell(got):
     return len(got["slots"])
 
 
-_TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s()),
-                   ("y", _f64s(_ell, copy=False)), ("w", _f64s(_ell, copy=False)),
-                   ("r_packed", _f64s(lambda got: _tri(_ell(got)), copy=False)))
+_TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s()), ("y", _f64s(_ell)),
+                   ("w", _f64s(_ell)), ("r_packed", _f64s(lambda got: _tri(_ell(got)))))
 
 
-def save_snapshot(engine):
-    """Serialize full server state; bit-exact under load + save."""
+def _snapshot_pieces(engine):
+    # the snapshot's bytes as pieces, its CRC, over all the others, last
     w = []
     _write_body(w, _HEAD, _HEAD.cls(MAGIC, SNAPSHOT_VERSION))
     _write_body(w, _CONFIG, config_to_message(engine.cfg))
-    _write_body(w, _DISCLOSED, disclosed_to_message(engine.live_disclosed()))
+    _write_body(w, _DISCLOSED, disclosed_to_message(engine.get_disclosed()))
     _write_body(w, _TASK_COUNT, _TASK_COUNT.cls(len(engine.tasks)))
     for task, st in engine.tasks.items():
         _write_body(w, _TASK_BLOCK, _TASK_BLOCK.cls(task, st.slots, st.y.values,
                                                      st.w.values, st.R.packed))
-    # the CRC runs over the pieces, so that the body is joined once
     crc = 0
     for piece in w:
         crc = zlib.crc32(piece, crc)
     w.append(struct.pack("<I", crc))
-    return b"".join(w)
+    return w
+
+
+def save_snapshot(engine):
+    """Serialize full server state; bit-exact under load + save."""
+    return b"".join(_snapshot_pieces(engine))
+
+
+def save_snapshot_to(stream, engine):
+    """Write save_snapshot's bytes to a binary stream as their pieces
+    (see _write_pieces), the engine's arrays uncopied."""
+    _write_pieces(stream, _snapshot_pieces(engine))
 
 
 def _add_task(tasks, n, block):
@@ -720,19 +789,34 @@ def _add_task(tasks, n, block):
 
 def load_snapshot(data):
     """Rebuild a ServerEngine from snapshot bytes."""
-    data = memoryview(data)  # slices copy nothing
-    r = _Reader(data[:-4])
+    return load_snapshot_from(io.BytesIO(data))
+
+
+def load_snapshot_from(stream):
+    """Rebuild a ServerEngine from a seekable binary stream holding a
+    snapshot from its position to its end.  The head is checked first,
+    then the CRC, in one pass of reads of _RUN bytes, before any other
+    field is parsed; the fields are then read one by one, so that the
+    snapshot is never held whole."""
+    start = stream.tell()
+    body = stream.seek(0, io.SEEK_END) - start - 4
+    stream.seek(start)
+    r = _Reader(stream, max(body, 0))
     head = _read_body(r, _HEAD)
     if head.magic != MAGIC:
         raise errors.MalformedFrame("not a snapshot (bad magic)")
     if head.version != SNAPSHOT_VERSION:
         raise errors.UnsupportedVersion("snapshot version %d" % head.version)
-    if zlib.crc32(r.data) != struct.unpack("<I", data[-4:])[0]:
+    at, crc, whole = stream.tell(), 0, _Reader(stream, body + 4)
+    stream.seek(start)
+    while whole.left > 4:
+        crc = zlib.crc32(whole.take(min(whole.left - 4, _RUN)), crc)
+    if crc != _u32.read(whole):
         raise errors.ChecksumMismatch("snapshot CRC does not match")
+    stream.seek(at)
     cfg = config_from_message(_read_body(r, _CONFIG))
-    db = Seen().disclosed(_read_body(r, _DISCLOSED))
-    engine = ServerEngine.from_disclosed(db, cfg)
+    engine = ServerEngine.from_disclosed(Seen().disclosed(_read_body(r, _DISCLOSED)), cfg)
     for _ in range(_read_body(r, _TASK_COUNT).count):
-        _add_task(engine.tasks, len(db.inputs), _read_body(r, _TASK_BLOCK))
+        _add_task(engine.tasks, engine.n, _read_body(r, _TASK_BLOCK))
     r.done()
     return engine

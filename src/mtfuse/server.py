@@ -9,7 +9,7 @@ patch; every update is planned fully before any state is touched, so a
 rejected triple leaves the server bit-identical.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,15 +72,9 @@ class DisclosedDB:
     reader's copy of them, see protocol.Seen): entries below n never
     change, and an engine seeded from them copies before it appends,
     except where the right to append to L in place was handed to it.  H
-    may be a read-only view (of a wire payload, say): an engine seeded
-    from it copies it.
-
-    ServerEngine.get_disclosed returns one that never changes: y_cond
-    and H are copies.  ServerEngine.live_disclosed returns one whose
-    y_cond and H are the engine's own, which its next commit patches in
-    place; the daemon encodes each Disclosed reply from it under the
-    engine lock, so that the payload is the one copy of H and of L's
-    rows (see protocol.disclosed_to_message), and so does a snapshot.
+    is read-only: the server lends its own, copy on write (see
+    ServerEngine.get_disclosed), and a reader's is read from the wire;
+    an engine seeded from it copies it.
     """
 
     inputs: Pool
@@ -331,20 +325,16 @@ class ServerEngine:
 
     # ----- reads --------------------------------------------------------
 
-    def live_disclosed(self):
-        """The DisclosedDB of this epoch over the engine's own y_cond and
-        H, which the next commit patches in place: read it only while
-        nothing commits (under the daemon's lock, say)."""
-        return DisclosedDB(self.inputs.view(), self.y_cond.values, self.H, self.epoch,
-                           self.factors.view())
-
     def get_disclosed(self):
-        """The DisclosedDB of this epoch, which never changes: the live
-        one with y_cond and H copied."""
-        db = self.live_disclosed()
-        y = db.y_cond.copy()
+        """The DisclosedDB of this epoch, which never changes: y_cond is
+        copied (8n bytes), and H is lent (SymMatrix.packed), copy on
+        write: while the result lives, the engine's next commit moves its
+        own H to a copy first.  So a read copies H at most once, and only
+        when a commit runs while the read is held."""
+        y = self.y_cond.values.copy()
         y.flags.writeable = False
-        return replace(db, y_cond=y, H=db.H.copy())
+        return DisclosedDB(self.inputs.view(), y, SymMatrix.from_packed(self.H.packed, self.n),
+                           self.epoch, self.factors.view())
 
     def get_config(self):
         return self.cfg

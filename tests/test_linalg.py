@@ -121,6 +121,65 @@ class TestContainers:
         assert s != c
 
 
+class TestCopyOnWrite:
+    """SymMatrix.packed is lent: a read-only array that never changes,
+    since add_scaled_outer moves the matrix to a copy of its buffer while
+    any lent array lives, and patches the buffer in place otherwise."""
+
+    @staticmethod
+    def _matrix(n=6):
+        # room in its buffer for a border row
+        s = SymMatrix.from_dense(random_spd(np.random.default_rng(31), n)).copy()
+        assert len(s._buf) > linalg._tri(n + 1)
+        return s
+
+    def test_lent_array_never_changes(self):
+        s = self._matrix()
+        lent = s.packed
+        before = lent.tobytes()
+        assert not lent.flags.writeable
+        s.add_scaled_outer(0.5, np.arange(6.0))
+        assert lent.tobytes() == before
+        assert s.packed.tobytes() != before
+
+    def test_a_slice_held_alone_still_forces_the_copy(self):
+        s = self._matrix()
+        part = s.packed[4:12]
+        before, buf = part.tobytes(), s._buf
+        s.add_scaled_outer(0.5, np.arange(6.0))
+        assert s._buf is not buf
+        assert part.tobytes() == before
+
+    def test_reads_between_writes_share_one_lent_array(self):
+        s = self._matrix()
+        assert s.packed is s.packed
+        first = s.packed
+        s.append_border_row(np.arange(7.0))
+        grown = s.packed
+        assert grown is not first and len(grown) == linalg._tri(7)
+        assert s.packed is grown
+
+    def test_without_a_lent_array_an_update_patches_in_place(self):
+        s = self._matrix()
+        s.packed  # lent, and dropped at once
+        buf = s._buf
+        s.add_scaled_outer(0.5, np.arange(6.0))
+        assert s._buf is buf
+
+    def test_border_append_copies_nothing_and_every_lent_array_is_kept(self):
+        # an array lent before the append and one after it: the update
+        # copies while the older one lives, the newer one dropped
+        s = self._matrix()
+        older, buf = s.packed, s._buf
+        before = older.tobytes()
+        s.append_border_row(np.arange(7.0))
+        assert s._buf is buf
+        s.packed  # lent at n = 7, and dropped at once
+        s.add_scaled_outer(0.5, np.arange(7.0))
+        assert s._buf is not buf
+        assert older.tobytes() == before
+
+
 class TestTriSolves:
     def test_identity_factors(self):
         lf = UnitLowerFactor()

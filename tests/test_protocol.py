@@ -38,6 +38,7 @@ from mtfuse.errors import (
     NonPositiveWeight,
     ProtocolError,
     Unauthorized,
+    UnexpectedMessage,
     UnsupportedVersion,
 )
 from mtfuse.kernels import (
@@ -326,36 +327,73 @@ class TestMalformedInput:
 
         class Writes(io.BytesIO):
             def write(self, b):
-                self.sizes.append(len(b))
+                self.writes.append(b)
                 return super().write(b)
 
-        # a payload of 30 + 8n bytes, one within 1 MiB and one past it:
-        # each frame, its header joined to its payload, is one write
-        for n in ((1 << 17) - 4, 1 << 17):
+        # a payload of 26 + 8n + 4 bytes: a frame under the joined size is
+        # one write; an array at or past it is written as it is, uncopied,
+        # between the runs before and after it
+        for n in ((proto._RUN - 34) // 8, proto._RUN // 8):
             msg = proto.TaskCoeffs(epoch=1, since=n, inputs=Pool(), b=np.zeros(0),
                                    a_cond=np.arange(float(n)), a=np.zeros(0), slots=())
             out = Writes()
-            out.sizes = []
+            out.writes = []
             proto.write_message(out, msg)
             size = len(proto.encode(msg))
-            assert out.sizes == [4 + size]
-            assert (size <= 1 << 20) == (n < 1 << 17)
+            assert size == 30 + 8 * n
+            sizes = [len(b) for b in out.writes]
+            if 4 + size < proto._RUN:
+                assert sizes == [4 + size]
+            else:
+                assert sizes == [4 + 26, 8 * n, 4]
+                assert np.shares_memory(np.frombuffer(out.writes[1], np.uint8), msg.a_cond)
             out.seek(0)
             assert proto.read_message(out) == msg
-            assert out.getvalue() == proto.encode(msg, framed=True)
+            assert out.getvalue() == struct.pack("<I", size) + proto.encode(msg)
 
     def test_stream_framing_errors(self):
         import io
 
+        def frame(payload, size=None):
+            return struct.pack("<I", len(payload) if size is None else size) + payload
+
         assert proto.read_message(io.BytesIO(b"")) is None
-        with pytest.raises(MalformedFrame):
-            proto.read_message(io.BytesIO(b"\x01\x02"))
-        huge = struct.pack("<I", proto.MAX_FRAME + 1)
-        with pytest.raises(MalformedFrame):
-            proto.read_message(io.BytesIO(huge))
-        short = struct.pack("<I", 10) + b"abc"
-        with pytest.raises(MalformedFrame):
-            proto.read_message(io.BytesIO(short))
+        ack = proto.encode(proto.Ack(epoch=1, case=CASE_NEW_INPUT))
+        coeffs = proto.encode(proto.TaskCoeffs(epoch=1, since=0, inputs=Pool(),
+                                               b=np.zeros(0), a_cond=np.zeros(0),
+                                               a=np.zeros(0), slots=()))
+        at_b = len(coeffs) - 8  # b's count, then a_cond's none and a's count
+        cases = [
+            (b"\x01\x02", MalformedFrame),  # a header cut short
+            (struct.pack("<I", proto.MAX_FRAME + 1), MalformedFrame),
+            (frame(b"abc", 10), MalformedFrame),
+            # a frame cut short is malformed, whatever its first bytes say
+            (frame(bytes([99]) + ack[1:], len(ack) + 1), MalformedFrame),
+            (frame(ack[:1] + bytes([200]) + ack[2:], len(ack) + 1), MalformedFrame),
+            (frame(ack + b"\0", len(ack) + 2), MalformedFrame),
+            (frame(bytes([99]) + ack[1:]), UnsupportedVersion),
+            # a count past the frame is refused before its array is made
+            (frame(coeffs[:at_b] + struct.pack("<I", 1 << 24) + coeffs[at_b + 4:]),
+             MalformedFrame),
+        ]
+        for data, error in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    proto.read_message(io.BytesIO(data))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (data, peak)
+        # a frame refused for its type or its content is read to its end:
+        # the next one reads from its own header
+        config = frame(proto.encode(proto.GetConfig()))
+        for data, error, accept in ((frame(ack), UnexpectedMessage, (proto.GetConfig,)),
+                                    (frame(ack + b"\0"), MalformedFrame, None)):
+            stream = io.BytesIO(data + config)
+            with pytest.raises(error):
+                proto.read_message(stream, accept=accept)
+            assert proto.read_message(stream) == proto.GetConfig()
 
 
 def _lookup_config_claiming(keys, size):
@@ -486,25 +524,25 @@ class TestInputColumns:
 
 
 class TestArrayFields:
-    """The form each array field decodes to, over every record: a copy
-    field owns its data and is writable, a view field is a read-only
-    view of the payload, a u32 field is a tuple of ints."""
+    """The form each array field decodes to, over every record: an f64
+    field is an array of its own, writable, that shares nothing with the
+    payload, a u32 field is a tuple of ints."""
 
     FORMS = {
-        ("SubmitExample", "features"): "copy",
-        ("Disclosed", "y_cond"): "copy",
-        ("Disclosed", "h_packed"): "view",
-        ("Disclosed", "lower"): "view",
-        ("Disclosed", "d"): "view",
-        ("Disclosed", "m"): "view",
-        ("TaskCoeffs", "b"): "copy",
-        ("TaskCoeffs", "a_cond"): "copy",
-        ("TaskCoeffs", "a"): "copy",
+        ("SubmitExample", "features"): "f64",
+        ("Disclosed", "y_cond"): "f64",
+        ("Disclosed", "h_packed"): "f64",
+        ("Disclosed", "lower"): "f64",
+        ("Disclosed", "d"): "f64",
+        ("Disclosed", "m"): "f64",
+        ("TaskCoeffs", "b"): "f64",
+        ("TaskCoeffs", "a_cond"): "f64",
+        ("TaskCoeffs", "a"): "f64",
         ("TaskCoeffs", "slots"): "u32",
         ("TaskBlock", "slots"): "u32",
-        ("TaskBlock", "y"): "view",
-        ("TaskBlock", "w"): "view",
-        ("TaskBlock", "r_packed"): "view",
+        ("TaskBlock", "y"): "f64",
+        ("TaskBlock", "w"): "f64",
+        ("TaskBlock", "r_packed"): "f64",
     }
 
     @staticmethod
@@ -541,7 +579,7 @@ class TestArrayFields:
             name, w = row.cls.__name__, []
             proto._write_body(w, row, samples[name])
             payload = b"".join(w)
-            r = proto._Reader(payload)
+            r = proto._Reader(io.BytesIO(payload), len(payload))
             back = proto._read_body(r, row)
             r.done()
             wire = np.frombuffer(payload, dtype=np.uint8)
@@ -559,12 +597,10 @@ class TestArrayFields:
                     assert all(type(v) is int for v in value), (name, field)
                     continue
                 assert value.dtype == np.float64, (name, field)
-                assert np.shares_memory(value, wire) == (form == "view"), (name, field)
-                if form == "copy":
+                assert not np.shares_memory(value, wire), (name, field)
+                if form == "f64":
                     assert value.flags.owndata and value.flags.writeable, (name, field)
-                elif form == "view":
-                    assert not value.flags.writeable, (name, field)
-            if name == "Config":  # the lookup table is copied out of its view
+            if name == "Config":  # the lookup table is a matrix of its own
                 for spec in (back.shared, back.individual):
                     assert not np.shares_memory(spec.table.matrix, wire)
         assert seen == set(self.FORMS) | {("Disclosed", "inputs"), ("TaskCoeffs", "inputs")}
@@ -931,6 +967,57 @@ class TestSnapshot:
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(ChecksumMismatch):
             proto.load_snapshot(bytes(blob))
+
+    def test_flipped_byte_is_a_checksum_mismatch_before_any_field(self, monkeypatch):
+        # the head is checked first; then a byte flipped anywhere past it
+        # fails the CRC before any other field is parsed
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(np.random.default_rng(27), 3, unit=True)):
+            eng.receive_example(t % 2, x, 1.0, 1.0)
+        good = proto.save_snapshot(eng)
+        read, body = [], proto._read_body
+        monkeypatch.setattr(proto, "_read_body",
+                            lambda r, row: read.append(row.cls.__name__) or body(r, row))
+        for at in range(8, len(good)):
+            flipped = bytearray(good)
+            flipped[at] ^= 0xFF
+            read.clear()
+            with pytest.raises(ChecksumMismatch):
+                proto.load_snapshot(bytes(flipped))
+            assert read == ["SnapshotHead"], at
+
+    def test_loading_a_file_never_holds_it_whole(self, tmp_path):
+        # read field by field: no read is larger than the largest array,
+        # and what the load frees is less than half the file
+        rng = np.random.default_rng(28)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(rng, 300, dim=4, unit=True)):
+            eng.receive_example(t % 5, x, float(rng.normal()), 1.0)
+        snap = tmp_path / "engine.snap"
+        with open(snap, "wb") as fh:
+            proto.save_snapshot_to(fh, eng)
+        size, sizes = snap.stat().st_size, []
+
+        class Recorded(io.FileIO):
+            def read(self, n=-1):
+                sizes.append(n)
+                return super().read(n)
+
+            def readinto(self, b):
+                sizes.append(len(b))
+                return super().readinto(b)
+
+        with Recorded(snap) as fh:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                back = proto.load_snapshot_from(fh)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert proto.save_snapshot(back) == snap.read_bytes() == proto.save_snapshot(eng)
+        assert 0 < max(sizes) <= eng.H.packed.nbytes < size / 2
+        assert peak - kept < size / 2, (peak - base, kept - base, size)
 
     def test_bad_magic_and_version(self):
         eng = ServerEngine(make_config(0.5, 0.1))
@@ -1688,9 +1775,9 @@ def _raw_reply(sock_file, request):
 
 
 class TestDisclosedReplies:
-    """A Disclosed reply is encoded under the engine lock, straight from
-    the engine's live arrays: its bytes are those of the in-process
-    summary, and the payload is the one copy of H and of L's rows."""
+    """A Disclosed reply takes the engine's arrays under the engine lock,
+    H lent copy on write, and is written from them after it: its bytes
+    are those of the in-process summary, and no array of it is copied."""
 
     def test_replies_equal_the_in_process_encoding(self):
         # several epochs, since = 0, a middle count and the whole pool
@@ -1727,7 +1814,8 @@ class TestDisclosedReplies:
 
     def test_full_read_allocates_about_its_payload(self):
         # a connection's first read, from its request frame to its reply
-        # frame: H and L's rows are copied once, into the payload
+        # frame, allocates a tenth of its payload at most: H and L's rows
+        # are written as they are, not copied
         rng = np.random.default_rng(47)
         with daemon(make_config(0.5, 0.1, d=1), {}) as (eng, srv):
             for t, x in enumerate(make_inputs(rng, 400, dim=4, unit=True)):
@@ -1745,11 +1833,11 @@ class TestDisclosedReplies:
                 tracemalloc.stop()
         payload = handler.wfile.size - 4
         assert payload > 1_000_000
-        assert peak <= 1.15 * payload, (peak, payload)
+        assert peak <= 0.1 * payload, (peak, payload)
 
     def test_delta_read_allocates_about_its_payload(self):
-        # a read of the last input's row alone: header and payload are
-        # joined once from the engine's arrays, not copied twice
+        # a read of the last input's row alone: H, most of its payload,
+        # is written from the engine's buffer, not copied
         rng = np.random.default_rng(49)
         with daemon(make_config(0.5, 0.1, d=1), {}) as (eng, srv):
             for t, x in enumerate(make_inputs(rng, 400, dim=4, unit=True)):
@@ -1767,7 +1855,7 @@ class TestDisclosedReplies:
                 tracemalloc.stop()
         payload = handler.wfile.size - 4
         assert 8 * 400 * 401 // 2 < payload < 1 << 20  # H, and little else
-        assert peak <= 1.15 * payload, (peak, payload)
+        assert peak <= 0.1 * payload, (peak, payload)
 
     def test_reads_under_a_writer_see_whole_epochs(self):
         # one writer and two readers, more threads than cores, switching
@@ -1908,14 +1996,22 @@ class TestDaemonConfigFile:
             return b"MTLSgarbagegarbage"
         if case == "slot":
             return _snapshot_with_slot(1.0)
-        if case == "crc":
+        if case in ("crc", "crc-kernel"):
+            # the middle byte, or the shared kernel's tag, after alpha and lam
             flipped = bytearray(good)
-            flipped[len(good) // 2] ^= 0xFF
+            flipped[len(good) // 2 if case == "crc" else 24] ^= 0xFF
             return bytes(flipped)
+        if case == "count":  # L's count claims 2**31 - 1 entries
+            body = bytearray(good[:-4])
+            at = len(body) - 16  # then D's, M's and the task count
+            assert body[at : at + 4] == bytes(4)
+            body[at : at + 4] = struct.pack("<I", 0x7FFFFFFF)
+            return _with_crc(body)
         body = good[:-4] + b"\x00"  # a trailing byte under a valid CRC
         return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
-    @pytest.mark.parametrize("case", ["bad-magic", "version", "crc", "malformed", "slot"])
+    @pytest.mark.parametrize("case", ["bad-magic", "version", "crc", "crc-kernel", "count",
+                                      "malformed", "slot"])
     def test_cli_serve_refuses_bad_snapshot(self, tmp_path, capsys, monkeypatch,
                                             case):
         snap = tmp_path / "engine.snap"
@@ -1932,6 +2028,10 @@ class TestDaemonConfigFile:
         assert err.startswith("error: %s: " % snap)
         if case == "slot":  # load_snapshot's MalformedFrame, as Seen.disclosed's
             assert err == "error: %s: a diagonal slot of L is not 0.0\n" % snap
+        if case.startswith("crc"):  # before any field past the head is parsed
+            assert err == "error: %s: snapshot CRC does not match\n" % snap
+        if case == "count":  # refused before an array is made for it
+            assert err == "error: %s: truncated payload\n" % snap
         assert snap.read_bytes() == blob
 
     def _refuses_snapshot_version(self, version, tmp_path, capsys, monkeypatch):
@@ -1977,10 +2077,10 @@ class TestDaemonConfigFile:
         serve(dc)
         assert snap.read_bytes() == old  # resume + save is bit-exact
 
-        def broken(engine):
+        def broken(stream, engine):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(proto, "save_snapshot", broken)
+        monkeypatch.setattr(proto, "save_snapshot_to", broken)
         with pytest.raises(RuntimeError, match="disk full"):
             serve(dc)
         assert snap.read_bytes() == old

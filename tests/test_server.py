@@ -1,5 +1,7 @@
 """Incremental engine: case dispatch, update formulas, state invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -360,6 +362,58 @@ class TestReads:
         eng.receive_example(0, pool[-1], 1.0, 1.0)
         assert np.array_equal(db.y_cond, y_before)
         assert np.array_equal(db.H.to_dense(), h_before)
+
+    @staticmethod
+    def _rated(n=20):
+        rng = np.random.default_rng(26)
+        pool = make_inputs(rng, n + 10, dim=4, unit=True)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(pool[:n]):
+            eng.receive_example(t % 4, x, float(rng.normal()), 1.0)
+        return eng, pool, rng
+
+    def test_a_held_read_keeps_its_bytes_across_commits(self):
+        # H is lent: 50 commits of all three cases, new inputs included,
+        # leave a summary read before them as it was
+        eng, pool, rng = self._rated()
+        db = eng.get_disclosed()
+        h, y = db.H.packed.tobytes(), db.y_cond.tobytes()
+        cases = set()
+        for i in range(50):
+            x = pool[20 + i // 5] if i % 5 == 0 else pool[int(rng.integers(0, 20))]
+            cases.add(eng.receive_example(int(rng.integers(0, 4)), x, float(rng.normal()),
+                                          1.0).case)
+        assert cases == {CASE_NEW_INPUT, CASE_REPEAT_GLOBAL, CASE_REPEAT_TASK}
+        assert db.H.packed.tobytes() == h and db.y_cond.tobytes() == y
+        assert eng.H.packed.tobytes() != h
+
+    def test_two_reads_at_one_epoch_share_one_lent_h(self):
+        eng, _, _ = self._rated()
+        first, second = eng.get_disclosed(), eng.get_disclosed()
+        assert first.H._buf is second.H._buf
+        assert np.shares_memory(first.H._buf, eng.H._buf)
+
+    def test_a_commit_patches_h_in_place_once_no_read_is_held(self):
+        eng, pool, _ = self._rated()
+        db, buf = eng.get_disclosed(), eng.H._buf
+        eng.receive_example(0, pool[0], 0.5, 1.0)  # a repeat: H's update, no border
+        assert eng.H._buf is not buf  # moved to a copy: the read is held
+        del db
+        buf = eng.H._buf
+        eng.receive_example(0, pool[0], 0.25, 1.0)
+        assert eng.H._buf is buf
+
+    def test_a_read_allocates_no_copy_of_h(self):
+        eng, _, _ = self._rated(300)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            db = eng.get_disclosed()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert db.H == eng.H
+        assert peak < 0.1 * eng.H.packed.nbytes, peak
 
     def test_task_coefficients_alpha_zero(self):
         rng = np.random.default_rng(15)
