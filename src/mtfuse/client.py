@@ -12,6 +12,8 @@ the same call.
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .offline import mixed_predictions
 from .server import ClientModel, ServerEngine
 
@@ -76,8 +78,13 @@ def predict_client(model, cfg, x):
     return float(client_predictions(model, cfg, [x])[0])
 
 
+def squash(f):
+    """Map scores to (0, 1) preferences: 1 / (1 + exp(-f/2)).  exp
+    overflows to inf for f below about -1419, which gives the exact 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(f, dtype=np.float64) / 2.0))
+
+
 def preference_score(model, cfg, x):
     """Squash the prediction to a (0, 1) preference."""
-    from scipy.special import expit
-
-    return float(expit(predict_client(model, cfg, x) / 2.0))
+    return float(squash(predict_client(model, cfg, x)))

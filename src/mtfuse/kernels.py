@@ -78,6 +78,14 @@ def check_observation(y, w):
     return y, w
 
 
+def merge_observation(y_old, w_old, y, w):
+    """A repeated (task, input) observation folded into the one held: the
+    merged weight w_old * w / (w_old + w), whose reciprocal is the sum of
+    the two, and the response moved toward y by the merged weight over w."""
+    w_new = w_old * w / (w_old + w)
+    return y_old + (w_new / w) * (y - y_old), w_new
+
+
 class LookupTable:
     """Symmetric kernel values for a fixed key set."""
 

@@ -4,17 +4,17 @@ Three routes to the same coefficients, kept deliberately independent so
 they can check each other:
 
 * solve_full_system: assembles the full regularized kernel system over
-  all raw observations and solves it densely.  Slowest, most direct;
-  serves as the oracle.
+  all raw observations and solves it densely (numpy's LAPACK dgesv,
+  refined).  Slowest, most direct; serves as the oracle.
 * solve_backfit: eliminates the bias coefficients first, then solves for
-  the kernel coefficients.
+  the kernel coefficients with the same dense solve.
 * solve_condensed: the production path.  Collapses repeated
-  (task, input) observations, builds each task's inverse, the factors of
-  the unique inputs, y_cond and a dense H, then makes the server's one
-  shared solve (server.shared_coefficients): cubic per task and in the pool.
+  (task, input) observations with the server's merge, in arrival order,
+  builds each task's inverse, the factors of the unique inputs, y_cond
+  and a dense H, then makes the server's one shared solve
+  (server.shared_coefficients): cubic per task and in the pool.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -29,6 +29,7 @@ from .kernels import (
     eval_kernel,
     kernel_matrix,
     kernel_row,
+    merge_observation,
     operand,
 )
 from .linalg import FactorSet, SymMatrix
@@ -103,26 +104,18 @@ def build_index_structures(ds):
 def merge_repeats(ds):
     """Collapse repeated (task, input) observations into single triples.
 
-    The merged weight is the harmonic sum 1 / sum(1/w_i) and the merged
-    response the weight-reciprocal average; predictions of the solved
-    model are unchanged by this collapse.
+    Repeats fold in arrival order through kernels.merge_observation, the
+    server's merge, so the merged (y, w) equal the stream's bit for bit;
+    predictions of the solved model are unchanged by this collapse.
     """
-    order = []
     acc = {}
     for tr in ds.triples:
         k = (tr.task, tr.x.key)
-        if k not in acc:
-            acc[k] = [tr.x, 0.0, 0.0]
-            order.append(k)
-        cell = acc[k]
-        cell[1] += 1.0 / tr.w
-        cell[2] += tr.y / tr.w
-    out = Dataset()
-    for task, key in order:
-        x, inv_w, y_over_w = acc[(task, key)]
-        w = 1.0 / inv_w
-        out.add(task, x, w * y_over_w, w)
-    return out
+        held = acc.get(k)
+        if held is not None:
+            tr = Triple(tr.task, held.x, *merge_observation(held.y, held.w, tr.y, tr.w))
+        acc[k] = tr
+    return Dataset(acc.values())
 
 
 @dataclass
@@ -164,24 +157,20 @@ def _assemble_dense(ds, cfg):
 
 def _refined_solve(a_mat, rhs):
     # dense solve with up to two rounds of iterative refinement to pin the
-    # residual down near machine level; an exactly zero pivot, which
-    # lu_factor only warns of, and a non-finite step are a singular system
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            lu = lu_factor(a_mat)
-        except LinAlgWarning as exc:
-            raise SingularSystem(str(exc)) from None
-    sol = lu_solve(lu, rhs)
+    # residual down near machine level, each step one LAPACK dgesv through
+    # numpy; dgesv refuses only an exactly zero pivot, which, like a
+    # non-finite step, is a singular system
+    try:
+        sol = np.linalg.solve(a_mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("dense solve hit an exactly zero pivot: %s" % exc) from None
     for _ in range(2):
         if not np.all(np.isfinite(sol)):
             break
         res = rhs - a_mat @ sol
         if np.max(np.abs(res)) <= 1e-12:
             break
-        sol += lu_solve(lu, res)
+        sol += np.linalg.solve(a_mat, res)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("dense solve produced non-finite values")
     return sol

@@ -15,7 +15,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedFrame, SingularSystem, UnknownTask
-from .kernels import LOOKUP, InputPoint, Pool, check_observation, eval_kernel, kernel_row
+from .kernels import (
+    LOOKUP,
+    InputPoint,
+    Pool,
+    check_observation,
+    eval_kernel,
+    kernel_row,
+    merge_observation,
+)
 from .linalg import (
     FactorSet,
     GrowVec,
@@ -262,8 +270,7 @@ class ServerEngine:
         st = self.tasks[task]
         w_old = float(st.w.values[p])
         y_old = float(st.y.values[p])
-        w_new = w_old * w / (w_old + w)
-        y_new = y_old + (w_new / w) * (y - y_old)
+        y_new, w_new = merge_observation(y_old, w_old, y, w)
 
         u = st.R.column(p)
         # the regularized diagonal drops by exactly lam * (w_old - w_new):

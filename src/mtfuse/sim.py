@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .client import Client
+from .client import Client, squash
 from .daemon import RemoteServer, start_server
 from .errors import DegenerateGram, EngineError
 from .kernels import BiasBasis, InputPoint, KernelSpec, MixedEffectConfig, kernel_matrix
@@ -63,13 +63,6 @@ class World:
     f_true: np.ndarray
     s_true: np.ndarray
     ds: Dataset
-
-
-def squash(f):
-    """Map a score to a (0, 1) preference."""
-    from scipy.special import expit
-
-    return expit(np.asarray(f, dtype=_F64) / 2.0)
 
 
 def load_tag_file(path):

@@ -11,6 +11,7 @@ from mtfuse.client import (
     client_predictions,
     predict_client,
     preference_score,
+    squash,
 )
 from mtfuse.kernels import eval_kernel
 from mtfuse.offline import (
@@ -528,6 +529,14 @@ class TestPreferenceScore:
         score = preference_score(model, cfg, x)
         assert abs(score - float(expit(fhat / 2.0))) < 1e-15
         assert abs(float(expit(2.0 / 2.0)) - 0.7310585786300049) < 1e-12
+
+    def test_squash_edges_match_expit_without_a_warning(self):
+        # exp(800) overflows to inf, which gives the exact 0; the errstate
+        # keeps numpy's overflow warning out, which this suite makes an error
+        f = np.array([1600.0, -1600.0, np.inf, -np.inf, np.nan])
+        assert np.array_equal(squash(f), expit(f / 2.0), equal_nan=True)
+        for v in f:
+            assert np.array_equal(squash(v), expit(v / 2.0), equal_nan=True)
 
     def test_monotone_in_prediction(self):
         rng = np.random.default_rng(21)

@@ -87,3 +87,35 @@ def test_offline_solve_with_a_bias_loads_no_scipy():
         grid = predictions_grid(solve_condensed(ds, cfg), cfg, [0, 1], points)
         assert grid.shape == (2, 3) and np.all(np.isfinite(grid))
     """) == "[]\n"
+
+
+def test_harness_and_oracles_load_no_scipy():
+    # generate, a one-cell desk sweep with a bias in both modes, the
+    # preference score and both dense oracles with a bias, in one fresh
+    # process: scipy is the tests' reference alone
+    assert _scipy_modules_after("""
+        import contextlib, io, os, tempfile
+        import numpy as np
+        from mtfuse import (BiasBasis, Client, InputPoint, KernelSpec, MixedEffectConfig,
+                            ServerEngine, cli, preference_score)
+        from mtfuse.offline import Dataset, solve_backfit, solve_full_system
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--out", os.path.join(out, "world")]) == 0
+            for mode in ("offline", "client-server"):
+                assert cli.main(["sweep", "--mode", mode, "--bias", "constant",
+                                 "--alpha-grid", "0.5", "--lambda-grid", "0.01",
+                                 "--out", os.path.join(out, mode)]) == 0
+        cfg = MixedEffectConfig(alpha=0.5, lam=0.1, shared=KernelSpec.rbf_tags(),
+                                individual=KernelSpec.linear_tags(), bias=BiasBasis.constant())
+        points = [InputPoint(b"item-%d" % i, f / np.linalg.norm(f))
+                  for i, f in enumerate(np.random.default_rng(2).normal(size=(3, 4)))]
+        ds = Dataset([(0, points[0], 1.0, 1.0), (1, points[1], -0.5, 2.0),
+                      (1, points[0], 0.2, 1.0)])
+        for solve in (solve_full_system, solve_backfit):
+            assert np.all(np.isfinite(solve(ds, cfg).b))
+        engine = ServerEngine(cfg)
+        for task, x, y, w in ds.triples:
+            engine.receive_example(task, x, y, w)
+        model = Client(1, cfg).active_refresh(engine)
+        assert 0.0 < preference_score(model, cfg, points[2]) < 1.0
+    """) == "[]\n"

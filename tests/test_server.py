@@ -184,6 +184,25 @@ class TestUpdateFormulas:
         assert all(b < a for a, b in zip(seen, seen[1:]))
         assert_allclose(seen[-1], 1.0 / 5.0, rtol=0, atol=1e-15)
 
+    def test_batch_merge_is_the_streams_bit_for_bit(self):
+        # up to four repeats per (task, input), in a shuffled arrival order
+        rng = np.random.default_rng(30)
+        pool = make_inputs(rng, 5, unit=True)
+        ds = Dataset()
+        arrivals = [(task, i) for task in range(3) for i in range(5)
+                    for _ in range(int(rng.integers(1, 5)))]
+        for p in rng.permutation(len(arrivals)):
+            task, i = arrivals[p]
+            ds.add(task, pool[i], float(rng.normal()), float(rng.choice([0.5, 1.0, 2.0, 3.0])))
+        eng = stream_into_engine(ServerEngine(make_config(0.5, 0.1, d=1)), ds.triples)
+        merged = merge_repeats(ds)
+        assert len(merged) < len(ds)
+        for task, st in eng.tasks.items():
+            want = [tr for tr in merged.triples if tr.task == task]
+            assert [eng.inputs[s].key for s in st.slots] == [tr.x.key for tr in want]
+            assert st.y.values.tobytes() == np.array([tr.y for tr in want]).tobytes()
+            assert st.w.values.tobytes() == np.array([tr.w for tr in want]).tobytes()
+
     def test_bias_compatibility_after_streaming(self):
         rng = np.random.default_rng(8)
         ds, _, _ = random_instance(rng, m_max=3, ell_max=8, n_max=6)

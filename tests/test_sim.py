@@ -517,7 +517,9 @@ class TestHarnessGoldenBytes:
     once each; a change that moves one byte of these files fails here.
     The result and report digests involve no solver arithmetic.  The
     generate digests pin the world draw, so they hold on one numpy and
-    OpenBLAS build only (numpy 2.4, OpenBLAS 0.3, x86-64).
+    OpenBLAS build only (numpy 2.4, OpenBLAS 0.3, x86-64); the true
+    scores also pass through numpy's vectorised exp, whose kernel numpy
+    picks by the CPU's SIMD features.
     """
 
     RESULT = "2794dfe4c1e30b2f35cddeb61d5f8880da30d1e4afdbdbf6074feebe01c2af00"
@@ -529,7 +531,7 @@ class TestHarnessGoldenBytes:
     GENERATE = {
         "artists.tsv": "d1afaebf822b32c9318eccdc90b9a090933101b65138f1218289bd23703f0bca",
         "triples.tsv": "d7f6cb5662eeb8fc7300a3dd5219eb8d4af378c328f330d408a77c5afcc25a98",
-        "true_scores.tsv": "4ef91629373bae18451ffc294a6f3cdda325b772b3efff703ff098b29ce526e2",
+        "true_scores.tsv": "90ee3667b5a087e531b809bdb23fa8558461ea3bb0022b8f8300c51111e21f4d",
     }
 
     @staticmethod
@@ -590,7 +592,7 @@ class TestHarnessGoldenBytes:
     GENERATE_19 = {
         "artists.tsv": "d51b1ebc060525d8dbb8670f945254cbdf573f62771125dbe713f1c635a00c9c",
         "triples.tsv": "bd9dfb9f5fd90d72b5562d9c2345acf964e72f11c0e9808f51e97bf08f4569cc",
-        "true_scores.tsv": "7fe2ec665b05d823131b3a3b4ecce90a9e2f27c22cae9bcb46f281e4256bb85c",
+        "true_scores.tsv": "5c1811b0755dbc50644ee89f901ef895f205776c9c063d3281347ce2d033e4d7",
     }
 
     def test_generate_bytes_at_19_tags(self, tmp_path, capsys):
