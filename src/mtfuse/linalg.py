@@ -128,54 +128,70 @@ class UnitLowerFactor:
     many rows at once grows it as the server's appends did.
 
     Rows are append-only: a row below n never changes, and a full
-    buffer is replaced, not rewritten.  A view shares its buffer with
-    the factor it was taken from, and copies its n(n+1)/2 entries out
-    before its first append; only the buffer's owner writes into it in
-    place, past its rows, where the buffer is still zero.
+    buffer is replaced, not rewritten.  Every factor over one buffer is
+    held weakly by the others (view and take lend the buffer, as
+    SymMatrix lends its packed triangle).  A factor appends in place,
+    past its rows, only when it has the right to (a view has not, take
+    shares its source's) and no live factor over the buffer holds rows
+    past its n; otherwise it first copies its n(n+1)/2 entries out.  So
+    the rows past a writer's n are zeros or the rows of factors that are
+    gone, and are overwritten whole, slot included.
     """
 
-    __slots__ = ("_buf", "n", "_owner")
+    __slots__ = ("_buf", "n", "_owner", "_peers", "__weakref__")
 
     def __init__(self):
         self._buf = np.zeros(_tri(8), dtype=_F64)
         self.n = 0
         self._owner = True
+        # every factor over _buf, held weakly; with no weakref callbacks,
+        # the list changes only in view and _reserve
+        self._peers = [weakref.ref(self)]
 
     def rows(self, since=0):
         """Rows since..n-1 as stored, each with its 0.0 slot: one view of
-        this buffer."""
+        this buffer, which holds while this factor lives."""
         return self._buf[_tri(since) : _tri(self.n)]
 
     def view(self, n=None):
-        """The first n rows (all by default), sharing this buffer."""
+        """The first n rows (all by default), lent: a factor over this
+        buffer that copies before it appends."""
         out = UnitLowerFactor.__new__(UnitLowerFactor)
         out._buf = self._buf
         out.n = self.n if n is None else n
         out._owner = False
+        out._peers = peers = self._peers
+        peers[:] = [ref for ref in peers if ref() is not None]
+        peers.append(weakref.ref(out))
         return out
 
     def take(self):
-        """These rows for a new holder, sharing the buffer: the right to
-        append in place passes to it when this factor has it."""
+        """These rows for a new holder, lent with this factor's right to
+        append in place: the first of the two to append past n does so in
+        place, and the other then copies its rows out."""
         out = self.view()
-        out._owner, self._owner = self._owner, False
+        out._owner = self._owner
         return out
 
     def _reserve(self, end):
-        # room for rows up to end in a buffer of this factor's own, sized
-        # for a power-of-two count of rows; a view copies its rows out
+        # room for rows up to end in a buffer this factor may write past
+        # its rows, sized for a power-of-two count of rows; otherwise it
+        # copies its rows out to a buffer of its own
         cap = int((2 * len(self._buf)) ** 0.5)  # the rows _tri(cap) entries hold
-        if end > cap or not self._owner:
+        peers = (ref() for ref in self._peers)  # None for a factor that is gone
+        if end > cap or not self._owner or any(f is not None and f.n > self.n for f in peers):
             out = np.zeros(_tri(max(cap, 1 << (end - 1).bit_length())), dtype=_F64)
             out[: _tri(self.n)] = self._buf[: _tri(self.n)]
-            self._buf = out
-            self._owner = True
+            self._peers[:] = [ref for ref in self._peers if ref() is not self]
+            self._buf, self._owner, self._peers = out, True, [weakref.ref(self)]
 
     def append_row(self, r):
-        r = _as_vec(r, self.n)
-        self._reserve(self.n + 1)
-        self._buf[_tri(self.n) : _tri(self.n) + self.n] = r
-        self.n += 1
+        n = self.n
+        r = _as_vec(r, n)
+        self._reserve(n + 1)
+        self._buf[_tri(n) : _tri(n + 1) - 1] = r
+        self._buf[_tri(n + 1) - 1] = 0.0
+        self.n = n + 1
 
     def append_rows(self, stored, count):
         """Append count rows stored as rows() gives them, in the buffer
@@ -457,8 +473,8 @@ class FactorSet:
         return FactorSet.of(self.L.view(n), self.D.values[:n], self.M[:n])
 
     def take(self):
-        """These factors for a new holder, sharing the buffers: the right
-        to append to L in place passes to it (see UnitLowerFactor.take)."""
+        """These factors for a new holder, sharing the buffers and this
+        set's right to append to L in place (see UnitLowerFactor.take)."""
         return FactorSet.of(self.L.take(), self.D.values, self.M)
 
     def append_precomputed(self, r, beta, mrow):

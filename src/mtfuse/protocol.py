@@ -637,10 +637,11 @@ class Seen:
     reply repeats must be the ones held.  A reply that does not fit is
     malformed, and leaves what is held as it was.  The factor set takes
     its bias dimension from the first reply that has rows.  A
-    DisclosedDB is handed the right to append to L in place
-    (FactorSet.take), so that an engine seeded from it appends without
-    copying L; this set then copies its rows out when it next grows, and
-    never writes where such an engine has.
+    DisclosedDB shares this set's right to append to L in place
+    (FactorSet.take), so an engine seeded from it appends its own rows
+    in this buffer without copying L.  This set keeps its buffer across
+    reads: it writes its next rows over the engine's once that engine is
+    gone, and copies its rows out only while the engine lives.
     """
 
     def __init__(self):

@@ -79,7 +79,8 @@ class DisclosedDB:
     The pool and the factors are views of the server's buffers (or of a
     reader's copy of them, see protocol.Seen): entries below n never
     change, and an engine seeded from them copies before it appends,
-    except where the right to append to L in place was handed to it.  H
+    except that one seeded from a reader's summary shares the reader's
+    right to append to L in place (see UnitLowerFactor.take).  H
     is read-only: the server lends its own, copy on write (see
     ServerEngine.get_disclosed), and a reader's is read from the wire;
     an engine seeded from it copies it.
@@ -161,10 +162,13 @@ class ServerEngine:
         """Local engine seeded from a disclosed snapshot (no task data).
 
         It takes a view of db's pool, which copies out on its first
-        append, and takes over db's factors, appending in place only
-        where db owns their buffer (see UnitLowerFactor.take); it copies
-        H, the one array it patches in place.  A bias map that does not
-        have cfg's bias dimension is malformed.
+        append, and db's factors with their right to append to L in place
+        (see UnitLowerFactor.take): a server's own summary lends none, so
+        the engine never writes into the server's buffer, and a reader's
+        lends its Seen's, so the engine appends there unless a live
+        factor holds rows past db's.  It copies H, the one array it
+        patches in place.  A bias map that does not have cfg's bias
+        dimension is malformed.
         """
         n = len(db.inputs)
         f = db.factors
@@ -270,7 +274,9 @@ class ServerEngine:
         st = self.tasks[task]
         w_old = float(st.w.values[p])
         y_old = float(st.y.values[p])
-        y_new, w_new = merge_observation(y_old, w_old, y, w)
+        # a merge that leaves a weight or response the engine would refuse
+        # (w_old * w overflows or underflows) is refused the same way
+        y_new, w_new = check_observation(*merge_observation(y_old, w_old, y, w))
 
         u = st.R.column(p)
         # the regularized diagonal drops by exactly lam * (w_old - w_new):

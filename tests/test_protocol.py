@@ -1749,6 +1749,84 @@ class TestSinceDeltas:
         assert _disclosed_bytes(db) == _disclosed_bytes(want)
 
 
+class TestOneL:
+    """A reader keeps one L: its Seen lends its factor rows to the engines
+    seeded from its reads, which append their own rows in its buffer; it
+    writes its next rows over them once those engines are gone, and
+    copies its rows out while one lives."""
+
+    @staticmethod
+    def _served(n, seed):
+        rng = np.random.default_rng(seed)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(make_inputs(rng, n, dim=4, unit=True)):
+            eng.receive_example(t % 5, x, float(rng.normal()), 1.0)
+        return eng, rng
+
+    @staticmethod
+    def _reply(eng, seen):
+        # the decoded reply to seen's next read
+        return _wire(proto.disclosed_to_message(eng.get_disclosed(), seen.factors.n))
+
+    def test_reads_allocate_no_copy_of_l(self):
+        # between reads a passive session appends a private input in the
+        # Seen's buffer and is gone; every other read brings a new row,
+        # which goes over the session's
+        eng, rng = self._served(300, 52)
+        seen = proto.Seen()
+        db = seen.disclosed(self._reply(eng, seen))
+        buf = seen.factors.L._buf
+        fresh = make_inputs(rng, 3, dim=4, prefix=b"new", unit=True)
+        own = make_inputs(rng, 6, dim=4, prefix=b"own", unit=True)
+        peaks = []
+        for step in range(6):
+            Client(99, eng.cfg).passive_refresh(db, PrivateData([(own[step], 0.5, 1.0)]))
+            if step % 2:
+                eng.receive_example(step, fresh[step // 2], float(rng.normal()), 1.0)
+            reply = self._reply(eng, seen)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                db = seen.disclosed(reply)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert seen.factors.L._buf is buf and seen.factors.n == eng.n
+        assert seen.factors.L.rows().tobytes() == eng.factors.L.rows().tobytes()
+        assert max(peaks) < 0.1 * eng.factors.L.rows().nbytes, peaks
+
+    def test_passive_models_through_one_seen_equal_fresh_reads_bitwise(self):
+        # six reads, each after new server inputs, each replaying a new
+        # private input and a repeat of a served one; an engine seeded
+        # from the third read lives through the fourth, which copies L
+        eng, rng = self._served(40, 53)
+        seen = proto.Seen()
+        seen.disclosed(self._reply(eng, seen))
+        buf, kept = seen.factors.L._buf, None
+        for step in range(6):
+            for x in make_inputs(rng, 3, dim=4, prefix=b"s%d" % step, unit=True):
+                eng.receive_example(step % 4, x, float(rng.normal()), 1.0)
+            mine = make_inputs(rng, 1, dim=4, prefix=b"own%d" % step, unit=True)[0]
+            private = PrivateData([(mine, 0.3, 1.0), (eng.inputs[step], -0.2, 2.0)])
+            db = seen.disclosed(self._reply(eng, seen))
+            got = Client(7, eng.cfg).passive_refresh(db, private)
+            fresh = proto.Seen().disclosed(_wire(proto.disclosed_to_message(eng.get_disclosed())))
+            want = Client(7, eng.cfg).passive_refresh(fresh, private)
+            assert _coeffs_bytes(got) == _coeffs_bytes(want)
+            if kept is not None:
+                assert seen.factors.L._buf is not buf
+                assert kept.factors.L.rows().tobytes() == kept_rows
+                buf, kept = seen.factors.L._buf, None
+            assert seen.factors.L._buf is buf
+            if step == 2:
+                kept = ServerEngine.from_disclosed(db, eng.cfg)
+                kept.receive_example(7, mine, 0.3, 1.0)
+                assert kept.factors.L._buf is buf  # appended in place
+                kept_rows = kept.factors.L.rows().tobytes()
+        assert eng.n == 58  # within the 64 rows of the Seen's first buffer
+        assert seen.factors.L.rows().tobytes() == eng.factors.L.rows().tobytes()
+
+
 class _Sink:
     """A stream that keeps only the bytes it was written, counted."""
 

@@ -296,6 +296,23 @@ class TestTransactionality:
                 assert save_snapshot(eng) == before
         assert proto.exception_to_code(InvalidInput("x")) == proto.ERR_INVALID_INPUT
 
+    @pytest.mark.parametrize("w", [1e155, 1e-200])
+    def test_merge_to_a_refused_weight_refused_and_snapshot_kept(self, w):
+        # two observations of one (task, input) whose merged weight
+        # w * w / (w + w) overflows to inf or underflows to 0
+        xs = make_inputs(np.random.default_rng(24), 3, dim=4, unit=True)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(xs):
+            eng.receive_example(t, x, 1.0, 1.0)
+        eng.receive_example(0, xs[1], 1.0, w)
+        before = save_snapshot(eng)
+        with pytest.raises(NonPositiveWeight, match="weight must be finite and > 0"):
+            eng.receive_example(0, xs[1], 1.0, w)
+        assert save_snapshot(eng) == before
+        assert eng.receive_example(0, xs[2], 0.5, 1.0).case == CASE_REPEAT_GLOBAL
+        db = eng.get_disclosed()
+        assert np.isfinite(db.y_cond).all() and np.isfinite(db.H.packed).all()
+
     def test_wrong_feature_length_rejected_and_state_kept(self):
         rng = np.random.default_rng(18)
         ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=5)
@@ -433,6 +450,17 @@ class TestReads:
             tracemalloc.stop()
         assert db.H == eng.H
         assert peak < 0.1 * eng.H.packed.nbytes, peak
+
+    def test_an_engine_seeded_from_a_read_leaves_the_servers_l_alone(self):
+        # a server's summary lends L without the right to append in place
+        eng, pool, _ = self._rated()
+        buf = eng.factors.L._buf
+        before = buf.tobytes()
+        local = ServerEngine.from_disclosed(eng.get_disclosed(), eng.cfg)
+        for x in pool[20:23]:
+            local.receive_example(9, x, 0.5, 1.0)
+        assert local.n == eng.n + 3 and local.factors.L._buf is not buf
+        assert eng.factors.L._buf is buf and buf.tobytes() == before
 
     def test_task_coefficients_alpha_zero(self):
         rng = np.random.default_rng(15)
