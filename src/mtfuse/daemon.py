@@ -12,10 +12,12 @@ the pool and the factors that the reader lacks (see protocol.Seen).  A
 transport failure can only lose a response, never corrupt engine state,
 because the engine finishes (or rejects) an update before any reply
 bytes are written.  A snapshot is written as its pieces, and loaded
-field by field from its file after one pass over it for its CRC.
+field by field from its file after one pass over it for its CRC, each
+array straight into the engine's own buffer.  Tokens are compared in
+constant time by CPython's own compare, so no mtfuse process maps
+OpenSSL.
 """
 
-import hmac
 import json
 import logging
 import os
@@ -24,6 +26,9 @@ import socket
 import socketserver
 import tempfile
 import threading
+# CPython's own constant-time compare, the one hmac.compare_digest falls
+# back to without OpenSSL: imported from here, it maps no libcrypto
+from _operator import _compare_digest
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -147,7 +152,7 @@ class DaemonServer(socketserver.ThreadingTCPServer):
     def _authorized(self, task, token):
         expected = self.tokens.get(int(task))
         # an empty token would match a client that sends none
-        return bool(expected) and hmac.compare_digest(expected, token)
+        return bool(expected) and _compare_digest(expected, token)
 
     def dispatch(self, msg):
         """The reply to msg, one of REQUESTS."""

@@ -65,12 +65,17 @@ def _as_vec(x, size=None):
     return v
 
 
-def _grown(buf, need):
-    cap = buf.shape[0]
-    if need <= cap:
-        return buf
+def _room(cap, need):
+    # the capacity that a buffer of cap entries grows to for need entries
     while cap < need:
         cap = max(2 * cap, 8)
+    return cap
+
+
+def _grown(buf, need):
+    cap = _room(buf.shape[0], need)
+    if cap == buf.shape[0]:
+        return buf
     out = np.zeros((cap,) + buf.shape[1:], dtype=_F64)
     out[: buf.shape[0]] = buf
     return out
@@ -124,8 +129,9 @@ class UnitLowerFactor:
     its i strictly-lower entries, then a unit-diagonal slot kept at 0.0.
     Read as column-major packed upper storage, the first n(n+1)/2
     entries are L^T, which one dtpsv solves.  The buffer has room for a
-    power-of-two count of rows (8 or more), so a reader that appends
-    many rows at once grows it as the server's appends did.
+    power-of-two count of rows (8 or more, see room), so a reader that
+    appends many rows at once grows it as the server's appends did, and
+    one that reads rows into that room holds them in place (over).
 
     Rows are append-only: a row below n never changes, and a full
     buffer is replaced, not rewritten.  Every factor over one buffer is
@@ -148,10 +154,28 @@ class UnitLowerFactor:
         # the list changes only in view and _reserve
         self._peers = [weakref.ref(self)]
 
+    @staticmethod
+    def room(n):
+        """The entries of the buffer that n rows grow a factor's to: room
+        for a power-of-two count of rows, 8 or more."""
+        return _tri(max(8, 1 << (n - 1).bit_length()))
+
+    @classmethod
+    def over(cls, buf, n):
+        """The factor of the n rows stored at the start of buf (as rows
+        gives them), holding buf with the right to append in place: its
+        entries past the rows are room, zeros."""
+        out = cls()
+        out._buf, out.n = _as_vec(buf), n
+        return out
+
     def rows(self, since=0):
-        """Rows since..n-1 as stored, each with its 0.0 slot: one view of
-        this buffer, which holds while this factor lives."""
-        return self._buf[_tri(since) : _tri(self.n)]
+        """Rows since..n-1 as stored, each with its 0.0 slot: one
+        read-only view of this buffer, which holds while this factor
+        lives."""
+        out = self._buf[_tri(since) : _tri(self.n)]
+        out.flags.writeable = False
+        return out
 
     def view(self, n=None):
         """The first n rows (all by default), lent: a factor over this
@@ -175,12 +199,11 @@ class UnitLowerFactor:
 
     def _reserve(self, end):
         # room for rows up to end in a buffer this factor may write past
-        # its rows, sized for a power-of-two count of rows; otherwise it
-        # copies its rows out to a buffer of its own
+        # its rows; otherwise it copies its rows out to a buffer of its own
         cap = int((2 * len(self._buf)) ** 0.5)  # the rows _tri(cap) entries hold
         peers = (ref() for ref in self._peers)  # None for a factor that is gone
         if end > cap or not self._owner or any(f is not None and f.n > self.n for f in peers):
-            out = np.zeros(_tri(max(cap, 1 << (end - 1).bit_length())), dtype=_F64)
+            out = np.zeros(max(_tri(cap), self.room(end)), dtype=_F64)
             out[: _tri(self.n)] = self._buf[: _tri(self.n)]
             self._peers[:] = [ref for ref in self._peers if ref() is not self]
             self._buf, self._owner, self._peers = out, True, [weakref.ref(self)]
@@ -282,12 +305,22 @@ class SymMatrix:
 
     @classmethod
     def from_packed(cls, packed, n):
-        """The matrix of order n whose packed lower triangle is packed,
-        sharing it: copy() gives a matrix of its own."""
+        """The matrix of order n whose packed lower triangle starts
+        packed, sharing it: packed's entries past the triangle, if any,
+        are room (zeros) that border appends fill in place, and copy()
+        gives a matrix of its own."""
         out = cls()
-        out._buf = _as_vec(packed, _tri(n))
+        out._buf = _as_vec(packed)
+        if len(out._buf) < _tri(n):
+            raise ValueError("%d entries do not hold order %d" % (len(out._buf), n))
         out.n = n
         return out
+
+    @staticmethod
+    def room(n):
+        """The entries of the buffer that border appends grow a matrix of
+        order n to, as copy() gives it."""
+        return _room(8, _tri(n))
 
     @property
     def packed(self):
@@ -363,7 +396,7 @@ class SymMatrix:
         # with the capacity appends would have grown, so that the copy's
         # own first append does not copy it again
         out = SymMatrix()
-        out._buf = _grown(out._buf, _tri(self.n))
+        out._buf = np.zeros(self.room(self.n), dtype=_F64)
         out._buf[: _tri(self.n)] = self._buf[: _tri(self.n)]
         out.n = self.n
         return out

@@ -17,12 +17,13 @@ An array field is counted, its u32 element count first, or sized: its
 count follows from the fields before it, and it has none of its own.
 An f64 field reads as an array of its own, a u32 field as a tuple of
 ints.  A record is read field by field from a binary stream, each array
-straight into its own array, within a byte budget: a count that claims
-more than the frame or the file has left is malformed before anything
-is allocated, so neither a frame nor a snapshot is ever held whole.  A
-message is written as its pieces: runs of small fields joined, and each
-array of _RUN bytes or more as it is, so that a reply is written from
-the server's own arrays, with no second copy of them.
+straight into its own array (or into the start of the room that its
+holder grows it to, see _Reader.values), within a byte budget: a count
+that claims more than the frame or the file has left is malformed
+before anything is allocated, so neither a frame nor a snapshot is ever
+held whole.  A message is written as its pieces: runs of small fields
+joined, and each array of _RUN bytes or more as it is, so that a reply
+is written from the server's own arrays, with no second copy of them.
 
 The server's pool of inputs and its LDL^T factor rows are append-only
 in server order, so a read sends only what the reader lacks: GetDisclosed
@@ -86,7 +87,7 @@ from .kernels import (
     MixedEffectConfig,
     Pool,
 )
-from .linalg import FactorSet, SymMatrix, _tri
+from .linalg import FactorSet, SymMatrix, UnitLowerFactor, _tri
 from .server import (
     CASE_NEW_INPUT,
     CASE_REPEAT_GLOBAL,
@@ -173,9 +174,10 @@ class _Reader:
     field past them is malformed, and so is a stream that ends before
     them."""
 
-    def __init__(self, stream, left):
+    def __init__(self, stream, left, rooms=False):
         self.stream = stream
         self.left = left
+        self.rooms = rooms  # read packed matrices into room (see _packed)
         self.got = None
 
     def _budget(self, n):
@@ -191,10 +193,14 @@ class _Reader:
             raise errors.MalformedFrame("truncated frame payload")
         return out
 
-    def values(self, dtype, count):
-        """The next count values of dtype, read into an array of their own."""
+    def values(self, dtype, count, room=None):
+        """The next count values of dtype, read into an array of their own.
+        Given room (count or more), they are read into the start of room
+        zeros, allocated once count has passed the budget: the array
+        returned is that start, and its base the whole, which a holder
+        grows in place (see Seen.disclosed and load_snapshot_from)."""
         self._budget(dtype.itemsize * count)
-        out = np.empty(count, dtype=dtype)
+        out = np.empty(count, dtype=dtype) if room is None else np.zeros(room, dtype)[:count]
         view = memoryview(out).cast("B")
         while len(view):
             got = self.stream.readinto(view)
@@ -252,18 +258,22 @@ def _piece(values, dtype):
     return memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
 
 
-def _f64s(count=None):
+def _f64s(count=None, room=None):
     """An f64 array field: counted, or, given count, sized by count(got).
     It is written from one array, as its own piece, and read into an
-    array of its own."""
+    array of its own: given room, into the start of room(r, size)
+    entries when that is not None (see _Reader.values)."""
 
     def write(w, arr):
         if count is None:
             _u32.write(w, len(arr))
         w.append(_piece(arr, _F8))
 
-    size = _u32.read if count is None else lambda r: count(r.got)
-    return _Codec(write, lambda r: r.values(_F8, size(r)))
+    def read(r):
+        size = _u32.read(r) if count is None else count(r.got)
+        return r.values(_F8, size, room and room(r, size))
+
+    return _Codec(write, read)
 
 
 def _u32s(count=None):
@@ -279,6 +289,15 @@ def _u32s(count=None):
 
 
 _counted_f64s = _f64s()
+
+
+def _packed(order):
+    """A symmetric matrix of order(got) as its packed lower triangle, an
+    f64 array sized by it; a reader with rooms, which reads an engine's
+    own state, reads it into the room that SymMatrix grows it to, so that
+    the engine keeps it there."""
+    return _f64s(lambda got: _tri(order(got)),
+                 lambda r, size: SymMatrix.room(order(r.got)) if r.rooms else None)
 
 
 def _tag(tags, what):
@@ -457,6 +476,13 @@ def _n_inputs(got):
     return got["since"] + len(got["inputs"])
 
 
+def _lower_room(r, size):
+    # a reply to a reader that holds no rows reads all of L's into the
+    # room that its factor grows to, so that the reader keeps them there
+    n = _n_inputs(r.got)
+    return UnitLowerFactor.room(n) if r.got["since"] == 0 and size == _tri(n) else None
+
+
 SubmitExample = _message(1, "SubmitExample", ("task", _i64), ("token", _bytes),
                          ("key", _bytes), ("features", _features), ("y", _f64),
                          ("w", _f64))
@@ -464,8 +490,9 @@ Ack = _message(2, "Ack", ("epoch", _u64), ("case", _case))
 GetDisclosed = _message(3, "GetDisclosed", ("since", _u32))
 Disclosed = _message(4, "Disclosed", ("epoch", _u64), ("since", _u32),
                      ("inputs", _inputs), ("y_cond", _f64s(_n_inputs)),
-                     ("h_packed", _f64s(lambda got: _tri(_n_inputs(got)))),
-                     ("lower", _counted_f64s), ("d", _counted_f64s), ("m", _counted_f64s))
+                     ("h_packed", _packed(_n_inputs)),
+                     ("lower", _f64s(room=_lower_room)), ("d", _counted_f64s),
+                     ("m", _counted_f64s))
 GetTaskCoeffs = _message(5, "GetTaskCoeffs", ("task", _i64), ("token", _bytes),
                          ("since", _u32))
 TaskCoeffs = _message(6, "TaskCoeffs", ("epoch", _u64), ("since", _u32),
@@ -625,6 +652,18 @@ def task_coeffs_to_message(model, since=0):
                       model.a_cond, model.a_task, model.slots)
 
 
+def _room_of(values, size):
+    # the array of size entries that values was read into the start of
+    # (see _Reader.values), or None; values is made read-only, so that
+    # its room is handed to one holder
+    room = values.base
+    if not (values.flags.writeable and isinstance(room, np.ndarray)
+            and room.shape == (size,) and room.ctypes.data == values.ctypes.data):
+        return None
+    values.flags.writeable = False
+    return room
+
+
 class Seen:
     """What one reader has read of the server's append-only arrays: the
     pool's inputs (a kernels.Pool) and the factor rows (a FactorSet), in
@@ -642,6 +681,12 @@ class Seen:
     in this buffer without copying L.  This set keeps its buffer across
     reads: it writes its next rows over the engine's once that engine is
     gone, and copies its rows out only while the engine lives.
+
+    A reply read from nothing (since = 0, a first read) holds L once:
+    the reader read its rows into the room of a factor (see
+    _Reader.values), and this set's L is that factor, over the reply's
+    own array, with D and M shared with the reply.  A reply not read so
+    (one made in process, say) is copied, as every later read's rows are.
     """
 
     def __init__(self):
@@ -675,7 +720,11 @@ class Seen:
                                             % (width, f.bias_dim))
             f = FactorSet(width)
         inputs = self._inputs(msg)
-        f.append_rows(lower, msg.d, msg.m)
+        room = None if f.n else _room_of(lower, UnitLowerFactor.room(n))
+        if room is None:
+            f.append_rows(lower, msg.d, msg.m)
+        else:  # rows read from nothing stay where they were read
+            f = FactorSet.of(UnitLowerFactor.over(room, n), msg.d, msg.m.reshape(count, width))
         self.factors = f
         msg.y_cond.flags.writeable = msg.h_packed.flags.writeable = False
         return DisclosedDB(inputs=inputs, y_cond=msg.y_cond,
@@ -735,7 +784,7 @@ def _ell(got):
 
 
 _TASK_BLOCK = _Row("TaskBlock", ("task", _i64), ("slots", _u32s()), ("y", _f64s(_ell)),
-                   ("w", _f64s(_ell)), ("r_packed", _f64s(lambda got: _tri(_ell(got)))))
+                   ("w", _f64s(_ell)), ("r_packed", _packed(_ell)))
 
 
 def _snapshot_pieces(engine):
@@ -781,7 +830,7 @@ def _add_task(tasks, n, block):
                                     "weight that is not finite and > 0" % block.task)
     ell = len(block.slots)
     st = TaskState(block.slots, block.y, block.w,
-                   SymMatrix.from_packed(block.r_packed, ell).copy())
+                   SymMatrix.from_packed(block.r_packed.base, ell))
     if len(st.pos) != ell:  # pos holds each slot once
         twice = next(s for p, s in enumerate(st.slots) if st.pos[s] != p)
         raise errors.MalformedFrame("task slot %d listed twice" % twice)
@@ -798,11 +847,14 @@ def load_snapshot_from(stream):
     snapshot from its position to its end.  The head is checked first,
     then the CRC, in one pass of reads of _RUN bytes, before any other
     field is parsed; the fields are then read one by one, so that the
-    snapshot is never held whole."""
+    snapshot is never held whole.  Each array is held once: L's rows,
+    H and each task's R are read into the room that the engine grows
+    them to, and the engine keeps them there (see Seen and
+    ServerEngine.from_disclosed)."""
     start = stream.tell()
     body = stream.seek(0, io.SEEK_END) - start - 4
     stream.seek(start)
-    r = _Reader(stream, max(body, 0))
+    r = _Reader(stream, max(body, 0), rooms=True)
     head = _read_body(r, _HEAD)
     if head.magic != MAGIC:
         raise errors.MalformedFrame("not a snapshot (bad magic)")
@@ -816,7 +868,12 @@ def load_snapshot_from(stream):
         raise errors.ChecksumMismatch("snapshot CRC does not match")
     stream.seek(at)
     cfg = config_from_message(_read_body(r, _CONFIG))
-    engine = ServerEngine.from_disclosed(Seen().disclosed(_read_body(r, _DISCLOSED)), cfg)
+    msg = _read_body(r, _DISCLOSED)
+    # the engine keeps H where it was read, and lends it to the summary
+    # it is seeded from, which is gone before the engine's first commit
+    h_mat = SymMatrix.from_packed(msg.h_packed.base, len(msg.y_cond))
+    msg.h_packed = h_mat.packed
+    engine = ServerEngine.from_disclosed(Seen().disclosed(msg), cfg, h_mat)
     for _ in range(_read_body(r, _TASK_COUNT).count):
         _add_task(engine.tasks, engine.n, _read_body(r, _TASK_BLOCK))
     r.done()

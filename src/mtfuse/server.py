@@ -9,12 +9,13 @@ patch; every update is planned fully before any state is touched, so a
 rejected triple leaves the server bit-identical.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedFrame, SingularSystem, UnknownTask
+from .errors import InvalidInput, MalformedFrame, SingularSystem, UnknownTask
 from .kernels import (
     LOOKUP,
     InputPoint,
@@ -81,9 +82,11 @@ class DisclosedDB:
     change, and an engine seeded from them copies before it appends,
     except that one seeded from a reader's summary shares the reader's
     right to append to L in place (see UnitLowerFactor.take).  H
-    is read-only: the server lends its own, copy on write (see
-    ServerEngine.get_disclosed), and a reader's is read from the wire;
-    an engine seeded from it copies it.
+    is read-only and never changes while the summary lives: the server
+    lends its own, copy on write (see ServerEngine.get_disclosed), and a
+    reader's is read from the wire; an engine seeded from it copies it,
+    except that a snapshot load's engine lends its own H to the summary
+    it is seeded from, copy on write (protocol.load_snapshot_from).
     """
 
     inputs: Pool
@@ -140,6 +143,11 @@ def shared_coefficients(y_cond, h_mat, factors, alpha):
     return b, a_cond, q
 
 
+def _top(a):
+    # the largest |entry| of a (NaN if one is), 0.0 for an empty a
+    return float(np.abs(a).max()) if len(a) else 0.0
+
+
 class ServerEngine:
     """Incremental server state plus the update rules."""
 
@@ -158,7 +166,7 @@ class ServerEngine:
         return len(self.inputs)
 
     @classmethod
-    def from_disclosed(cls, db, cfg):
+    def from_disclosed(cls, db, cfg, H=None):
         """Local engine seeded from a disclosed snapshot (no task data).
 
         It takes a view of db's pool, which copies out on its first
@@ -167,7 +175,9 @@ class ServerEngine:
         the engine never writes into the server's buffer, and a reader's
         lends its Seen's, so the engine appends there unless a live
         factor holds rows past db's.  It copies H, the one array it
-        patches in place.  A bias map that does not have cfg's bias
+        patches in place, unless it is given H, a matrix of its own
+        with db's entries (protocol.load_snapshot_from reads one and
+        lends it to db).  A bias map that does not have cfg's bias
         dimension is malformed.
         """
         n = len(db.inputs)
@@ -181,7 +191,7 @@ class ServerEngine:
         eng.inputs = db.inputs.view()
         eng.factors = FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
         eng.y_cond = GrowVec(db.y_cond)
-        eng.H = db.H.copy()
+        eng.H = db.H.copy() if H is None else H
         eng.epoch = db.epoch
         return eng
 
@@ -267,7 +277,7 @@ class ServerEngine:
                 # H is bordered by (0, beta) when the new input commits
                 z = np.append(self.H.matvec(v[:n]), grow[1] * v[n])
             h_plan = smw_rank_one_plan(self.H, v, cfg.alpha * gamma, z=z)
-        return u, gamma, mu, v, h_plan
+        return u, gamma, self._checked_step(mu, v, (u, gamma), h_plan), h_plan
 
     def _plan_merge(self, task, p, y, w):
         cfg = self.cfg
@@ -297,7 +307,28 @@ class ServerEngine:
         h_plan = None
         if cfg.alpha > 0.0 and gamma != 0.0:
             h_plan = smw_rank_one_plan(self.H, v, cfg.alpha * gamma)
-        return w_new, y_new, u, gamma, mu, v, h_plan
+        step = self._checked_step(mu, v, (u, gamma), h_plan)
+        return w_new, y_new, u, gamma, step, h_plan
+
+    def _checked_step(self, mu, v, *patches):
+        """The y_cond step mu v of a plan, checked with the plan's
+        patches, each a (z, c) for c z z^T: a step, a y_cond after it or
+        a patch that is not finite (a response too large, say) refuses
+        the triple with InvalidInput, before anything is written.  The
+        commit adds this step, so an accepted triple keeps its bits.
+
+        The checks are on largest magnitudes, which round as the largest
+        entries do: a patch passes exactly when it is finite, and a step
+        when max|y_cond| + max|step| is, which refuses beyond non-finite
+        plans only sums within a factor of two of overflow.  mu v is
+        formed once it is known to be finite, so it never warns."""
+        tops = [abs(mu) * _top(v) + _top(self.y_cond.values)]
+        for z, c in filter(None, patches):
+            top = _top(z)
+            tops.append(c * top * top)
+        if not all(map(math.isfinite, tops)):
+            raise InvalidInput("the update would leave the model's state non-finite")
+        return mu * v
 
     # ----- commits (no failure paths) -----------------------------------
 
@@ -311,7 +342,7 @@ class ServerEngine:
         self.H.append_border_row(border)
 
     def _commit_task_extension(self, task, slot, y, w, ext):
-        u, gamma, mu, v, h_plan = ext
+        u, gamma, step, h_plan = ext
         st = self.tasks.get(task)
         if st is None:
             st = self.tasks[task] = TaskState()
@@ -320,19 +351,19 @@ class ServerEngine:
         st.y.append(y)
         st.w.append(w)
         schur_enlarge_apply(st.R, u, gamma)
-        self._commit_disclosed(mu, v, h_plan)
+        self._commit_disclosed(step, h_plan)
 
     def _commit_merge(self, task, p, merge):
-        w_new, y_new, u, gamma, mu, v, h_plan = merge
+        w_new, y_new, u, gamma, step, h_plan = merge
         st = self.tasks[task]
         st.w.values[p] = w_new
         st.y.values[p] = y_new
         if gamma != 0.0:
             smw_rank_one_apply(st.R, u, gamma)
-        self._commit_disclosed(mu, v, h_plan)
+        self._commit_disclosed(step, h_plan)
 
-    def _commit_disclosed(self, mu, v, h_plan):
-        self.y_cond.values[:] += mu * v
+    def _commit_disclosed(self, step, h_plan):
+        self.y_cond.values[:] += step
         if h_plan is not None:
             smw_rank_one_apply(self.H, *h_plan)
 

@@ -31,17 +31,22 @@ def test_readme_quick_tour_runs():
     assert isinstance(namespace["model"], mtfuse.ClientModel)
 
 
-def _scipy_modules_after(script):
-    # the scipy modules loaded once script has run in a fresh process
+def _modules_after(script, roots):
+    # the modules of the packages roots loaded once script has run in a
+    # fresh process
     script = textwrap.dedent(script) + textwrap.dedent("""
         import sys
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """)
+        print(sorted(m for m in sys.modules if m.split(".")[0] in %r))
+    """ % (roots,))
     src = os.path.dirname(os.path.dirname(mtfuse.__file__))
     run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                          timeout=120, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def _scipy_modules_after(script):
+    return _modules_after(script, ("scipy",))
 
 
 def test_serving_and_both_refreshes_load_no_scipy():
@@ -119,3 +124,30 @@ def test_harness_and_oracles_load_no_scipy():
         model = Client(1, cfg).active_refresh(engine)
         assert 0.0 < preference_score(model, cfg, points[2]) < 1.0
     """) == "[]\n"
+
+
+def test_serving_loads_no_openssl():
+    # the daemon compares tokens with CPython's own constant-time compare:
+    # a process that serves an authorized and a refused submit maps no
+    # OpenSSL
+    assert _modules_after("""
+        import numpy as np
+        from mtfuse import InputPoint, KernelSpec, MixedEffectConfig, ServerEngine
+        from mtfuse.daemon import RemoteServer, start_server
+        from mtfuse.errors import Unauthorized
+        cfg = MixedEffectConfig(alpha=0.5, lam=0.1, shared=KernelSpec.rbf_tags(),
+                                individual=KernelSpec.linear_tags())
+        x = InputPoint(b"item", np.array([0.6, 0.8]))
+        srv = start_server(ServerEngine(cfg), ("127.0.0.1", 0), {0: b"tok"})
+        try:
+            with RemoteServer(srv.address, task=0, token=b"tok") as conn:
+                assert conn.submit(x, 1.0, 1.0).epoch == 1
+                try:
+                    conn.submit(x, 1.0, 1.0, token=b"tok!")
+                    raise AssertionError("a wrong token was taken")
+                except Unauthorized:
+                    pass
+        finally:
+            srv.shutdown()
+            srv.server_close()
+    """, ("_hashlib", "ssl", "_ssl")) == "[]\n"

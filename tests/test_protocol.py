@@ -50,7 +50,7 @@ from mtfuse.kernels import (
     Pool,
     eval_kernel,
 )
-from mtfuse.linalg import _tri
+from mtfuse.linalg import SymMatrix, UnitLowerFactor, _tri
 from mtfuse.offline import (
     Dataset,
     build_index_structures,
@@ -1019,6 +1019,31 @@ class TestSnapshot:
         assert 0 < max(sizes) <= eng.H.packed.nbytes < size / 2
         assert peak - kept < size / 2, (peak - base, kept - base, size)
 
+    def test_a_load_holds_h_and_l_once_where_the_engine_keeps_them(self):
+        # H and L's rows are read into the room the engine grows them to,
+        # 512 rows each here, and the engine keeps them there: the load's
+        # peak is one of each, and its next new input writes in place
+        rng = np.random.default_rng(61)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        xs = make_inputs(rng, 501, dim=8, unit=True)
+        for t, x in enumerate(xs[:500]):
+            eng.receive_example(t % 25, x, float(rng.normal()), 1.0)
+        stream = io.BytesIO(proto.save_snapshot(eng))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = proto.load_snapshot_from(stream)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rooms = 8 * (UnitLowerFactor.room(500) + SymMatrix.room(500))
+        assert peak < 1.25 * rooms, (peak, rooms)
+        l_buf, h_buf = back.factors.L._buf, back.H._buf
+        assert back.receive_example(3, xs[500], 0.5, 1.0).case == CASE_NEW_INPUT
+        assert back.factors.L._buf is l_buf and back.H._buf is h_buf
+        eng.receive_example(3, xs[500], 0.5, 1.0)
+        assert proto.save_snapshot(back) == proto.save_snapshot(eng)
+
     def test_bad_magic_and_version(self):
         eng = ServerEngine(make_config(0.5, 0.1))
         blob = proto.save_snapshot(eng)
@@ -1190,6 +1215,23 @@ class TestDaemon:
                 with pytest.raises(Unauthorized):
                     conn.task_coefficients()
             assert eng.epoch == 0
+
+    def test_only_the_whole_token_authorizes(self):
+        # a wrong token, a prefix of the right one, an extension of it and
+        # an empty one are refused for both authorized requests
+        cfg = make_config(0.5, 0.1)
+        with daemon(cfg, {0: b"secret"}) as (eng, srv):
+            x = make_inputs(np.random.default_rng(27), 1, unit=True)[0]
+            for token in (b"secreT", b"secre", b"secret!", b""):
+                with RemoteServer(srv.address, task=0, token=token) as conn:
+                    with pytest.raises(Unauthorized):
+                        conn.submit(x, 1.0, 1.0)
+                    with pytest.raises(Unauthorized):
+                        conn.task_coefficients()
+            assert eng.epoch == 0
+            with RemoteServer(srv.address, task=0, token=b"secret") as conn:
+                assert conn.submit(x, 1.0, 1.0).epoch == 1
+                assert conn.task_coefficients().a_task.shape == (1,)
 
     def test_task_without_data_reads_shared_model(self):
         rng = np.random.default_rng(26)
@@ -1794,6 +1836,49 @@ class TestOneL:
             assert seen.factors.L._buf is buf and seen.factors.n == eng.n
         assert seen.factors.L.rows().tobytes() == eng.factors.L.rows().tobytes()
         assert max(peaks) < 0.1 * eng.factors.L.rows().nbytes, peaks
+
+    def test_a_fresh_seens_first_read_holds_l_once(self):
+        # the reply's rows of L are read into the room of the Seen's
+        # factor, 256 rows here, and the Seen keeps them there
+        eng, _ = self._served(250, 62)
+        wire = proto.encode(proto.disclosed_to_message(eng.get_disclosed()))
+        seen = proto.Seen()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            msg = proto.decode(wire)
+            seen.disclosed(msg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        once = 8 * (UnitLowerFactor.room(250) + _tri(250))  # L at its room, and H
+        assert peak < 1.25 * once, (peak, once)
+        assert seen.factors.L._buf is msg.lower.base
+        assert seen.factors.L.rows().tobytes() == eng.factors.L.rows().tobytes()
+
+    def test_two_engines_seeded_from_one_summary_stay_apart(self):
+        # the first to append does so in the Seen's buffer and the other
+        # copies L out; each equals an engine seeded from a read of its
+        # own, and the summary's H never changes
+        eng, rng = self._served(40, 63)
+        seen = proto.Seen()
+        db = seen.disclosed(self._reply(eng, seen))
+        h_before = db.H.packed.tobytes()
+        mine = make_inputs(rng, 2, dim=4, prefix=b"own", unit=True)
+        both = [ServerEngine.from_disclosed(db, eng.cfg) for _ in mine]
+        for step in range(2):  # each engine's new input, then a repeat
+            for local, x in zip(both, mine):
+                local.receive_example(9, (x, eng.inputs[3])[step], (0.4, -0.2)[step], 1.0)
+        assert both[0].factors.L._buf is seen.factors.L._buf
+        assert both[1].factors.L._buf is not seen.factors.L._buf
+        for local, x in zip(both, mine):
+            alone = proto.Seen()
+            alone = ServerEngine.from_disclosed(alone.disclosed(self._reply(eng, alone)),
+                                                eng.cfg)
+            alone.receive_example(9, x, 0.4, 1.0)
+            alone.receive_example(9, eng.inputs[3], -0.2, 1.0)
+            assert proto.save_snapshot(local) == proto.save_snapshot(alone)
+        assert db.H.packed.tobytes() == h_before
 
     def test_passive_models_through_one_seen_equal_fresh_reads_bitwise(self):
         # six reads, each after new server inputs, each replaying a new

@@ -313,6 +313,25 @@ class TestTransactionality:
         db = eng.get_disclosed()
         assert np.isfinite(db.y_cond).all() and np.isfinite(db.H.packed).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [CASE_NEW_INPUT, CASE_REPEAT_GLOBAL])
+    def test_response_overflow_refused_and_snapshot_kept(self, case):
+        # y = 1.7e308 is finite, but the y_cond step it would make is not
+        xs = make_inputs(np.random.default_rng(24), 4, dim=4, unit=True)
+        eng = ServerEngine(make_config(0.5, 0.1, d=1))
+        for t, x in enumerate(xs[:3]):
+            eng.receive_example(t, x, 1.0, 1.0)
+        before = save_snapshot(eng)
+        x = xs[3] if case == CASE_NEW_INPUT else xs[1]
+        with pytest.raises(InvalidInput, match="non-finite"):
+            eng.receive_example(0, x, 1.7e308, 1.0)
+        assert save_snapshot(eng) == before
+        assert eng.receive_example(0, x, 0.5, 1.0).case == case
+        db = eng.get_disclosed()
+        f = db.factors
+        for arr in (db.y_cond, db.H.packed, f.L.rows(), f.D.values, f.M):
+            assert np.isfinite(arr).all()
+
     def test_wrong_feature_length_rejected_and_state_kept(self):
         rng = np.random.default_rng(18)
         ds, cfg, pool = random_instance(rng, m_max=3, ell_max=6, n_max=5)
