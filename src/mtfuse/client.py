@@ -3,19 +3,23 @@
 A task's model is one server.ClientModel, which holds the pool of
 inputs it lives on.  An *active* client reads it from the server in
 one call.  A *passive* client never sends its observations anywhere:
-it seeds a local engine with the public disclosed snapshot and the
-factors of its inputs, replays its own triples through the exact same
-update rules the server runs, and reads its model from that engine with
-the same call.
+it folds its own triples into the public disclosed summary as one
+rank-l correction of it (see Client.passive_refresh), which gives the
+model of a server that received those triples last, to rounding.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidInput
+from .kernels import InputPoint, check_observation, kernel_matrix, merge_observation, operand
+from .linalg import RankUpdate, cholesky, cholesky_solve, woodbury_plan
 from .offline import mixed_predictions
-from .server import ClientModel, ServerEngine
+from .server import ClientModel, disclosed_factors, plan_new_input, shared_coefficients
+
+_F64 = np.float64
 
 
 @dataclass
@@ -54,16 +58,72 @@ class Client:
     def passive_refresh(self, disclosed, private):
         """Recover the model without uploading anything.
 
-        Replays the private triples through a local engine seeded from
-        the disclosed snapshot; the local updates are the same code the
-        server runs, so the result equals an active refresh against a
-        server that had received those triples last.  The model carries
-        the disclosed epoch, not the local engine's.
+        The private triples are merged per input in arrival order, with
+        the server's checks and merge.  An input the summary lacks
+        extends a local pool and the summary's factors by the server's
+        own append (server.plan_new_input), so the pool, the slots and
+        L's rows are those of a server that received the triples last.
+        The task's l inputs, at rows L_t of L, add alpha L_t^T R_t L_t
+        to the inverse of H and L_t^T R_t y_t to y_cond, where R_t is
+        the inverse of Q_t = (1 - alpha) K_t + lam W_t.  The shared
+        solve reads the new H as one rank-l correction of the lent H
+        (linalg.woodbury_plan): l + 1 + d products with it, which is
+        neither copied nor written.
+
+        So the model equals that server's to rounding, not bit for bit;
+        with no private triples it is the summary's own, bit for bit.
+        A triple the server would refuse is refused with the server's
+        error, and nothing of the summary changes.  The model carries
+        the disclosed epoch.
         """
-        local = ServerEngine.from_disclosed(disclosed, self.cfg)
+        cfg, alpha = self.cfg, self.cfg.alpha
+        inputs, factors = disclosed.inputs.view(), disclosed_factors(disclosed, cfg)
+        pos, slots, y_t, w_t = {}, [], [], []
         for x, y, w in private.triples:
-            local.receive_example(self.task, x, y, w)
-        return replace(local.task_coefficients(self.task), epoch=disclosed.epoch)
+            if not isinstance(x, InputPoint):
+                raise TypeError("x must be an InputPoint")
+            y, w = check_observation(y, w)
+            p = pos.get(x.key)
+            if p is not None:
+                # a merge to a weight or response the server would refuse
+                # is refused the same way
+                y_t[p], w_t[p] = check_observation(*merge_observation(y_t[p], w_t[p], y, w))
+                continue
+            s = inputs.slot(x.key)
+            if s is None:
+                factors.append_precomputed(*plan_new_input(cfg, inputs, factors, x))
+                inputs.append(x)
+                s = len(inputs) - 1
+            pos[x.key] = len(slots)
+            slots.append(s)
+            y_t.append(y)
+            w_t.append(w)
+
+        slots = np.asarray(slots, dtype=np.intp)
+        h_mat, y_cond, a_task = disclosed.H, disclosed.y_cond, np.zeros(0, dtype=_F64)
+        if len(slots):
+            spec = cfg.individual_for(self.task)
+            k = operand(spec, inputs, slots)
+            q_t = (1.0 - alpha) * kernel_matrix(k, k, spec) + np.diag(cfg.lam * np.array(w_t))
+            a_task = cholesky_solve(cholesky(q_t), y_t)  # R_t y_t
+            l_t = factors.L.block(slots)
+            n, grown = h_mat.n, len(inputs)
+            y_cond = np.append(y_cond, np.zeros(grown - n)) + a_task @ l_t
+            tail = factors.D.values[n:]
+            if alpha > 0.0:
+                h_mat = woodbury_plan(h_mat, l_t, q_t / alpha, tail)
+            else:
+                h_mat = RankUpdate(h_mat, tail, np.zeros((0, grown)), np.zeros((0, 0)))
+            if not np.isfinite(y_cond).all():
+                raise InvalidInput("the update would leave the model's state non-finite")
+        b, a_cond, _ = shared_coefficients(y_cond, h_mat, factors, alpha)
+        if len(slots) and alpha > 0.0:
+            # a_t = R_t (y_t - alpha L_t H' u) with u = y_cond + M b, and
+            # L_t H' = (Q_t / alpha) S^-1 Z^T: a_t = R_t y_t - S^-1 Z^T u,
+            # which spares R_t's amplification of the error in H' u
+            u = y_cond + factors.M @ b
+            a_task = a_task - cholesky_solve(h_mat.c, h_mat.Zt @ u)
+        return ClientModel(self.task, disclosed.epoch, inputs, b, a_cond, a_task, slots)
 
 
 def client_predictions(model, cfg, xs):

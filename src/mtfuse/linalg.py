@@ -1,4 +1,4 @@
-"""Append-only factor storage and rank-one inverse updates.
+"""Append-only factor storage and rank-one and rank-k inverse updates.
 
 Everything here is float64 and grows by appending: the shared-kernel Gram
 is kept as a unit-lower-triangular factor L and a positive diagonal D
@@ -10,6 +10,7 @@ than O(n) amortized.
 
 import ctypes
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -25,13 +26,13 @@ _F64 = np.float64
 
 # ===== BLAS ==============================================================
 #
-# The three packed Level-2 routines come from the OpenBLAS that numpy
+# The Level-2 routines come from the OpenBLAS that numpy
 # itself loaded, through its CBLAS entries: dlsym on numpy's own extension
 # module searches that module's dependencies, so no path is named and no
 # second BLAS is loaded.  Sizes are 64-bit; the calls release the GIL.
 
 _BLAS = ctypes.CDLL(_multiarray_umath.__file__)
-_COL_MAJOR, _UPPER, _NO_TRANS, _TRANS, _UNIT = 102, 121, 111, 112, 132
+_COL_MAJOR, _UPPER, _NO_TRANS, _TRANS, _UNIT, _NON_UNIT = 102, 121, 111, 112, 132, 131
 _E, _N, _D, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
@@ -47,6 +48,7 @@ def _cblas(name, *argtypes):
 _dspmv = _cblas("scipy_cblas_dspmv64_", _E, _E, _N, _D, _P, _P, _N, _D, _P, _N)
 _dspr = _cblas("scipy_cblas_dspr64_", _E, _E, _N, _D, _P, _N, _P)
 _dtpsv = _cblas("scipy_cblas_dtpsv64_", _E, _E, _E, _E, _N, _P, _P, _N)
+_dtrsv = _cblas("scipy_cblas_dtrsv64_", _E, _E, _E, _E, _N, _P, _N, _P, _N)
 
 
 def _addr(a):
@@ -249,6 +251,13 @@ class UnitLowerFactor:
             o = _tri(i)
             out[r * n : r * n + i] = buf[o : o + i]
         return out.reshape(len(idx), n)
+
+    def block(self, idx):
+        """Rows idx with their unit diagonal, as one dense len(idx) x n
+        matrix."""
+        out = self._block(idx)
+        out[np.arange(len(idx)), idx] = 1.0
+        return out
 
     def rows_t_matvec(self, idx, u):
         # v = L(idx, :)^T u, full length n; add.at sums the unit diagonal
@@ -529,12 +538,39 @@ class FactorSet:
         self.D.extend(d)
 
 
-# ===== rank-one inverse updates ==========================================
+# ===== inverse updates ===================================================
 #
 # Each update comes in two halves: a pure plan that computes the update
 # vector and coefficient and raises with nothing touched, and an in-place
 # apply that cannot fail.  Callers plan every change first and apply only
-# once all plans have passed.
+# once all plans have passed.  The rank-k plan has no apply half yet: its
+# one caller reads the planned matrix through products.
+
+
+def cholesky(a):
+    """The lower Cholesky factor of a symmetric matrix (its lower
+    triangle is read); one that is not finite and positive definite is
+    rejected."""
+    a = np.asarray(a, dtype=_F64)
+    if not np.isfinite(a).all():
+        raise SingularUpdate("a %d x %d block is not finite" % a.shape)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularUpdate("a %d x %d block is not positive definite" % a.shape) from None
+
+
+def cholesky_solve(c, b):
+    """(c c^T)^-1 b for a lower Cholesky factor c and a vector b: two
+    dtrsv solves, c read as column-major upper storage of c^T, over a
+    copy of b."""
+    k = len(c)
+    x = _as_vec(b, k).copy()
+    if k:
+        c = np.ascontiguousarray(c, dtype=_F64)
+        for trans in (_TRANS, _NO_TRANS):
+            _dtrsv(_COL_MAJOR, _UPPER, trans, _NON_UNIT, k, _addr(c), k, _addr(x), 1)
+    return x
 
 
 def smw_rank_one_plan(H, v, sigma, z=None, definite=False):
@@ -616,3 +652,46 @@ def schur_enlarge_inverse(R, ktilde, lambda_w):
     out = R.copy()
     schur_enlarge_apply(out, u, gamma)
     return u, gamma, out
+
+
+class RankUpdate(NamedTuple):
+    """The matrix blockdiag(H, diag(tail)) - Z S^-1 Z^T that
+    woodbury_plan plans, read through matvec, which reads H and writes
+    nothing.  Z^T is held by rows, and S by its Cholesky factor c."""
+
+    H: SymMatrix
+    tail: np.ndarray
+    Zt: np.ndarray  # k x (H.n + len(tail))
+    c: np.ndarray  # k x k, lower
+
+    def matvec(self, x):
+        n, zt = self.H.n, self.Zt
+        x = _as_vec(x, n + len(self.tail))
+        out = np.concatenate((self.H.matvec(x[:n]), self.tail * x[n:]))
+        return out - cholesky_solve(self.c, zt @ x) @ zt
+
+
+def woodbury_plan(H, V, C, tail=()):
+    """Plan H <- inverse of (H^-1 + V^T C^-1 V), the rank-k sibling of
+    smw_rank_one_plan, for a k x m matrix V and a positive definite
+    k x k matrix C.
+
+    H is read as bordered by diag(tail), the diagonal entries of the
+    m - H.n inputs it does not hold yet (a new input's border is
+    (0, beta)).  With Z = H V^T and S = C + V Z, the new H is
+    H - Z S^-1 Z^T (Hager, "Updating the inverse of a matrix", SIAM
+    Review 1989).  The plan makes k products with H and writes nothing;
+    its guard is the Cholesky factor of S, and an S that is not
+    positive definite is rejected with SingularUpdate.  Every product
+    with a k x m operand is a matrix-vector one, so BLAS packs no k x m
+    panel into its buffers.  Returns the RankUpdate.
+    """
+    n = H.n
+    tail = _as_vec(tail)
+    V = np.asarray(V, dtype=_F64)
+    zt = np.empty_like(V)
+    for r, v in enumerate(V):
+        zt[r, :n] = H.matvec(v[:n])
+    zt[:, n:] = V[:, n:] * tail
+    s = C + np.array([zt @ v for v in V]).reshape(C.shape)
+    return RankUpdate(H, tail, zt, cholesky(s))

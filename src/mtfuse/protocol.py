@@ -677,10 +677,11 @@ class Seen:
     malformed, and leaves what is held as it was.  The factor set takes
     its bias dimension from the first reply that has rows.  A
     DisclosedDB shares this set's right to append to L in place
-    (FactorSet.take), so an engine seeded from it appends its own rows
-    in this buffer without copying L.  This set keeps its buffer across
-    reads: it writes its next rows over the engine's once that engine is
-    gone, and copies its rows out only while the engine lives.
+    (FactorSet.take), so a passive refresh from it, or an engine seeded
+    from it, appends its own rows in this buffer without copying L.
+    This set keeps its buffer across reads: it writes its next rows over
+    the holder's once the holder is gone, and copies its rows out only
+    while the holder lives.
 
     A reply read from nothing (since = 0, a first read) holds L once:
     the reader read its rows into the room of a factor (see

@@ -79,14 +79,16 @@ class DisclosedDB:
     them, and H shows which inputs share a task (README, Privacy model).
     The pool and the factors are views of the server's buffers (or of a
     reader's copy of them, see protocol.Seen): entries below n never
-    change, and an engine seeded from them copies before it appends,
-    except that one seeded from a reader's summary shares the reader's
-    right to append to L in place (see UnitLowerFactor.take).  H
-    is read-only and never changes while the summary lives: the server
-    lends its own, copy on write (see ServerEngine.get_disclosed), and a
-    reader's is read from the wire; an engine seeded from it copies it,
-    except that a snapshot load's engine lends its own H to the summary
-    it is seeded from, copy on write (protocol.load_snapshot_from).
+    change, and a holder that appends to them (disclosed_factors) copies
+    first, except that one holding a reader's summary shares the
+    reader's right to append to L in place (see UnitLowerFactor.take).
+    H is read-only and never changes while the summary lives: the
+    server lends its own, copy on write (see ServerEngine.get_disclosed),
+    and a reader's is read from the wire.  A passive refresh reads it
+    through products (client.Client.passive_refresh); an engine seeded
+    from it copies it, except that a snapshot load's engine lends its
+    own H to the summary it is seeded from, copy on write
+    (protocol.load_snapshot_from).
     """
 
     inputs: Pool
@@ -143,6 +145,39 @@ def shared_coefficients(y_cond, h_mat, factors, alpha):
     return b, a_cond, q
 
 
+def disclosed_factors(db, cfg):
+    """db's factors for a new holder that appends to them: they share
+    db's buffers, and L's right to append in place (see
+    UnitLowerFactor.take): a server's own summary lends none, so the
+    holder never writes into the server's buffer, and a reader's lends
+    its Seen's, so the holder appends there unless a live factor holds
+    rows past db's.  Factors that do not fit db's inputs and cfg's bias
+    dimension are malformed."""
+    n = len(db.inputs)
+    f = db.factors
+    if f.n != n or f.M.size != n * cfg.bias_dim:
+        raise MalformedFrame(
+            "the disclosed factors do not fit %d inputs and %d bias columns"
+            % (n, cfg.bias_dim)
+        )
+    return FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
+
+
+def plan_new_input(cfg, inputs, factors, x):
+    """The factor row (r, beta, mrow) that input x, which inputs lacks,
+    appends to factors (see FactorSet.append_precomputed): its shared
+    kernel row against every pooled input, the LDL^T pivot and its bias
+    row.  Features that are not finite, or, for a feature kernel, not as
+    long as the pool's, and a dependent input are refused, with nothing
+    touched."""
+    # the shared kernel compares a new input with every pooled one
+    inputs.check(x, cfg.shared.variant != LOOKUP)
+    k_head = kernel_row(cfg.shared, x, inputs)
+    k_self = eval_kernel(cfg.shared, x, x)
+    r, beta = ldl_append(factors.L, factors.D, k_head, k_self)
+    return r, beta, factors.bias_row(r, beta, cfg.bias.row(x))
+
+
 def _top(a):
     # the largest |entry| of a (NaN if one is), 0.0 for an empty a
     return float(np.abs(a).max()) if len(a) else 0.0
@@ -170,26 +205,14 @@ class ServerEngine:
         """Local engine seeded from a disclosed snapshot (no task data).
 
         It takes a view of db's pool, which copies out on its first
-        append, and db's factors with their right to append to L in place
-        (see UnitLowerFactor.take): a server's own summary lends none, so
-        the engine never writes into the server's buffer, and a reader's
-        lends its Seen's, so the engine appends there unless a live
-        factor holds rows past db's.  It copies H, the one array it
-        patches in place, unless it is given H, a matrix of its own
-        with db's entries (protocol.load_snapshot_from reads one and
-        lends it to db).  A bias map that does not have cfg's bias
-        dimension is malformed.
+        append, and db's factors from disclosed_factors.  It copies H,
+        the one array it patches in place, unless it is given H, a
+        matrix of its own with db's entries (protocol.load_snapshot_from
+        reads one and lends it to db).
         """
-        n = len(db.inputs)
-        f = db.factors
-        if f.n != n or f.M.size != n * cfg.bias_dim:
-            raise MalformedFrame(
-                "the disclosed factors do not fit %d inputs and %d bias columns"
-                % (n, cfg.bias_dim)
-            )
         eng = cls(cfg)
+        eng.factors = disclosed_factors(db, cfg)
         eng.inputs = db.inputs.view()
-        eng.factors = FactorSet.of(f.L.take(), f.D.values, f.M.reshape(n, cfg.bias_dim))
         eng.y_cond = GrowVec(db.y_cond)
         eng.H = db.H.copy() if H is None else H
         eng.epoch = db.epoch
@@ -207,9 +230,7 @@ class ServerEngine:
 
         s = self.inputs.slot(x.key)
         if s is None:
-            # the shared kernel compares a new input with every pooled one
-            self.inputs.check(x, self.cfg.shared.variant != LOOKUP)
-            grow = self._plan_new_input(x)
+            grow = plan_new_input(self.cfg, self.inputs, self.factors, x)
             ext = self._plan_task_extension(task, x, self.n, y, w, grow)
             self._commit_new_input(x, grow)
             self._commit_task_extension(task, self.n - 1, y, w, ext)
@@ -230,14 +251,6 @@ class ServerEngine:
         return UpdateReceipt(self.epoch, case)
 
     # ----- planning (pure, may raise) -----------------------------------
-
-    def _plan_new_input(self, x):
-        cfg = self.cfg
-        k_head = kernel_row(cfg.shared, x, self.inputs)
-        k_self = eval_kernel(cfg.shared, x, x)
-        r, beta = ldl_append(self.factors.L, self.factors.D, k_head, k_self)
-        mrow = self.factors.bias_row(r, beta, cfg.bias.row(x))
-        return r, beta, mrow
 
     def _plan_task_extension(self, task, xc, slot, y, w, grow):
         cfg = self.cfg

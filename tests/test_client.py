@@ -14,6 +14,7 @@ from mtfuse.client import (
     squash,
 )
 from mtfuse.kernels import eval_kernel
+from mtfuse.linalg import _tri
 from mtfuse.offline import (
     Dataset,
     build_factors,
@@ -280,9 +281,10 @@ class TestPassiveRefresh:
             assert rel_err(got, want) < 1e-8
 
     def test_task_last_matches_active_bitwise(self):
-        # a server that receives the task's triples last runs the same
-        # updates as the passive replay on the disclosed state just before
-        # them, so both paths end in one engine state and one model
+        # a server that receives the task's triples last holds the inputs
+        # and slots a passive refresh builds, bit for bit; its rank-one
+        # updates and the passive rank-l correction give one model to
+        # rounding
         rng = np.random.default_rng(23)
         for alpha in (0.0, 0.5, 1.0):
             for d in (0, 1):
@@ -300,10 +302,14 @@ class TestPassiveRefresh:
                     active = Client(mine, cfg).active_refresh(
                         stream_into_engine(eng, private)
                     )
+                    assert _pool_bytes(passive.inputs) == _pool_bytes(active.inputs)
                     for f in ("b", "a_cond", "a_task", "slots"):
                         got, want = getattr(passive, f), getattr(active, f)
                         assert got.dtype == want.dtype
-                        assert got.tobytes() == want.tobytes(), (alpha, d, f)
+                        if f == "slots":
+                            assert got.tobytes() == want.tobytes(), (alpha, d)
+                        else:
+                            assert rel_err(got, want) <= 1e-10, (alpha, d, f)
 
     def test_union_matches_offline_solver(self):
         rng = np.random.default_rng(13)
@@ -385,6 +391,61 @@ class TestPassiveRefresh:
             replayed.receive_example(mine, x, y, w)
         assert (recovery_identity_residual(model, replayed)
                 < 1e-8 * residual_scale(replayed))
+
+
+class TestPassiveCorrection:
+    """The rank-l passive refresh against its oracle: the replay of the
+    private triples through an engine seeded from the same summary."""
+
+    def test_matches_the_replay(self):
+        # known inputs, new ones and repeats of both, at every alpha, with
+        # and without a bias, on a reader's summary of 28 inputs, whose
+        # room holds the 3 new ones.  lam = 0.1: at 1e-3 the replay's own
+        # rank-one updates can stray past 1e-10
+        rng = np.random.default_rng(71)
+        pool = make_inputs(rng, 28, dim=5, unit=True)
+        own = make_inputs(rng, 3, dim=5, prefix=b"own", unit=True)
+        private = PrivateData([
+            (pool[0], 0.3, 1.0), (own[0], -0.7, 2.0), (pool[3], 1.1, 0.5),
+            (own[0], 0.1, 0.5), (own[1], 1.2, 1.0), (pool[0], -0.4, 1.5),
+            (own[2], 0.2, 1.0), (own[1], 0.9, 2.0), (pool[7], -1.3, 1.0),
+        ])
+        for alpha in (0.0, 0.5, 1.0):
+            for d in (0, 1):
+                cfg = make_config(alpha, 0.1, d=d)
+                eng = ServerEngine(cfg)
+                for i in range(70):
+                    x = pool[i] if i < 28 else pool[int(rng.integers(0, 28))]
+                    eng.receive_example(int(rng.integers(0, 4)), x, float(rng.normal()),
+                                        float(rng.uniform(0.5, 2.0)))
+                seen = proto.Seen()
+                db = seen.disclosed(proto.decode(proto.encode(
+                    proto.disclosed_to_message(eng.get_disclosed()))))
+                buf = seen.factors.L._buf
+                got = Client(7, cfg).passive_refresh(db, private)
+                # the rows the refresh appended, in place past the Seen's
+                appended = buf[_tri(28) : _tri(31)].copy()
+                assert seen.factors.L._buf is buf
+
+                local = ServerEngine.from_disclosed(db, cfg)
+                for x, y, w in private.triples:
+                    local.receive_example(7, x, y, w)
+                want = local.task_coefficients(7)
+                assert got.epoch == db.epoch
+                assert _pool_bytes(got.inputs) == _pool_bytes(want.inputs)
+                assert got.slots.dtype == want.slots.dtype
+                assert got.slots.tobytes() == want.slots.tobytes()
+                assert appended.tobytes() == local.factors.L.rows(28).tobytes()
+                for f in ("b", "a_cond", "a_task"):
+                    assert rel_err(getattr(got, f), getattr(want, f)) <= 1e-10, (alpha, d, f)
+                xs = probe_points(rng, pool)
+                assert rel_err(client_predictions(got, cfg, xs),
+                               client_predictions(want, cfg, xs)) <= 1e-10, (alpha, d)
+
+
+def _pool_bytes(pool):
+    # everything a Pool holds, as bytes
+    return pool.keys, pool.lengths.tobytes(), pool.values.tobytes()
 
 
 def _root(a):

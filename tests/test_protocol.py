@@ -33,6 +33,7 @@ from mtfuse.daemon import (
 )
 from mtfuse.errors import (
     ChecksumMismatch,
+    DegenerateGram,
     InvalidInput,
     MalformedFrame,
     NonPositiveWeight,
@@ -1910,6 +1911,66 @@ class TestOneL:
                 kept_rows = kept.factors.L.rows().tobytes()
         assert eng.n == 58  # within the 64 rows of the Seen's first buffer
         assert seen.factors.L.rows().tobytes() == eng.factors.L.rows().tobytes()
+
+
+class TestPassiveSummary:
+    """A passive refresh reads a reader's summary and leaves it as it was:
+    it holds no copy of H, and a triple it refuses writes nothing."""
+
+    def test_a_refresh_copies_no_h(self):
+        # the lent H is read through products, and the new inputs' rows of
+        # L go into the Seen's room: the refresh allocates less than one H
+        eng, rng = TestOneL._served(300, 64)
+        seen = proto.Seen()
+        db = seen.disclosed(TestOneL._reply(eng, seen))
+        h_before = db.H.packed.tobytes()
+        own = make_inputs(rng, 2, dim=4, prefix=b"own", unit=True)
+        private = PrivateData([(own[0], 0.5, 1.0), (eng.inputs[5], -0.2, 2.0),
+                               (own[1], 0.1, 1.0), (own[0], 0.3, 0.5)]
+                              + [(eng.inputs[i], 0.1 * i, 1.0) for i in range(10, 20)])
+        Client(99, eng.cfg).passive_refresh(db, private)  # first calls warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = Client(99, eng.cfg).passive_refresh(db, private)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(model.slots) == 13 and len(model.inputs) == 302
+        assert peak < db.H.packed.nbytes, (peak, db.H.packed.nbytes)
+        assert db.H.packed.tobytes() == h_before
+
+    def test_refusals_match_the_replay(self):
+        # each bad triple follows a new private input and a known one, so
+        # a row of L was appended before the refusal; the refresh refuses
+        # it with the class the replay raises, and the Seen and the
+        # summary keep their bytes
+        eng, rng = TestOneL._served(40, 65)
+        seen = proto.Seen()
+        db = seen.disclosed(TestOneL._reply(eng, seen))
+        held, summary = _seen_bytes(seen), _disclosed_bytes(db)
+        own = make_inputs(rng, 2, dim=4, prefix=b"own", unit=True)
+        lead = [(own[0], 0.3, 1.0), (eng.inputs[1], -0.2, 2.0)]
+        bad = (
+            ([(InputPoint(b"nan", [0.5, np.nan, 0.5, 0.5]), 0.5, 1.0)], InvalidInput),
+            ([(own[1], np.inf, 1.0)], InvalidInput),
+            ([(own[1], 0.5, 0.0)], NonPositiveWeight),
+            ([(own[1], 0.5, -1.0)], NonPositiveWeight),
+            ([(own[1], 0.5, 1e-200), (own[1], 0.1, 1e-200)], NonPositiveWeight),
+            ([(make_inputs(rng, 1, dim=5, prefix=b"wide", unit=True)[0], 0.5, 1.0)],
+             InvalidInput),
+            ([(InputPoint(b"twin", eng.inputs[2].features), 0.5, 1.0)], DegenerateGram),
+        )
+        for tail, error in bad:
+            private = PrivateData(lead + tail)
+            with pytest.raises(error):
+                Client(99, eng.cfg).passive_refresh(db, private)
+            assert _seen_bytes(seen) == held and _disclosed_bytes(db) == summary
+            local = ServerEngine.from_disclosed(db, eng.cfg)
+            with pytest.raises(error):
+                for x, y, w in private.triples:
+                    local.receive_example(99, x, y, w)
+        assert _seen_bytes(seen) == held and _disclosed_bytes(db) == summary
 
 
 class _Sink:
